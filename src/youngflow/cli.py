@@ -2,9 +2,7 @@
 
 Subcommands: pvar, integrate, greedy, solve, flow-check, fbm, verify.
 Runs are deterministic given inputs and seeds; batch artifacts are CSV
-and JSON only.  YOUNGFLOW_THREADS caps per-seed parallelism (default 1);
-the summary merge is sorted by seed, so the output bytes do not depend
-on scheduling.
+and JSON only.
 """
 
 from __future__ import annotations
@@ -12,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional
 
@@ -252,10 +248,6 @@ def run_config(cfg: dict, out_dir: Path) -> bool:
     flow_probe = bool(cfg.get("flow_probe", True))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    workers = max(1, int(os.environ.get("YOUNGFLOW_THREADS", "1")))
-    rows = []
-    failures = []
-
     def one(seed: int):
         try:
             return _run_one_seed(scenario, seed, opts, flow_probe, out_dir)
@@ -273,12 +265,8 @@ def run_config(cfg: dict, out_dir: Path) -> bool:
                 "_error": str(exc),
             }
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, seeds))
-    else:
-        rows = [one(s) for s in seeds]
-    rows.sort(key=lambda r: r["seed"])
+    rows = sorted((one(s) for s in seeds), key=lambda r: r["seed"])
+    failures = []
     for row in rows:
         if "_error" in row:
             failures.append(row)

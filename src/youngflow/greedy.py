@@ -4,9 +4,10 @@ The next greedy time after tau solves
 
     (t - tau)^lambda + |||w|||_{p-var,[tau, t]}  =  mu.
 
-The left side is continuous and strictly increasing in t, so bisection on
-the interpolated path finds the root; the number of full intervals inside
-[a, b] obeys the counting bound
+The left side is continuous and strictly increasing in t.  A running
+p-variation DP walks the driver's vertices until the budget is spent, and
+bisection inside that last segment of the interpolated path finds the
+root.  The number of full intervals inside [a, b] obeys the counting bound
 
     N(a,b,w) <= 2^{p'-1} / mu^{p'} * ( (b-a)^{p' lambda} + |||w|||^{p'}_{p-var,[a,b]} )
 
@@ -26,37 +27,39 @@ from .paths import SampledPath, WindowLike, as_interval, p_variation
 _RESIDUAL_TOL = 1e-8
 
 
-class _RunningVariation:
-    """Incremental p-variation DP over committed vertices plus a moving endpoint."""
+def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float) -> float:
+    """sup-partition power over the committed points, ending at a fresh value."""
+    diff = pts - value
+    if diff.shape[1] == 1:
+        d = np.abs(diff[:, 0])
+    else:
+        d = np.sqrt(np.einsum("ik,ik->i", diff, diff))
+    return float((V + d ** p).max())
 
-    def __init__(self, p: float, dim: int):
-        self.p = p
-        self._pts = np.empty((32, dim))
-        self._V = np.empty(32)
-        self.n = 0
 
-    def _grow(self):
-        if self.n == len(self._V):
-            self._pts = np.resize(self._pts, (2 * self.n, self._pts.shape[1]))
-            self._V = np.resize(self._V, 2 * self.n)
+def _vertex_walk(times, flat, t0, w0, j, stop, lam, mu, p, strict):
+    """Running p-variation DP from (t0, w0) over the vertices j, j+1, ... < stop.
 
-    def endpoint_power(self, value: np.ndarray) -> float:
-        """sup-partition power ending at a fresh endpoint with this value."""
-        if self.n == 0:
-            return 0.0
-        diff = self._pts[: self.n] - np.ravel(value)
-        if diff.shape[1] == 1:
-            d = np.abs(diff[:, 0])
-        else:
-            d = np.sqrt(np.einsum("ik,ik->i", diff, diff))
-        return float(np.max(self._V[: self.n] + d ** self.p))
-
-    def commit(self, value: np.ndarray):
-        self._grow()
-        v = np.ravel(value)
-        self._V[self.n] = self.endpoint_power(v)
-        self._pts[self.n] = v
-        self.n += 1
+    Each vertex is committed while its budget (t_j - t0)^lam + |||w|||_{p-var}
+    stays below mu (strictly if `strict`, else <= mu).  Returns the first
+    vertex not committed (stop when all were) and the committed values with
+    their sup-partition powers, the start first.
+    """
+    pts = np.empty((stop - j + 1, flat.shape[1]))
+    V = np.empty(len(pts))
+    pts[0] = w0
+    V[0] = 0.0
+    n = 1
+    while j < stop:
+        power = _endpoint_power(pts[:n], V[:n], flat[j], p)
+        kappa = (times[j] - t0) ** lam + power ** (1.0 / p)
+        if not (kappa < mu if strict else kappa <= mu):
+            break
+        pts[n] = flat[j]
+        V[n] = power
+        n += 1
+        j += 1
+    return j, pts[:n], V[:n]
 
 
 @dataclass(frozen=True)
@@ -116,39 +119,39 @@ def _next_greedy(
     if start >= end - span_tol:
         raise GreedyExhausted(f"no room after t={start}")
 
-    rv = _RunningVariation(p, int(np.prod(driver.value_shape)))
-    rv.commit(driver.at(start))
+    times, flat = driver.times, driver._flat_values()
+    j0 = int(np.searchsorted(times, start, side="right"))
+    stop = int(np.searchsorted(times, end, side="left"))
+    j, pts, V = _vertex_walk(
+        times, flat, start, np.ravel(driver.at(start)), j0, stop, lam, mu, p, strict=True
+    )
+    # inside the last segment the driver is interpolated as SampledPath.at does
+    cols = [np.ascontiguousarray(c) for c in flat.T]
 
     def kappa(t: float) -> float:
-        return (t - start) ** lam + rv.endpoint_power(driver.at(t)) ** (1.0 / p)
+        value = np.array([np.interp(t, times, c) for c in cols])
+        return (t - start) ** lam + _endpoint_power(pts, V, value, p) ** (1.0 / p)
 
-    times = driver.times
-    j = int(np.searchsorted(times, start, side="right"))
-    prev = start
-    while True:
-        at_cap = not (j < len(times) and times[j] < end)
-        tb = end if at_cap else float(times[j])
-        kb = kappa(tb)
+    if j < stop:
+        tb = float(times[j])
+    else:
+        kb = kappa(end)
         if kb < mu:
-            if at_cap:
-                return end, kb - mu, True
-            rv.commit(driver.at(tb))
-            prev = tb
-            j += 1
-            continue
-        lo, hi = prev, tb
-        for _ in range(max_bisect):
-            if hi - lo <= span_tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if kappa(mid) < mu:
-                lo = mid
-            else:
-                hi = mid
-        t_star = hi
-        if j < len(times) and abs(t_star - times[j]) <= span_tol:
-            t_star = float(min(times[j], end))
-        return t_star, kappa(t_star) - mu, False
+            return end, kb - mu, True
+        tb = end
+    lo, hi = (float(times[j - 1]) if j > j0 else start), tb
+    for _ in range(max_bisect):
+        if hi - lo <= span_tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if kappa(mid) < mu:
+            lo = mid
+        else:
+            hi = mid
+    t_star = hi
+    if j < len(times) and abs(t_star - times[j]) <= span_tol:
+        t_star = float(min(times[j], end))
+    return t_star, kappa(t_star) - mu, False
 
 
 def next_greedy_time(

@@ -31,7 +31,7 @@ from .coefficients import (
     derived_constants,
 )
 from .errors import DomainError, ParameterError, SolveError
-from .greedy import GreedySequence, _RunningVariation, greedy_sequence
+from .greedy import GreedySequence, _vertex_walk, greedy_sequence
 from .paths import (
     ControlFunction,
     Interval,
@@ -143,14 +143,14 @@ class _NoConvergence(Exception):
 # the solution map
 
 
-def _apply_f_arrays(
+def _solution_map_parts(
     field: CoefficientField,
     ts: np.ndarray,
     dt: np.ndarray,
     dw: np.ndarray,
     x: np.ndarray,
-    x0: np.ndarray,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Drift and Young parts of F(x) - x_{t0} on the grid ts."""
     f_vals = field.eval_f(ts, x)
     drift = np.empty_like(x)
     drift[0] = 0.0
@@ -159,7 +159,7 @@ def _apply_f_arrays(
     young = np.empty_like(x)
     young[0] = 0.0
     np.cumsum(np.einsum("idm,im->id", g_vals, dw), axis=0, out=young[1:])
-    return x0[None, :] + drift + young
+    return drift, young
 
 
 def apply_F(
@@ -171,18 +171,10 @@ def apply_F(
     """Evaluate the solution map on x's grid, anchored at the window start."""
     sub = x.restrict(window)
     ts = sub.times
-    ws = driver.at(ts)
-    dt = np.diff(ts)
-    dw = np.diff(ws, axis=0)
-    x0 = sub.values[0]
-    f_vals = field.eval_f(ts, sub.values)
-    drift = np.zeros_like(sub.values)
-    np.cumsum(0.5 * (f_vals[:-1] + f_vals[1:]) * dt[:, None], axis=0, out=drift[1:])
-    g_vals = field.eval_g(ts[:-1], sub.values[:-1])
-    young = np.zeros_like(sub.values)
-    np.cumsum(np.einsum("idm,im->id", g_vals, dw), axis=0, out=young[1:])
+    dw = np.diff(driver.at(ts), axis=0)
+    drift, young = _solution_map_parts(field, ts, np.diff(ts), dw, sub.values)
     return FApplication(
-        path=SampledPath(ts, x0[None, :] + drift + young),
+        path=SampledPath(ts, sub.values[0][None, :] + drift + young),
         drift_part=SampledPath(ts, drift),
         young_part=SampledPath(ts, young),
     )
@@ -252,8 +244,13 @@ def _picard_slice(
     reached_tol = False
     prev_change = math.inf
     max_total = opts.picard_max_iters + 40
+
+    def apply_f(x):
+        drift, young = _solution_map_parts(field, ts, dt, dw, x)
+        return x0[None, :] + drift + young
+
     while iters < max_total:
-        fx = _apply_f_arrays(field, ts, dt, dw, x, x0)
+        fx = apply_f(x)
         change = float(np.max(np.abs(fx - x))) if n > 1 else 0.0
         x = fx
         iters += 1
@@ -277,7 +274,7 @@ def _picard_slice(
         prev_change = change
     if not reached_tol:
         raise _NoConvergence("polish phase exhausted")
-    final = _apply_f_arrays(field, ts, dt, dw, x, x0)
+    final = apply_f(x)
     residual = float(np.max(np.abs(final - x)))
     return x, iters, residual, ball_ok
 
@@ -375,25 +372,12 @@ def _chunk_boundaries(
     n = len(base_times)
     bounds = [0]
     b = 0
-    dim = base_w.shape[1]
     while b < n - 1:
-        rv = _RunningVariation(p, dim)
-        rv.commit(base_w[b])
-        j = b + 1
-        last_ok = b
-        while j < n:
-            kappa = (base_times[j] - base_times[b]) ** alpha + rv.endpoint_power(
-                base_w[j]
-            ) ** (1.0 / p)
-            if kappa <= mu:
-                last_ok = j
-                rv.commit(base_w[j])
-                j += 1
-            else:
-                break
-        nxt = max(last_ok, b + 1)
-        bounds.append(nxt)
-        b = nxt
+        j, _, _ = _vertex_walk(
+            base_times, base_w, base_times[b], base_w[b], b + 1, n, alpha, mu, p, strict=False
+        )
+        b = max(j - 1, b + 1)
+        bounds.append(b)
     return bounds
 
 

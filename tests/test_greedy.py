@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from youngflow import (
     FbmSpec,
@@ -15,6 +16,7 @@ from youngflow import (
     next_greedy_time,
     p_variation,
 )
+from youngflow.solver import _chunk_boundaries
 
 
 def _linear_driver(n=201, t1=1.0):
@@ -134,3 +136,58 @@ def test_greedy_interval_variation_budget():
     for a, b in zip(seq.times[:-1], seq.times[1:]):
         kappa = (b - a) ** lam + p_variation(drv, p, (a, b))
         assert kappa <= mu + 1e-7
+
+
+@st.composite
+def _piecewise_linear(draw):
+    """Random scalar or 2-d piecewise-linear driver on [0, 1] with n <= 200."""
+    n = draw(st.integers(2, 200))
+    dim = draw(st.sampled_from([1, 2]))
+    scale = draw(st.floats(0.01, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.uniform(0.5, 1.5, n - 1)
+    times = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    steps = rng.normal(scale=scale / np.sqrt(n), size=(n - 1, dim))
+    values = np.concatenate([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
+    return SampledPath(times, values[:, 0] if dim == 1 else values)
+
+
+# about mu^(-1/lam) intervals: at most 100 from the time term alone
+_budget_params = dict(
+    driver=_piecewise_linear(),
+    lam=st.floats(0.5, 1.0),
+    mu=st.floats(0.1, 2.0),
+    p=st.floats(1.0, 3.0),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_budget_params)
+def test_greedy_intervals_spend_the_budget(driver, lam, mu, p):
+    # the budget recomputed from p_variation, apart from the greedy engine
+    seq = greedy_sequence(driver, 0.0, 1.0, lam=lam, mu=mu, p=p)
+    for i, (a, b) in enumerate(zip(seq.times[:-1], seq.times[1:])):
+        budget = (b - a) ** lam + p_variation(driver, p, (a, b))
+        if seq.clamped and i == seq.n_intervals - 1:
+            assert budget <= mu + 1e-8
+        else:
+            assert abs(budget - mu) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_budget_params)
+def test_chunks_are_maximal_within_the_budget(driver, lam, mu, p):
+    ts = driver.times
+    n = len(ts)
+
+    def budget(i, k):
+        return (ts[k] - ts[i]) ** lam + p_variation(driver, p, (ts[i], ts[k]))
+
+    bounds = _chunk_boundaries(ts, driver._flat_values(), lam, mu, p)
+    assert bounds[0] == 0 and bounds[-1] == n - 1
+    for b, e in zip(bounds[:-1], bounds[1:]):
+        if e == b + 1 and budget(b, e) > mu:
+            continue  # a single step over budget is taken whole
+        assert budget(b, e) <= mu + 1e-12
+        if e < n - 1:
+            assert budget(b, e + 1) > mu - 1e-12
