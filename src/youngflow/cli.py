@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -21,7 +21,7 @@ from .coefficients import BUILTIN_FIELDS, select_exponents
 from .drivers import FbmSpec, analytic_driver, fbm_sample
 from .errors import SolveError, YoungflowError
 from .flow import cauchy_operator, flow_axiom_check
-from .greedy import greedy_sequence
+from .greedy import counting_bound, greedy_sequence
 from .paths import p_variation
 from .scenarios import (
     DETERMINISTIC_BUNDLE,
@@ -79,15 +79,7 @@ def _solve_options(cfg: dict, base: SolveOptions) -> SolveOptions:
     unknown = set(solve_cfg) - allowed
     if unknown:
         raise ConfigError(f"config key 'solve': unknown fields {sorted(unknown)}")
-    merged = {
-        "picard_tol": base.picard_tol,
-        "picard_max_iters": base.picard_max_iters,
-        "shrink_factor": base.shrink_factor,
-        "mu_override": base.mu_override,
-        "oversample": base.oversample,
-    }
-    merged.update(solve_cfg)
-    return SolveOptions(grid=base.grid, **merged)
+    return replace(base, **solve_cfg)
 
 
 def _scenario_from_config(cfg: dict) -> Scenario:
@@ -208,12 +200,7 @@ def _run_one_seed(scenario: Scenario, seed: int, opts_override, flow_probe: bool
 
     exps = run.exponents
     var = p_variation(run.driver, exps.p, (report.t0, report.T))
-    p_prime = exps.p_prime
-    bound = 0.0
-    if math.isfinite(report.mu) and report.mu > 0:
-        bound = (2.0 ** (p_prime - 1.0) / report.mu ** p_prime) * (
-            (report.T - report.t0) ** (p_prime * exps.alpha) + var ** p_prime
-        )
+    bound = counting_bound(report.T - report.t0, var, exps.alpha, report.mu, exps.p_prime)
     gron = report.certificate("gronwall")
     grow = report.certificate("growth")
     all_ok = all(c.ok for c in report.certificates)
@@ -227,8 +214,8 @@ def _run_one_seed(scenario: Scenario, seed: int, opts_override, flow_probe: bool
         comp_res = float(np.linalg.norm(X(u, t, X(s, u, x)) - X(s, t, x)))
     return {
         "seed": seed,
-        "greedy_interval_count": report.greedy.n_intervals,
-        "count_bound": float(bound),
+        "greedy_interval_count": report.greedy.n_full(),
+        "count_bound": bound,
         "max_picard_iters": report.max_iters,
         "max_fixed_point_residual": report.max_residual,
         "gronwall_ok": bool(gron.ok) if gron else False,

@@ -24,7 +24,7 @@ and q*alpha > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -114,29 +114,18 @@ class CoefficientField:
         """
         rho = lambda u: (t0 + t1) - np.asarray(u, float)
         sgn = -1.0 if negate_drift else 1.0
-        f, g, g_x, b = self.f, self.g, self.g_x, self.b
-        h = self.h
-        return CoefficientField(
+        f, g, g_x, b, h = self.f, self.g, self.g_x, self.b, self.h
+        return replace(
+            self,
             f=lambda ts, xs: sgn * f(rho(ts), xs),
             g=lambda ts, xs: g(rho(ts), xs),
             g_x=lambda ts, xs: g_x(rho(ts), xs),
-            dim_d=self.dim_d,
-            dim_m=self.dim_m,
-            L_g=self.L_g,
-            M_N=self.M_N,
-            delta=self.delta,
-            beta=self.beta,
             h=ControlFunction(
                 lambda s, t: h(min(rho(t), rho(s)), max(rho(t), rho(s))),
                 f"reversed({h.label})",
             ),
-            L_N=self.L_N,
-            a=self.a,
             b=lambda ts: b(rho(ts)),
-            b_norm=self.b_norm,
-            alpha=self.alpha,
             name=f"{self.name}-reversed",
-            gronwall=self.gronwall,
         )
 
 

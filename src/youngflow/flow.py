@@ -16,11 +16,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .coefficients import CoefficientField, ExponentSet
-from .paths import SampledPath, WindowLike, as_interval, p_variation, p_variation_norm
+from .paths import SampledPath, WindowLike, as_interval, p_variation, p_variation_norm, subsample
 from .solver import (
     SolveOptions,
     SolveReport,
-    _coarse_indices,
     solve_backward,
     solve_forward,
 )
@@ -152,9 +151,7 @@ def difference_growth_log_constant(
     C_z = 4^p c_z^p ln 2.  Returns log of that factor (it can overflow).
     """
     window = as_interval(window)
-    w_sub = driver.restrict(window)
-    idx = _coarse_indices(len(w_sub.times), coarse_cap)
-    w_c = SampledPath(w_sub.times[idx], w_sub.values[idx])
+    w_c = subsample(driver.restrict(window), coarse_cap)
     from .coefficients import derived_constants
 
     cons = derived_constants(field, window.lo, window.hi, exponents.K0)
@@ -196,14 +193,7 @@ def non_intersection_check(
     min_sep = float(np.min(sep))
     argmin_t = float(rep_a.solution.times[int(np.argmin(sep))])
 
-    idx = _coarse_indices(len(rep_a.solution.times), 400)
-    norm_a = p_variation_norm(
-        SampledPath(rep_a.solution.times[idx], rep_a.solution.values[idx]), exponents.q
-    )
-    norm_b = p_variation_norm(
-        SampledPath(rep_b.solution.times[idx], rep_b.solution.values[idx]), exponents.q
-    )
-    N0 = max(norm_a, norm_b)
+    N0 = max(p_variation_norm(subsample(r.solution, 400), exponents.q) for r in (rep_a, rep_b))
     log_C = difference_growth_log_constant(field, driver, exponents, window, N0)
     log_floor = math.log(float(np.linalg.norm(x0 - x0p))) - log_C
     if separation_floor is None:

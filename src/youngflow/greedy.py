@@ -118,6 +118,8 @@ def _next_greedy(
         raise DomainError(f"start {start} outside driver domain")
     if start >= end - span_tol:
         raise GreedyExhausted(f"no room after t={start}")
+    # SampledPath.at has a tighter tolerance than span_tol: read the start in-domain
+    start = max(start, dom.lo)
 
     times, flat = driver.times, driver._flat_values()
     j0 = int(np.searchsorted(times, start, side="right"))
@@ -212,6 +214,13 @@ def greedy_sequence(
     )
 
 
+def counting_bound(span: float, var: float, lam: float, mu: float, p_prime: float) -> float:
+    """2^{p'-1} / mu^{p'} * (span^{p' lam} + var^{p'}); 0.0 when mu is infinite."""
+    return float(
+        (2.0 ** (p_prime - 1.0) / mu ** p_prime) * (span ** (p_prime * lam) + var ** p_prime)
+    )
+
+
 @dataclass(frozen=True)
 class CountBound:
     """Observed interval count against the closed-form counting bound."""
@@ -243,9 +252,5 @@ def count_bound(
     if b <= a:
         return CountBound(actual=0, bound=0.0, p_prime=p_prime)
     seq = greedy_sequence(driver, a, b, lam, mu, p)
-    actual = seq.n_full()
-    var = p_variation(driver, p, window)
-    bound = (2.0 ** (p_prime - 1.0) / mu ** p_prime) * (
-        (b - a) ** (p_prime * lam) + var ** p_prime
-    )
-    return CountBound(actual=int(actual), bound=float(bound), p_prime=p_prime)
+    bound = counting_bound(b - a, p_variation(driver, p, window), lam, mu, p_prime)
+    return CountBound(actual=seq.n_full(), bound=bound, p_prime=p_prime)

@@ -151,6 +151,18 @@ class SampledPath:
         return SampledPath((a + b) - self.times[::-1], self.values[::-1])
 
 
+def thin_indices(n: int, cap: int, keep: Sequence[int] = ()) -> np.ndarray:
+    """At most cap evenly spaced indices into range(n), both ends included, plus keep."""
+    idx = np.linspace(0, n - 1, min(n, cap)).astype(int)
+    return np.unique(np.concatenate([idx, np.asarray(keep, dtype=int)]))
+
+
+def subsample(path: SampledPath, cap: int, keep: Sequence[int] = ()) -> SampledPath:
+    """The path on the samples thin_indices(len(path.times), cap, keep)."""
+    idx = thin_indices(len(path.times), cap, keep)
+    return SampledPath(path.times[idx], path.values[idx])
+
+
 def _window_samples(path: SampledPath, window: Interval):
     lo, hi = path.times[0], path.times[-1]
     span = max(hi - lo, 1.0)
@@ -224,7 +236,7 @@ def p_variation(
         return float(np.sum(np.linalg.norm(np.diff(flat, axis=0), axis=1)))
     V = np.zeros(n)
     for j in range(1, n):
-        V[j] = np.max(V[:j] + _increment_norms(flat, j) ** p)
+        V[j] = (V[:j] + _increment_norms(flat, j) ** p).max()
     return float(V[-1]) if power else float(V[-1] ** (1.0 / p))
 
 
@@ -371,9 +383,7 @@ class ControlFunction:
     def superadditivity_defect(self, times: Sequence[float]) -> float:
         """max over sampled triples s<=t<=u of w(s,t)+w(t,u)-w(s,u)."""
         ts = np.asarray(sorted(times), dtype=float)
-        if len(ts) > 25:
-            idx = np.unique(np.linspace(0, len(ts) - 1, 25).astype(int))
-            ts = ts[idx]
+        ts = ts[thin_indices(len(ts), 25)]
         worst = -np.inf
         for i in range(len(ts)):
             for j in range(i, len(ts)):
@@ -398,12 +408,7 @@ def dominated_variation_bound(
     routine verifies it on all anchor pairs drawn from the sample times.
     """
     sub = path.restrict(window)
-    n = len(sub.times)
-    if n <= max_anchors:
-        anchor_idx = np.arange(n)
-    else:
-        anchor_idx = np.unique(np.linspace(0, n - 1, max_anchors).astype(int))
-    ts = sub.times[anchor_idx]
+    ts = sub.times[thin_indices(len(sub.times), max_anchors)]
     for a in range(len(ts)):
         for b in range(a + 1, len(ts)):
             s, t = float(ts[a]), float(ts[b])

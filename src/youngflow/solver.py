@@ -17,8 +17,8 @@ are evaluated on the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,13 +34,13 @@ from .errors import DomainError, ParameterError, SolveError
 from .greedy import GreedySequence, _vertex_walk, greedy_sequence
 from .paths import (
     ControlFunction,
-    Interval,
     SampledPath,
     WindowLike,
-    as_interval,
     merge_times,
     p_variation,
     p_variation_norm,
+    subsample,
+    thin_indices,
 )
 from .young import Certificate, YoungConstants, young_loeve_check
 
@@ -118,14 +118,7 @@ class SolveReport:
             "T": float(self.T),
             "x0": [float(v) for v in np.atleast_1d(self.x0)],
             "mu": float(self.mu),
-            "exponents": {
-                "p": self.exponents.p,
-                "q0": self.exponents.q0,
-                "q": self.exponents.q,
-                "alpha": self.exponents.alpha,
-                "beta": self.exponents.beta,
-                "delta": self.exponents.delta,
-            },
+            "exponents": asdict(self.exponents),
             "greedy": self.greedy.to_json(),
             "n_chunks": len(self.iters_per_interval),
             "iters_per_interval": [int(i) for i in self.iters_per_interval],
@@ -210,12 +203,6 @@ def apply_F_certificate(
 # Picard iteration on one grid slice
 
 
-def _ball_indices(n: int, cap: int = 32) -> np.ndarray:
-    if n <= cap:
-        return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, cap).astype(int))
-
-
 def _picard_slice(
     field: CoefficientField,
     ts: np.ndarray,
@@ -237,7 +224,7 @@ def _picard_slice(
     x = np.tile(x0, (n, 1)) if x_init is None else np.array(x_init, dtype=float)
     scale = max(1.0, float(np.linalg.norm(x0)))
     floor = max(64.0 * np.finfo(float).eps * scale, 1e-5 * opts.picard_tol)
-    ball_idx = _ball_indices(n)
+    ball_idx = thin_indices(n, 32)
     ball_cap = 2.0 * float(np.linalg.norm(x0)) + 1.0
     ball_ok = True
     iters = 0
@@ -483,18 +470,9 @@ def solve_backward(
         rev_field, rev_driver, t0, xT, T, opts=opts, exponents=exponents, certify=certify
     )
     sol = inner.solution
-    restored = SampledPath((t0 + T) - sol.times[::-1], sol.values[::-1])
-    return SolveReport(
-        solution=restored,
-        greedy=inner.greedy,
-        chunk_times=inner.chunk_times,
-        iters_per_interval=inner.iters_per_interval,
-        fixed_point_residuals=inner.fixed_point_residuals,
-        ball_ok=inner.ball_ok,
-        certificates=inner.certificates,
-        exponents=inner.exponents,
-        mu=inner.mu,
-        constants=inner.constants,
+    return replace(
+        inner,
+        solution=SampledPath((t0 + T) - sol.times[::-1], sol.values[::-1]),
         t0=float(t0),
         T=float(T),
         x0=np.atleast_1d(np.asarray(xT, dtype=float)),
@@ -543,11 +521,6 @@ class GronwallInput:
         return max(self.a1, self.a2 * (K + 1.0))
 
 
-def _coarse_indices(n: int, cap: int, keep: Sequence[int] = ()) -> np.ndarray:
-    idx = np.linspace(0, n - 1, min(n, cap)).astype(int)
-    return np.unique(np.concatenate([idx, np.asarray(list(keep), dtype=int)]))
-
-
 def _log_safe(x: float) -> float:
     return math.log(max(x, 1e-300))
 
@@ -592,11 +565,10 @@ def gronwall_certificate(
 
     ts = y.times
     n = len(ts)
-    anchor_idx = _coarse_indices(n, n_anchors)
-    coarse_idx = _coarse_indices(n, coarse_cap, keep=anchor_idx)
-    y_coarse = SampledPath(ts[coarse_idx], y.values[coarse_idx])
+    anchor_idx = thin_indices(n, n_anchors)
+    y_coarse = subsample(y, coarse_cap, keep=anchor_idx)
     w_sub = driver.restrict((window.lo, window.hi))
-    w_on_y = SampledPath(ts[coarse_idx], w_sub.at(ts[coarse_idx]))
+    w_on_y = SampledPath(y_coarse.times, w_sub.at(y_coarse.times))
 
     if variant == "increment":
         # cumulative integrals of y on its own grid (same rules as the solver)
@@ -720,8 +692,7 @@ def build_gronwall_input(
     p, q = exps.p, exps.q
     y = report.solution
     w_sub = driver.restrict((report.t0, report.T))
-    idx = _coarse_indices(len(w_sub.times), coarse_cap)
-    w_coarse = SampledPath(w_sub.times[idx], w_sub.values[idx])
+    w_coarse = subsample(w_sub, coarse_cap)
     horizon = report.T - report.t0
 
     if gd.mode == "linear":
@@ -730,8 +701,7 @@ def build_gronwall_input(
         psi_eff = gd.noise_inhom + Kq * gd.noise_inhom_lip * horizon
         a1, a2 = gd.a1, gd.a2
     elif gd.mode == "bounded":
-        sol_idx = _coarse_indices(len(y.times), coarse_cap)
-        var_x = p_variation(SampledPath(y.times[sol_idx], y.values[sol_idx]), q)
+        var_x = p_variation(subsample(y, coarse_cap), q)
         phi = gd.f_bound
         psi_eff = gd.g_bound + exps.K0 * report.constants.M * (1.0 + var_x)
         a1 = a2 = 0.0
@@ -785,12 +755,8 @@ def growth_certificate(
     C2 = _LN2 * (4.0 * c_star) ** p_prime
     log_C1 = _LN2 + C2 * (report.T - report.t0) ** (p_prime * alpha)
 
-    y = report.solution
-    idx = _coarse_indices(len(y.times), coarse_cap)
-    y_c = SampledPath(y.times[idx], y.values[idx])
-    w_sub = driver.restrict((report.t0, report.T))
-    widx = _coarse_indices(len(w_sub.times), coarse_cap)
-    w_c = SampledPath(w_sub.times[widx], w_sub.values[widx])
+    y_c = subsample(report.solution, coarse_cap)
+    w_c = subsample(driver.restrict((report.t0, report.T)), coarse_cap)
     x0n = float(np.linalg.norm(report.x0))
 
     ends = np.linspace(report.t0, report.T, n_anchors + 1)[1:]
@@ -852,9 +818,7 @@ def standard_certificates(
         pass
     certs.append(growth_certificate(report, field, driver))
 
-    y = report.solution
-    idx = _coarse_indices(len(y.times), coarse_cap)
-    y_c = SampledPath(y.times[idx], y.values[idx])
+    y_c = subsample(report.solution, coarse_cap)
     comp = composed_path(field, y_c)
     w_on = SampledPath(y_c.times, driver.at(y_c.times))
     certs.append(young_loeve_check(comp, w_on, constants=exps.young0))

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ParameterError, RegularityError, ShapeError
 from .paths import (
-    Interval,
     SampledPath,
     WindowLike,
     as_interval,
@@ -89,14 +88,6 @@ class Certificate:
         return out
 
 
-def _common_grid(integrand: SampledPath, driver: SampledPath, window: WindowLike):
-    window = as_interval(window)
-    xi = integrand.restrict(window)
-    wi = driver.restrict(window)
-    grid = merge_times(xi.times, wi.times)
-    return grid, integrand.at(grid), driver.at(grid)
-
-
 def _pair_terms(x_vals: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """Per-step products x * dw for the supported shape pairings."""
     if x_vals.ndim == 3:  # (n, d, m) matrix against (n, m) increments
@@ -115,29 +106,42 @@ def _pair_terms(x_vals: np.ndarray, dw: np.ndarray) -> np.ndarray:
     )
 
 
+_RULES = {
+    "left": lambda x: x[:-1],
+    "right": lambda x: x[1:],
+    "midpoint": lambda x: 0.5 * (x[:-1] + x[1:]),
+}
+
+
+def _rs_terms(
+    integrand: SampledPath,
+    driver: SampledPath,
+    window: WindowLike,
+    rule: str,
+):
+    """The finest common grid, both paths on it and the per-step RS terms.
+
+    rule selects the evaluation point xi_i on [t_i, t_{i+1}]: left, right
+    or midpoint (for the linear interpolant the midpoint value is the
+    average of the endpoint values).
+    """
+    if rule not in _RULES:
+        raise ParameterError(f"unknown rule {rule!r}")
+    window = as_interval(window)
+    grid = merge_times(integrand.restrict(window).times, driver.restrict(window).times)
+    x_vals, w_vals = integrand.at(grid), driver.at(grid)
+    terms = _pair_terms(_RULES[rule](x_vals), np.diff(w_vals, axis=0))
+    return grid, x_vals, w_vals, terms
+
+
 def rs_sum(
     integrand: SampledPath,
     driver: SampledPath,
     window: WindowLike = None,
     rule: str = "left",
 ) -> np.ndarray:
-    """Riemann-Stieltjes sum over the finest common sample grid.
-
-    rule selects the evaluation point xi_i on [t_i, t_{i+1}]: left, right
-    or midpoint (for the linear interpolant the midpoint value is the
-    average of the endpoint values).
-    """
-    grid, x_vals, w_vals = _common_grid(integrand, driver, window)
-    dw = np.diff(w_vals, axis=0)
-    if rule == "left":
-        xi = x_vals[:-1]
-    elif rule == "right":
-        xi = x_vals[1:]
-    elif rule == "midpoint":
-        xi = 0.5 * (x_vals[:-1] + x_vals[1:])
-    else:
-        raise ParameterError(f"unknown rule {rule!r}")
-    return _pair_terms(xi, dw).sum(axis=0)
+    """Riemann-Stieltjes sum over the finest common sample grid (see _rs_terms)."""
+    return _rs_terms(integrand, driver, window, rule)[3].sum(axis=0)
 
 
 def partial_sums_path(
@@ -147,15 +151,7 @@ def partial_sums_path(
     rule: str = "left",
 ) -> SampledPath:
     """The path t -> sum of RS terms up to t on the common grid."""
-    grid, x_vals, w_vals = _common_grid(integrand, driver, window)
-    dw = np.diff(w_vals, axis=0)
-    if rule == "left":
-        xi = x_vals[:-1]
-    elif rule == "right":
-        xi = x_vals[1:]
-    else:
-        xi = 0.5 * (x_vals[:-1] + x_vals[1:])
-    terms = _pair_terms(xi, dw)
+    grid, _, _, terms = _rs_terms(integrand, driver, window, rule)
     out = np.zeros((len(grid), terms.shape[1]))
     np.cumsum(terms, axis=0, out=out[1:])
     return SampledPath(grid, out)
@@ -168,15 +164,7 @@ def reverse_integral(
     rule: str = "left",
 ) -> np.ndarray:
     """The orientation-reversed integral: same terms with negated increments."""
-    grid, x_vals, w_vals = _common_grid(integrand, driver, window)
-    dw_rev = w_vals[:-1] - w_vals[1:]
-    if rule == "left":
-        xi = x_vals[:-1]
-    elif rule == "right":
-        xi = x_vals[1:]
-    else:
-        xi = 0.5 * (x_vals[:-1] + x_vals[1:])
-    return _pair_terms(xi, dw_rev).sum(axis=0)
+    return -rs_sum(integrand, driver, window, rule)
 
 
 def young_integral(
@@ -198,9 +186,8 @@ def young_integral(
         raise ParameterError("refine_tol must be positive")
     if constants is None:
         constants = YoungConstants(1.0, 1.0)
-    grid, x_vals, w_vals = _common_grid(integrand, driver, window)
-    dw = np.diff(w_vals, axis=0)
-    value = _pair_terms(x_vals[:-1], dw).sum(axis=0)
+    grid, x_vals, w_vals, terms = _rs_terms(integrand, driver, window, "left")
+    value = terms.sum(axis=0)
 
     coarse: List[Tuple[int, float]] = []
     stride = 2
@@ -245,12 +232,9 @@ def young_loeve_check(
     """
     if constants is None:
         raise ParameterError("young_loeve_check needs explicit YoungConstants")
-    window = as_interval(window)
-    grid, x_vals, w_vals = _common_grid(integrand, driver, window)
+    grid, x_vals, w_vals, terms = _rs_terms(integrand, driver, window, "left")
     x_path = SampledPath(grid, x_vals)
     w_path = SampledPath(grid, w_vals)
-    dw = np.diff(w_vals, axis=0)
-    terms = _pair_terms(x_vals[:-1], dw)
     integral = terms.sum(axis=0)
     one_step = _pair_terms(x_vals[:1], (w_vals[-1] - w_vals[0])[None])[0]
     defect = float(np.linalg.norm(integral - one_step))

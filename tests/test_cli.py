@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ def test_run_config_summary_columns(tmp_path):
     assert (tmp_path / "run" / "seed_0" / "solution.csv").exists()
     assert (tmp_path / "run" / "seed_0" / "report.json").exists()
     assert (tmp_path / "run" / "seed_0" / "greedy.json").exists()
+
+
+def test_zero_row_interval_count_within_count_bound(tmp_path):
+    assert run_config({"scenario": "zero", "seeds": [0]}, tmp_path / "z")
+    header, row = (tmp_path / "z" / "summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert int(cells["greedy_interval_count"]) <= math.ceil(float(cells["count_bound"]))
 
 
 def test_run_config_custom_field_and_driver(tmp_path):

@@ -55,6 +55,14 @@ def test_exhausted_at_domain_end():
         next_greedy_time(drv, 1.0, lam=1.0, mu=0.5, p=1.5)
 
 
+def test_start_just_outside_domain_is_clamped():
+    drv = SampledPath(np.linspace(10.0, 11.0, 50), np.linspace(0.0, 1.0, 50))
+    at_lo = next_greedy_time(drv, 10.0, 0.6, 0.3, 1.7)
+    assert next_greedy_time(drv, 10.0 - 5e-12, 0.6, 0.3, 1.7) == at_lo
+    with pytest.raises(GreedyExhausted):
+        next_greedy_time(drv, 11.0 + 5e-12, 0.6, 0.3, 1.7)
+
+
 def test_residuals_small_for_fbm_drivers():
     for seed in range(5):
         drv = fbm_sample(FbmSpec(hurst=0.75, horizon=1.0, samples=513, seed=seed))

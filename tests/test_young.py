@@ -206,9 +206,18 @@ def test_partial_sums_path_matches_total(rng):
     ts = _uniform(301)
     x = SampledPath(ts, np.sin(ts))
     w = SampledPath(ts, np.cumsum(rng.standard_normal(len(ts))) * 0.02)
-    sums = partial_sums_path(x, w)
-    assert sums.values[-1, 0] == pytest.approx(rs_sum(x, w)[0], abs=1e-14)
-    assert sums.values[0, 0] == 0.0
+    for rule in ("left", "right", "midpoint"):
+        sums = partial_sums_path(x, w, rule=rule)
+        assert sums.values[-1, 0] == pytest.approx(rs_sum(x, w, rule=rule)[0], abs=1e-14)
+        assert sums.values[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("fn", [rs_sum, partial_sums_path, reverse_integral])
+def test_unknown_rule_raises(fn):
+    ts = _uniform(11)
+    x = SampledPath(ts, ts)
+    with pytest.raises(ParameterError, match="unknown rule"):
+        fn(x, x, rule="bogus")
 
 
 def test_driver_sine_total_variation():
