@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -75,7 +75,7 @@ def _solve_options(cfg: dict, base: SolveOptions) -> SolveOptions:
     solve_cfg = cfg.get("solve", {})
     if not isinstance(solve_cfg, dict):
         raise ConfigError("config key 'solve': must be an object")
-    allowed = {"picard_tol", "picard_max_iters", "shrink_factor", "mu_override", "oversample"}
+    allowed = {f.name for f in fields(SolveOptions)} - {"grid"}
     unknown = set(solve_cfg) - allowed
     if unknown:
         raise ConfigError(f"config key 'solve': unknown fields {sorted(unknown)}")

@@ -17,12 +17,7 @@ import numpy as np
 
 from .coefficients import CoefficientField, ExponentSet
 from .paths import SampledPath, WindowLike, as_interval, p_variation, p_variation_norm, subsample
-from .solver import (
-    SolveOptions,
-    SolveReport,
-    solve_backward,
-    solve_forward,
-)
+from .solver import _COARSE_CAP, SolveOptions, SolveReport, solve_backward, solve_forward
 from .young import Certificate
 
 _LN2 = math.log(2.0)
@@ -141,7 +136,6 @@ def difference_growth_log_constant(
     exponents: ExponentSet,
     window: WindowLike,
     N0: float,
-    coarse_cap: int = 512,
 ) -> float:
     """log of the Lipschitz constant tying states at window ends.
 
@@ -151,7 +145,7 @@ def difference_growth_log_constant(
     C_z = 4^p c_z^p ln 2.  Returns log of that factor (it can overflow).
     """
     window = as_interval(window)
-    w_c = subsample(driver.restrict(window), coarse_cap)
+    w_c = subsample(driver.restrict(window), _COARSE_CAP)
     from .coefficients import derived_constants
 
     cons = derived_constants(field, window.lo, window.hi, exponents.K0)

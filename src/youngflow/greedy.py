@@ -25,6 +25,8 @@ from .errors import DomainError, GreedyExhausted, ParameterError
 from .paths import SampledPath, WindowLike, as_interval, p_variation
 
 _RESIDUAL_TOL = 1e-8
+_TIME_TOL = 1e-12
+_MAX_BISECT = 200
 
 
 def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float) -> float:
@@ -37,13 +39,13 @@ def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float)
     return float((V + d ** p).max())
 
 
-def _vertex_walk(times, flat, t0, w0, j, stop, lam, mu, p, strict):
+def _vertex_walk(times, flat, t0, w0, j, stop, lam, mu, p):
     """Running p-variation DP from (t0, w0) over the vertices j, j+1, ... < stop.
 
     Each vertex is committed while its budget (t_j - t0)^lam + |||w|||_{p-var}
-    stays below mu (strictly if `strict`, else <= mu).  Returns the first
-    vertex not committed (stop when all were) and the committed values with
-    their sup-partition powers, the start first.
+    stays strictly below mu.  Returns the first vertex not committed (stop
+    when all were) and the committed values with their sup-partition powers,
+    the start first.
     """
     pts = np.empty((stop - j + 1, flat.shape[1]))
     V = np.empty(len(pts))
@@ -53,7 +55,7 @@ def _vertex_walk(times, flat, t0, w0, j, stop, lam, mu, p, strict):
     while j < stop:
         power = _endpoint_power(pts[:n], V[:n], flat[j], p)
         kappa = (times[j] - t0) ** lam + power ** (1.0 / p)
-        if not (kappa < mu if strict else kappa <= mu):
+        if not kappa < mu:
             break
         pts[n] = flat[j]
         V[n] = power
@@ -103,8 +105,6 @@ def _next_greedy(
     mu: float,
     p: float,
     end: Optional[float] = None,
-    time_tol: float = 1e-12,
-    max_bisect: int = 200,
 ):
     """Root of the budget equation from `start`; returns (time, residual, clamped)."""
     if lam <= 0 or mu <= 0:
@@ -113,7 +113,7 @@ def _next_greedy(
     if end is None:
         end = dom.hi
     end = min(end, dom.hi)
-    span_tol = time_tol * max(1.0, abs(dom.hi) + abs(dom.lo))
+    span_tol = _TIME_TOL * max(1.0, abs(dom.hi) + abs(dom.lo))
     if start < dom.lo - span_tol or start > dom.hi + span_tol:
         raise DomainError(f"start {start} outside driver domain")
     if start >= end - span_tol:
@@ -124,9 +124,7 @@ def _next_greedy(
     times, flat = driver.times, driver._flat_values()
     j0 = int(np.searchsorted(times, start, side="right"))
     stop = int(np.searchsorted(times, end, side="left"))
-    j, pts, V = _vertex_walk(
-        times, flat, start, np.ravel(driver.at(start)), j0, stop, lam, mu, p, strict=True
-    )
+    j, pts, V = _vertex_walk(times, flat, start, np.ravel(driver.at(start)), j0, stop, lam, mu, p)
     # inside the last segment the driver is interpolated as SampledPath.at does
     cols = [np.ascontiguousarray(c) for c in flat.T]
 
@@ -142,7 +140,7 @@ def _next_greedy(
             return end, kb - mu, True
         tb = end
     lo, hi = (float(times[j - 1]) if j > j0 else start), tb
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         if hi - lo <= span_tol:
             break
         mid = 0.5 * (lo + hi)
@@ -187,7 +185,7 @@ def greedy_sequence(
         raise DomainError("greedy window outside driver domain")
     if start >= end:
         raise ParameterError("greedy sequence needs start < end")
-    span_tol = 1e-12 * max(1.0, abs(start) + abs(end))
+    span_tol = _TIME_TOL * max(1.0, abs(start) + abs(end))
     times = [float(start)]
     residuals = []
     clamped = False

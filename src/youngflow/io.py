@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DataError
 from .paths import SampledPath
 
+_CSV_BLOCK_ROWS = 4096
+
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -30,12 +32,14 @@ def _fmt(value) -> str:
 def path_to_csv(path: SampledPath, destination) -> None:
     if path.values.ndim != 2:
         raise DataError("only vector-valued paths serialise to CSV")
-    dest = Path(destination)
     header = "t," + ",".join(f"x{i + 1}" for i in range(path.dimension))
-    lines = [header]
-    for t, row in zip(path.times, path.values):
-        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-    dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = np.column_stack([path.times, path.values])
+    with Path(destination).open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        # block by block: Python lists of every row would outweigh the file text
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            rows = data[start : start + _CSV_BLOCK_ROWS].tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def path_from_csv(source) -> SampledPath:

@@ -31,7 +31,7 @@ from .coefficients import (
     derived_constants,
 )
 from .errors import DomainError, ParameterError, SolveError
-from .greedy import GreedySequence, _vertex_walk, greedy_sequence
+from .greedy import GreedySequence, greedy_sequence
 from .paths import (
     ControlFunction,
     SampledPath,
@@ -45,6 +45,11 @@ from .paths import (
 from .young import Certificate, YoungConstants, young_loeve_check
 
 _LN2 = math.log(2.0)
+# certificate sampling: points kept per path, and the anchors that pair up windows
+_COARSE_CAP = 512
+_SEWING_CAP = 400
+_GRONWALL_ANCHORS = 10
+_GROWTH_ANCHORS = 6
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,6 @@ class FApplication:
 class SolveReport:
     solution: SampledPath
     greedy: GreedySequence
-    chunk_times: np.ndarray
     iters_per_interval: List[int]
     fixed_point_residuals: List[float]
     ball_ok: bool
@@ -348,24 +352,17 @@ def _build_grid(driver: SampledPath, t0: float, t1: float, opts: SolveOptions) -
     return refined
 
 
-def _chunk_boundaries(
-    base_times: np.ndarray,
-    base_w: np.ndarray,
-    alpha: float,
-    mu: float,
-    p: float,
-) -> List[int]:
-    """Greedy chunking on the base grid: largest steps with budget <= mu."""
-    n = len(base_times)
-    bounds = [0]
-    b = 0
-    while b < n - 1:
-        j, _, _ = _vertex_walk(
-            base_times, base_w, base_times[b], base_w[b], b + 1, n, alpha, mu, p, strict=False
-        )
-        b = max(j - 1, b + 1)
-        bounds.append(b)
-    return bounds
+def _chunk_boundaries(ts: np.ndarray, greedy_times: np.ndarray) -> List[int]:
+    """Indices of the solve-grid points nearest the greedy times (the earlier on a tie).
+
+    Times are never inserted into the grid: the discrete solution depends on
+    the grid alone, so moving a chunk end changes it only at rounding level.
+    A rounded chunk can exceed the budget mu by that of up to half a grid
+    step at each end; the invariant-ball check (ball_ok) still watches it.
+    """
+    j = np.clip(np.searchsorted(ts, greedy_times), 1, len(ts) - 1)
+    j -= greedy_times - ts[j - 1] <= ts[j] - greedy_times
+    return [int(i) for i in np.unique(j)]
 
 
 # ----------------------------------------------------------------------
@@ -399,11 +396,7 @@ def solve_forward(
 
     ts = _build_grid(driver, t0, T, opts)
     ws = driver.at(ts)
-    k = int(opts.oversample)
-    base_idx = np.arange(0, len(ts), k) if k > 1 else np.arange(len(ts))
-    w_flat = ws.reshape(len(ts), -1)
-    chunk_base = _chunk_boundaries(ts[base_idx], w_flat[base_idx], exponents.alpha, mu, exponents.p)
-    chunk_idx = [int(base_idx[b]) for b in chunk_base]
+    chunk_idx = _chunk_boundaries(ts, greedy.times)
 
     values = np.empty((len(ts), field.dim_d))
     iters_per = []
@@ -425,7 +418,6 @@ def solve_forward(
     report = SolveReport(
         solution=solution,
         greedy=greedy,
-        chunk_times=ts[np.asarray(chunk_idx)],
         iters_per_interval=iters_per,
         fixed_point_residuals=residuals,
         ball_ok=ball_ok,
@@ -530,8 +522,6 @@ def gronwall_certificate(
     driver: SampledPath,
     p: float,
     q: float,
-    n_anchors: int = 10,
-    coarse_cap: int = 512,
     tol: float = 1e-8,
     variant: str = "increment",
 ) -> Certificate:
@@ -565,8 +555,8 @@ def gronwall_certificate(
 
     ts = y.times
     n = len(ts)
-    anchor_idx = thin_indices(n, n_anchors)
-    y_coarse = subsample(y, coarse_cap, keep=anchor_idx)
+    anchor_idx = thin_indices(n, _GRONWALL_ANCHORS)
+    y_coarse = subsample(y, _COARSE_CAP, keep=anchor_idx)
     w_sub = driver.restrict((window.lo, window.hi))
     w_on_y = SampledPath(y_coarse.times, w_sub.at(y_coarse.times))
 
@@ -672,7 +662,6 @@ def build_gronwall_input(
     field: CoefficientField,
     report: SolveReport,
     driver: SampledPath,
-    coarse_cap: int = 512,
 ) -> GronwallInput:
     """Instantiate the self-bound data for a solved trajectory.
 
@@ -692,7 +681,7 @@ def build_gronwall_input(
     p, q = exps.p, exps.q
     y = report.solution
     w_sub = driver.restrict((report.t0, report.T))
-    w_coarse = subsample(w_sub, coarse_cap)
+    w_coarse = subsample(w_sub, _COARSE_CAP)
     horizon = report.T - report.t0
 
     if gd.mode == "linear":
@@ -701,7 +690,7 @@ def build_gronwall_input(
         psi_eff = gd.noise_inhom + Kq * gd.noise_inhom_lip * horizon
         a1, a2 = gd.a1, gd.a2
     elif gd.mode == "bounded":
-        var_x = p_variation(subsample(y, coarse_cap), q)
+        var_x = p_variation(subsample(y, _COARSE_CAP), q)
         phi = gd.f_bound
         psi_eff = gd.g_bound + exps.K0 * report.constants.M * (1.0 + var_x)
         a1 = a2 = 0.0
@@ -723,8 +712,6 @@ def growth_certificate(
     report: SolveReport,
     field: CoefficientField,
     driver: SampledPath,
-    n_anchors: int = 6,
-    coarse_cap: int = 512,
 ) -> Certificate:
     """Certify the q-variation growth bound with explicit constants.
 
@@ -755,11 +742,11 @@ def growth_certificate(
     C2 = _LN2 * (4.0 * c_star) ** p_prime
     log_C1 = _LN2 + C2 * (report.T - report.t0) ** (p_prime * alpha)
 
-    y_c = subsample(report.solution, coarse_cap)
-    w_c = subsample(driver.restrict((report.t0, report.T)), coarse_cap)
+    y_c = subsample(report.solution, _COARSE_CAP)
+    w_c = subsample(driver.restrict((report.t0, report.T)), _COARSE_CAP)
     x0n = float(np.linalg.norm(report.x0))
 
-    ends = np.linspace(report.t0, report.T, n_anchors + 1)[1:]
+    ends = np.linspace(report.t0, report.T, _GROWTH_ANCHORS + 1)[1:]
     ok = True
     rows = []
     worst_margin = math.inf
@@ -806,7 +793,6 @@ def standard_certificates(
     report: SolveReport,
     field: CoefficientField,
     driver: SampledPath,
-    coarse_cap: int = 400,
 ) -> List[Certificate]:
     """Gronwall, growth and sewing certificates for a finished solve."""
     certs = []
@@ -818,7 +804,7 @@ def standard_certificates(
         pass
     certs.append(growth_certificate(report, field, driver))
 
-    y_c = subsample(report.solution, coarse_cap)
+    y_c = subsample(report.solution, _SEWING_CAP)
     comp = composed_path(field, y_c)
     w_on = SampledPath(y_c.times, driver.at(y_c.times))
     certs.append(young_loeve_check(comp, w_on, constants=exps.young0))

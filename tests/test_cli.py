@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from youngflow import analytic_driver, path_from_csv, path_to_csv
+from youngflow import SampledPath, analytic_driver, path_from_csv, path_to_csv
 from youngflow.cli import SUMMARY_COLUMNS, main, run_config, ConfigError
+from youngflow.io import _CSV_BLOCK_ROWS
 
 
 @pytest.fixture()
@@ -194,3 +195,22 @@ def test_flow_check_zero(tmp_path, capsys):
     assert payload["ok"] is True
     assert payload["identity_residual"] == 0.0
     assert (tmp_path / "f" / "flow_check.json").exists()
+
+
+def test_path_csv_bytes(tmp_path):
+    dest = tmp_path / "p.csv"
+    values = [[-0.0, 5e-324], [1e16, -0.0], [0.1 + 0.2, 1.5]]
+    path_to_csv(SampledPath([0.0, 0.1 + 0.2, 1e16], values), dest)
+    assert dest.read_bytes() == (
+        b"t,x1,x2\n"
+        b"0.0,-0.0,5e-324\n"
+        b"0.30000000000000004,1e+16,-0.0\n"
+        b"1e+16,0.30000000000000004,1.5\n"
+    )
+    # the same bytes as formatting each value on its own, across write blocks
+    rng = np.random.default_rng(3)
+    n = 2 * _CSV_BLOCK_ROWS + 3
+    path = SampledPath(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.standard_normal((n, 3)) * 1e-8)
+    path_to_csv(path, dest)
+    rows = [",".join(repr(float(v)) for v in [t, *row]) for t, row in zip(path.times, path.values)]
+    assert dest.read_text(encoding="utf-8") == "\n".join(["t,x1,x2,x3", *rows]) + "\n"

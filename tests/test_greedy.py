@@ -16,7 +16,7 @@ from youngflow import (
     next_greedy_time,
     p_variation,
 )
-from youngflow.solver import _chunk_boundaries
+from youngflow.solver import SolveOptions, _build_grid, _chunk_boundaries
 
 
 def _linear_driver(n=201, t1=1.0):
@@ -183,19 +183,15 @@ def test_greedy_intervals_spend_the_budget(driver, lam, mu, p):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(**_budget_params)
-def test_chunks_are_maximal_within_the_budget(driver, lam, mu, p):
-    ts = driver.times
-    n = len(ts)
-
-    def budget(i, k):
-        return (ts[k] - ts[i]) ** lam + p_variation(driver, p, (ts[i], ts[k]))
-
-    bounds = _chunk_boundaries(ts, driver._flat_values(), lam, mu, p)
-    assert bounds[0] == 0 and bounds[-1] == n - 1
-    for b, e in zip(bounds[:-1], bounds[1:]):
-        if e == b + 1 and budget(b, e) > mu:
-            continue  # a single step over budget is taken whole
-        assert budget(b, e) <= mu + 1e-12
-        if e < n - 1:
-            assert budget(b, e + 1) > mu - 1e-12
+@given(**_budget_params, oversample=st.integers(1, 3))
+def test_chunk_ends_are_the_grid_points_nearest_the_greedy_times(driver, lam, mu, p, oversample):
+    ts = _build_grid(driver, 0.0, 1.0, SolveOptions(oversample=oversample))
+    greedy_times = greedy_sequence(driver, 0.0, 1.0, lam=lam, mu=mu, p=p).times
+    bounds = _chunk_boundaries(ts, greedy_times)
+    assert bounds[0] == 0 and bounds[-1] == len(ts) - 1
+    assert all(b < e for b, e in zip(bounds[:-1], bounds[1:]))
+    dist = np.abs(ts[:, None] - greedy_times[None, :])
+    nearest = dist.min(axis=0)
+    # every chunk end is nearest some greedy time, every greedy time lands on a chunk end
+    assert all(np.any(dist[b] == nearest) for b in bounds)
+    np.testing.assert_array_equal(dist[bounds].min(axis=0), nearest)

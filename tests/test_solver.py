@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from youngflow import (
+    DETERMINISTIC_BUNDLE,
     ControlFunction,
     GronwallInput,
     SampledPath,
@@ -115,6 +116,15 @@ def test_concatenation_consistency(scenario_run):
     joined_vals = np.concatenate([first.solution.values, second.solution.values[1:]])
     ref = rep.solution.at(joined_times)
     assert np.max(np.abs(joined_vals - ref)) <= 2e-10
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, None) for name in DETERMINISTIC_BUNDLE] + [("fbm-linear", 0), ("fbm-linear", 1)],
+)
+def test_picard_chunks_are_the_greedy_intervals(name, seed):
+    rep = run_scenario(name, seed=seed, certify=False).report
+    assert len(rep.iters_per_interval) == rep.greedy.n_intervals
 
 
 def test_euler_agreement_improves_with_refinement():
