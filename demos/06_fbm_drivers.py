@@ -1,9 +1,9 @@
 # Fractional Brownian drivers
 #
 # The covariance (s^{2H} + t^{2H} - |t-s|^{2H})/2 is realised exactly
-# (to factorisation accuracy) by a dense Cholesky factor of the
-# increment covariance.  H > 1/2 puts the sample paths in the Young
-# regime: finite p-variation for every p > 1/H.
+# (to roundoff) by circulant embedding of the increment covariance, two
+# FFTs per sample.  H > 1/2 puts the sample paths in the Young regime:
+# finite p-variation for every p > 1/H.
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from youngflow import FbmSpec, SampledPath, fbm_covariance_defect, fbm_sample, m
 spec = FbmSpec(hurst=0.75, horizon=1.0, samples=513, seed=12)
 path = fbm_sample(spec)
 print("w_0 =", path.values[0, 0], " w_T =", f"{path.values[-1, 0]:.4f}")
-print("covariance factorisation defect:", fbm_covariance_defect(spec))
+print("covariance defect:", fbm_covariance_defect(spec))
 
 # p above vs below 1/H = 4/3: discrete p-variation stabilises vs grows
 big = fbm_sample(FbmSpec(hurst=0.75, horizon=1.0, samples=4097, seed=42))

@@ -133,6 +133,21 @@ def test_zero_row_interval_count_within_count_bound(tmp_path):
     assert int(cells["greedy_interval_count"]) <= math.ceil(float(cells["count_bound"]))
 
 
+def test_run_config_solve_error_row(tmp_path):
+    # one Picard iteration cannot converge: the seed fails with SolveError
+    out = tmp_path / "fail"
+    ok = run_config({"scenario": "linear-sine", "seeds": [0],
+                     "solve": {"picard_max_iters": 1}}, out)
+    assert ok is False
+    header, row = (out / "summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["seed"] == "0"
+    assert math.isinf(float(cells["max_fixed_point_residual"]))
+    assert cells["gronwall_ok"] == "false" and cells["growth_ok"] == "false"
+    error = json.loads((out / "seed_0_error.json").read_text())
+    assert error["seed"] == 0 and error["error"]
+
+
 def test_run_config_custom_field_and_driver(tmp_path):
     cfg = {
         "name": "custom",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ def test_spec_validation():
         FbmSpec(hurst=0.75, horizon=1.0, samples=1, seed=0)
 
 
+@pytest.mark.parametrize("samples", [65.0, 64.5, "65"])
+def test_spec_rejects_non_integer_samples(samples):
+    with pytest.raises(ParameterError, match="integer"):
+        FbmSpec(hurst=0.75, horizon=1.0, samples=samples, seed=0)
+
+
 def test_seed_determinism():
     a = fbm_sample(FbmSpec(hurst=0.7, horizon=2.0, samples=257, seed=123))
     b = fbm_sample(FbmSpec(hurst=0.7, horizon=2.0, samples=257, seed=123))
@@ -40,6 +48,38 @@ def test_exact_covariance_reproduction():
     for hurst, n in ((0.75, 512), (0.6, 256), (0.9, 128)):
         defect = fbm_covariance_defect(FbmSpec(hurst=hurst, horizon=1.0, samples=n, seed=0))
         assert defect <= 1e-10, (hurst, n, defect)
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.75, 0.9])
+def test_increment_autocovariance_of_the_draws(hurst):
+    # the defect above is computed from the sampler's spectrum, not its draws:
+    # over 2,000 seeds the sample autocovariance of the increments at lags 0-3
+    # must match fGn's within 5 standard errors
+    n, lags, seeds = 33, 4, 2000
+    dt = 1.0 / (n - 1)
+    k = np.arange(lags, dtype=float)
+    gamma = 0.5 * dt ** (2 * hurst) * (
+        (k + 1) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst) - 2 * k ** (2 * hurst)
+    )
+    stats = np.empty((seeds, lags))
+    for seed in range(seeds):
+        path = fbm_sample(FbmSpec(hurst=hurst, horizon=1.0, samples=n, seed=seed))
+        inc = np.diff(path.values[:, 0])
+        stats[seed] = [np.mean(inc[: len(inc) - lag] * inc[lag:]) for lag in range(lags)]
+    stderr = stats.std(axis=0, ddof=1) / np.sqrt(seeds)
+    gap = np.abs(stats.mean(axis=0) - gamma)
+    assert np.all(gap <= 5.0 * stderr), (gap / stderr, gamma)
+
+
+def test_sample_memory_is_linear():
+    # a dense n x n covariance at n = 8193 alone is 537 MB
+    tracemalloc.start()
+    try:
+        fbm_sample(FbmSpec(hurst=0.75, horizon=1.0, samples=8193, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
 
 
 def test_half_hurst_is_brownian():
