@@ -7,7 +7,10 @@ The next greedy time after tau solves
 The left side is continuous and strictly increasing in t.  A running
 p-variation DP walks the driver's vertices until the budget is spent, and
 bisection inside that last segment of the interpolated path finds the
-root.  The number of full intervals inside [a, b] obeys the counting bound
+root.  On a scalar driver the walk keeps only the start, the turning
+points and the last vertex, as `paths.p_variation` does, so each DP step
+and each bisection step runs over turning points only.  The number of
+full intervals inside [a, b] obeys the counting bound
 
     N(a,b,w) <= 2^{p'-1} / mu^{p'} * ( (b-a)^{p' lambda} + |||w|||^{p'}_{p-var,[a,b]} )
 
@@ -31,12 +34,12 @@ _MAX_BISECT = 200
 
 def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float) -> float:
     """sup-partition power over the committed points, ending at a fresh value."""
-    diff = pts - value
-    if diff.shape[1] == 1:
-        d = np.abs(diff[:, 0])
+    if pts.shape[1] == 1:
+        d = np.abs(pts[:, 0] - value[0])
     else:
+        diff = pts - value
         d = np.sqrt(np.einsum("ik,ik->i", diff, diff))
-    return float((V + d ** p).max())
+    return float(np.maximum.reduce(V + d ** p))
 
 
 def _vertex_walk(times, flat, t0, w0, j, stop, lam, mu, p):
@@ -45,18 +48,26 @@ def _vertex_walk(times, flat, t0, w0, j, stop, lam, mu, p):
     Each vertex is committed while its budget (t_j - t0)^lam + |||w|||_{p-var}
     stays strictly below mu.  Returns the first vertex not committed (stop
     when all were) and the committed values with their sup-partition powers,
-    the start first.
+    the start first.  For a scalar driver a committed vertex that continues
+    the monotone run of the last committed one (not the start) overwrites
+    it, so only the start, the turning points and the last vertex are kept;
+    for p >= 1 that loses nothing.
     """
     pts = np.empty((stop - j + 1, flat.shape[1]))
     V = np.empty(len(pts))
     pts[0] = w0
     V[0] = 0.0
     n = 1
+    scalar = flat.shape[1] == 1
     while j < stop:
         power = _endpoint_power(pts[:n], V[:n], flat[j], p)
         kappa = (times[j] - t0) ** lam + power ** (1.0 / p)
         if not kappa < mu:
             break
+        if scalar and n > 1:
+            a, b, c = pts[n - 2, 0], pts[n - 1, 0], flat[j, 0]
+            if a <= b <= c or a >= b >= c:
+                n -= 1  # no turn at the last committed vertex: overwrite it
         pts[n] = flat[j]
         V[n] = power
         n += 1

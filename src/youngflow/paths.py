@@ -4,7 +4,10 @@ A path is stored as samples (t_i, x_i) and interpreted as its piecewise
 linear interpolant.  All variation-type quantities are computed over
 partitions drawn from the sample points; for p >= 1 interior points of a
 linear segment never increase the supremum, so this is the exact
-p-variation of the interpolant.
+p-variation of the interpolant.  For the same reason a scalar path loses
+nothing when it is reduced to its endpoints and strict turning points
+before the p-variation DP (Butkus & Norvaisa, Lith. Math. J. 58, 2018);
+vector paths run the DP on every sample.
 """
 
 from __future__ import annotations
@@ -207,6 +210,31 @@ def _increment_norms(flat: np.ndarray, j: int) -> np.ndarray:
     return np.sqrt(np.einsum("ik,ik->i", diff, diff))
 
 
+def _turning_indices(v: np.ndarray) -> np.ndarray:
+    """First, last and strict turning points of a scalar sequence.
+
+    A flat step belongs to the run before it, so a plateau at a turn is
+    kept once, at its first sample.
+    """
+    moves = np.flatnonzero(np.diff(v))
+    up = v[moves + 1] > v[moves]
+    turns = moves[:-1][up[:-1] != up[1:]] + 1
+    return np.concatenate([[0], turns, [len(v) - 1]])
+
+
+def _variation(flat: np.ndarray, p: float, power: bool = False) -> float:
+    """p-variation of the samples flat, shape (n, k), p >= 1: the DP kernel."""
+    if p == 1.0:
+        # triangle inequality: the full partition is maximal
+        return float(np.sum(np.linalg.norm(np.diff(flat, axis=0), axis=1)))
+    if flat.shape[1] == 1:
+        flat = flat[_turning_indices(flat[:, 0])]
+    V = np.zeros(len(flat))
+    for j in range(1, len(flat)):
+        V[j] = (V[:j] + _increment_norms(flat, j) ** p).max()
+    return float(V[-1]) if power else float(V[-1] ** (1.0 / p))
+
+
 def p_variation(
     path: SampledPath,
     p: float,
@@ -216,7 +244,10 @@ def p_variation(
     """Exact discrete p-variation seminorm over a window.
 
     Dynamic programme over sample points: V[j] = max_{i<j} V[i] + |x_j - x_i|^p,
-    which realises the supremum over all sub-partitions.  O(n^2).
+    which realises the supremum over all sub-partitions.  A scalar path is
+    first reduced to its first point, its last point and its strict turning
+    points, which is exact for p >= 1; the DP is O(m^2) in the m points kept
+    (m = n for vector paths).
 
     Parameters
     ----------
@@ -228,16 +259,7 @@ def p_variation(
     """
     if p < 1:
         raise ParameterError(f"p-variation needs p >= 1, got {p}")
-    sub = path.restrict(window)
-    flat = sub._flat_values()
-    n = len(flat)
-    if p == 1.0:
-        # triangle inequality: the full partition is maximal
-        return float(np.sum(np.linalg.norm(np.diff(flat, axis=0), axis=1)))
-    V = np.zeros(n)
-    for j in range(1, n):
-        V[j] = (V[:j] + _increment_norms(flat, j) ** p).max()
-    return float(V[-1]) if power else float(V[-1] ** (1.0 / p))
+    return _variation(path.restrict(window)._flat_values(), p, power)
 
 
 def p_variation_norm(path: SampledPath, p: float, window: WindowLike = None) -> float:

@@ -30,12 +30,13 @@ from .coefficients import (
     composed_path,
     derived_constants,
 )
-from .errors import DomainError, ParameterError, SolveError
+from .errors import DataError, DomainError, ParameterError, SolveError
 from .greedy import GreedySequence, greedy_sequence
 from .paths import (
     ControlFunction,
     SampledPath,
     WindowLike,
+    _variation,
     merge_times,
     p_variation,
     p_variation_norm,
@@ -222,14 +223,17 @@ def _picard_slice(
     phase well below picard_tol so that chunked and monolithic solves of
     the same grid agree far inside the reported residuals.
     """
+    if q < 1:
+        raise ParameterError(f"the ball norm needs q >= 1, got {q}")
     n = len(ts)
     dt = np.diff(ts)
     dw = np.diff(ws, axis=0)
     x = np.tile(x0, (n, 1)) if x_init is None else np.array(x_init, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(x0)))
+    x0_norm = float(np.linalg.norm(x0))
+    scale = max(1.0, x0_norm)
     floor = max(64.0 * np.finfo(float).eps * scale, 1e-5 * opts.picard_tol)
     ball_idx = thin_indices(n, 32)
-    ball_cap = 2.0 * float(np.linalg.norm(x0)) + 1.0
+    ball_cap = 2.0 * x0_norm + 1.0
     ball_ok = True
     iters = 0
     reached_tol = False
@@ -246,11 +250,15 @@ def _picard_slice(
         x = fx
         iters += 1
         if len(ball_idx) >= 2:
-            ball_norm = float(np.linalg.norm(x0)) + p_variation(
-                SampledPath(ts[ball_idx], x[ball_idx]), q
-            )
-            if ball_norm > ball_cap + 1e-9:
-                ball_ok = False
+            # the 1-variation bounds the q-variation from above (q >= 1); the DP
+            # runs only when that bound, with a rounding margin, does not settle it
+            xb = x[ball_idx]
+            if not np.all(np.isfinite(xb)):
+                raise DataError("Picard iterate contains non-finite entries")
+            bound = x0_norm + _variation(xb, 1.0)
+            if bound * (1.0 + 1e-12) > ball_cap + 1e-9:
+                if x0_norm + _variation(xb, q) > ball_cap + 1e-9:
+                    ball_ok = False
         if change > 1e8 * scale:
             raise _NoConvergence("iteration diverging")
         if change <= floor:

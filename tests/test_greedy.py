@@ -15,7 +15,9 @@ from youngflow import (
     greedy_sequence,
     next_greedy_time,
     p_variation,
+    p_variation_bruteforce,
 )
+from conftest import turning_walks
 from youngflow.solver import SolveOptions, _build_grid, _chunk_boundaries
 
 
@@ -176,6 +178,27 @@ def test_greedy_intervals_spend_the_budget(driver, lam, mu, p):
     seq = greedy_sequence(driver, 0.0, 1.0, lam=lam, mu=mu, p=p)
     for i, (a, b) in enumerate(zip(seq.times[:-1], seq.times[1:])):
         budget = (b - a) ** lam + p_variation(driver, p, (a, b))
+        if seq.clamped and i == seq.n_intervals - 1:
+            assert budget <= mu + 1e-8
+        else:
+            assert abs(budget - mu) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    values=turning_walks(max_n=20),
+    scale=st.floats(0.01, 0.3),
+    lam=st.floats(0.5, 1.0),
+    mu=st.floats(0.1, 2.0),
+    p=st.floats(1.0, 3.0),
+)
+def test_pruned_walk_spends_the_budget_by_bruteforce(values, scale, lam, mu, p):
+    # scalar drivers with plateaus and long monotone runs, where the walk
+    # overwrites the most; the oracle enumerates every partition
+    driver = SampledPath(np.linspace(0.0, 1.0, len(values)), scale * values)
+    seq = greedy_sequence(driver, 0.0, 1.0, lam=lam, mu=mu, p=p)
+    for i, (a, b) in enumerate(zip(seq.times[:-1], seq.times[1:])):
+        budget = (b - a) ** lam + p_variation_bruteforce(driver, p, (a, b))
         if seq.clamped and i == seq.n_intervals - 1:
             assert budget <= mu + 1e-8
         else:

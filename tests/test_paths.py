@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from youngflow import (
     ControlFunction,
@@ -18,7 +19,7 @@ from youngflow import (
     p_variation_bruteforce,
     p_variation_norm,
 )
-from conftest import random_path
+from conftest import random_path, turning_walks
 
 
 def test_path_validation():
@@ -59,6 +60,44 @@ def test_bruteforce_matches_dp(rng):
             dp = p_variation(path, p)
             bf = p_variation_bruteforce(path, p)
             assert abs(dp - bf) <= 1e-12 * max(1.0, bf)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    values=st.one_of(turning_walks(max_n=20), turning_walks(max_n=20, dim=2)),
+    p=st.floats(1.0, 3.0),
+)
+def test_pvar_matches_bruteforce_on_turning_walks(values, p):
+    # scalar paths are pruned to their turning points, 2-d paths are not
+    path = SampledPath(np.arange(len(values), dtype=float), values)
+    exact = p_variation_bruteforce(path, p)
+    assert abs(p_variation(path, p) - exact) <= 1e-12 * exact
+
+
+def _plain_dp(flat, p):
+    """The p-variation DP over every sample, without pruning."""
+    if p == 1.0:
+        return float(np.sum(np.linalg.norm(np.diff(flat, axis=0), axis=1)))
+    V = np.zeros(len(flat))
+    for j in range(1, len(flat)):
+        diff = flat[:j] - flat[j]
+        if flat.shape[1] == 1:
+            norms = np.abs(diff[:, 0])
+        else:
+            norms = np.sqrt(np.einsum("ik,ik->i", diff, diff))
+        V[j] = (V[:j] + norms ** p).max()
+    return float(V[-1] ** (1.0 / p))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    values=st.one_of(turning_walks(max_n=300), turning_walks(max_n=60, dim=2)),
+    p=st.floats(1.0, 3.0),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_pruned_pvar_is_bit_equal_to_the_plain_dp(values, p, scale):
+    path = SampledPath(np.arange(len(values), dtype=float), scale * values)
+    assert p_variation(path, p) == _plain_dp(path._flat_values(), p)
 
 
 def test_bruteforce_two_point_and_size_cap(rng):

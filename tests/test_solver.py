@@ -197,6 +197,20 @@ def test_shrink_loop_recovers_from_oversized_chunks():
     assert rep.max_residual <= opts.picard_tol
 
 
+def test_invariant_ball_failure_is_reported():
+    # with mu* the iterates stay in the ball ||x||_q <= 2|x0| + 1; an oversized
+    # budget on a stronger driver lets one leave it, past the sum-of-steps screen
+    field, drv = _mult_field(), _sine(2001, 2.0, amp=2.0)
+
+    def ball_ok(opts):
+        rep = solve_forward(field, drv, 0.0, [1.0], 2.0, opts=opts, exponents=EXPS,
+                            certify=False)
+        return rep.ball_ok
+
+    assert ball_ok(SolveOptions(oversample=2))
+    assert not ball_ok(SolveOptions(mu_override=3.0, oversample=2))
+
+
 def test_fixed_point_residuals_within_tol(scenario_run):
     for name in ("zero", "time-varying", "flow-linear"):
         rep = scenario_run(name).report
