@@ -1,10 +1,12 @@
 """Cauchy operator, two-parameter flow axioms, and non-intersection checks.
 
 The state transport X(t1, t2, w, x) solves forward when t1 <= t2 and
-inverts the flow through the backward equation when t1 > t2.  The flow
-axioms (identity, inversion, composition) are verified as residuals on
-probe states; homeomorphy is checked operationally through the inversion
-round trip.
+inverts the flow through the backward equation when t1 > t2.  It moves a
+whole stack of states at once: the greedy partition depends on the window
+and the direction, not on the state, so one is built per transport.  The
+flow axioms (identity, inversion, composition) are verified as residuals
+on probe states; homeomorphy is checked operationally through the
+inversion round trip.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .coefficients import CoefficientField, ExponentSet
+from .errors import ParameterError
 from .paths import SampledPath, WindowLike, as_interval, p_variation, p_variation_norm, subsample
-from .solver import _COARSE_CAP, SolveOptions, SolveReport, solve_backward, solve_forward
+from .solver import _COARSE_CAP, SolveOptions, reversed_problem, solve_forward_batch
 from .young import Certificate
 
 _LN2 = math.log(2.0)
@@ -32,17 +35,23 @@ def cauchy_operator(
     opts: Optional[SolveOptions] = None,
     exponents: Optional[ExponentSet] = None,
 ) -> np.ndarray:
-    """Transport the state x from time t1 to time t2 along the dynamics."""
+    """Transport the state x, shape (d,), or the stack x, shape (B, d), from
+    time t1 to time t2 along the dynamics; the result has the shape of x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    stack = x if x.ndim == 2 else x[None]
+    if stack.ndim != 2 or stack.shape[1] != field.dim_d:
+        raise ParameterError(f"states of shape {x.shape}, field expects (d,) or (B, d) with "
+                             f"d = {field.dim_d}")
     if t1 == t2:
         return x.copy()
     if t1 < t2:
-        rep = solve_forward(field, driver, t1, x, t2, opts=opts, exponents=exponents,
-                            certify=False)
-        return rep.solution.values[-1].copy()
-    rep = solve_backward(field, driver, t1, x, t2, opts=opts, exponents=exponents,
-                         certify=False)
-    return rep.solution.values[0].copy()
+        batch = solve_forward_batch(field, driver, t1, stack, t2, opts, exponents,
+                                    keep_path=False)
+    else:
+        rev_field, rev_driver, rev_opts = reversed_problem(field, driver, t2, t1, opts)
+        batch = solve_forward_batch(rev_field, rev_driver, t2, stack, t1, rev_opts, exponents,
+                                    keep_path=False)
+    return batch.values[0] if x.ndim == 2 else batch.values[0, 0]
 
 
 @dataclass
@@ -100,26 +109,25 @@ def flow_axiom_check(
 
     Per probe x: |X(s,s,x) - x| (exact zero, no solve), the inversion
     round trip |X(t,s,X(s,t,x)) - x| and the composition gap
-    |X(u,t,X(s,u,x)) - X(s,t,x)|.
+    |X(u,t,X(s,u,x)) - X(s,t,x)|.  Each transport moves all probes at
+    once; the continuity table is one more transport of the perturbed
+    first probe.
     """
     s, u, t = (float(v) for v in times)
-    ident, invs, comps = [], [], []
     X = lambda a, b, x: cauchy_operator(field, driver, a, b, x, opts=opts, exponents=exponents)
-    for probe in probes:
-        x = np.atleast_1d(np.asarray(probe, dtype=float))
-        ident.append(float(np.linalg.norm(X(s, s, x) - x)))
-        x_st = X(s, t, x)
-        invs.append(float(np.linalg.norm(X(t, s, x_st) - x)))
-        comps.append(float(np.linalg.norm(X(u, t, X(s, u, x)) - x_st)))
+    P = np.stack([np.atleast_1d(np.asarray(probe, dtype=float)) for probe in probes])
+    norms = lambda diff: [float(np.linalg.norm(row)) for row in diff]
+    ident = norms(X(s, s, P) - P)
+    x_st = X(s, t, P)
+    invs = norms(X(t, s, x_st) - P)
+    comps = norms(X(u, t, X(s, u, P)) - x_st)
     table: List[Tuple[float, float]] = []
     if continuity_sizes:
-        base = np.atleast_1d(np.asarray(probes[0], dtype=float))
-        ref = X(s, t, base)
+        base, ref = P[0], x_st[0]
         e1 = np.zeros_like(base)
         e1[0] = 1.0
-        for eps in continuity_sizes:
-            resp = float(np.linalg.norm(X(s, t, base + eps * e1) - ref))
-            table.append((float(eps), resp))
+        moved = X(s, t, np.stack([base + eps * e1 for eps in continuity_sizes]))
+        table = [(float(eps), resp) for eps, resp in zip(continuity_sizes, norms(moved - ref))]
     return FlowCheckReport(
         times=(s, u, t),
         identity_residuals=np.array(ident),
@@ -179,15 +187,14 @@ def non_intersection_check(
     x0p = np.atleast_1d(np.asarray(x0_prime, dtype=float))
     if np.allclose(x0, x0p):
         raise ValueError("non_intersection_check needs distinct initial states")
-    rep_a = solve_forward(field, driver, window.lo, x0, window.hi, opts=opts,
-                          exponents=exponents, certify=False)
-    rep_b = solve_forward(field, driver, window.lo, x0p, window.hi, opts=opts,
-                          exponents=exponents, certify=False)
-    sep = np.linalg.norm(rep_a.solution.values - rep_b.solution.values, axis=1)
+    both = solve_forward_batch(field, driver, window.lo, np.stack([x0, x0p]), window.hi,
+                               opts, exponents)
+    sep = np.linalg.norm(both.values[:, 0] - both.values[:, 1], axis=1)
     min_sep = float(np.min(sep))
-    argmin_t = float(rep_a.solution.times[int(np.argmin(sep))])
+    argmin_t = float(both.times[int(np.argmin(sep))])
 
-    N0 = max(p_variation_norm(subsample(r.solution, 400), exponents.q) for r in (rep_a, rep_b))
+    N0 = max(p_variation_norm(subsample(SampledPath(both.times, both.values[:, b]), 400),
+                              exponents.q) for b in (0, 1))
     log_C = difference_growth_log_constant(field, driver, exponents, window, N0)
     log_floor = math.log(float(np.linalg.norm(x0 - x0p))) - log_C
     if separation_floor is None:

@@ -11,14 +11,16 @@ into itself, and Picard iteration from the constant path converges; if it
 does not converge within the iteration budget the interval is shrunk and
 re-solved.  The global solution is the chunk-by-chunk continuation, and
 certificates (sewing estimate, Gronwall-type self-bound, growth bound)
-are evaluated on the result.
+are evaluated on the result.  A stack of initial states is solved on one
+greedy partition and grid (solve_forward_batch); each member stops and
+shrinks on its own, so it equals its one-state solve bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -148,15 +150,24 @@ def _solution_map_parts(
     dw: np.ndarray,
     x: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Drift and Young parts of F(x) - x_{t0} on the grid ts."""
-    f_vals = field.eval_f(ts, x)
+    """Drift and Young parts of F(x) - x_{t0} on the grid ts for a stack of paths.
+
+    x has shape (n, B, d).  f and g are evaluated over one flattened
+    (n*B, d) axis with the times repeated, so every member's values are
+    those of its own (n, d) evaluation.
+    """
+    n, B, d = x.shape
+    if B > 1:
+        ts, dw = np.repeat(ts, B), np.repeat(dw, B, axis=0)
+    f_vals = field.eval_f(ts, x.reshape(n * B, d)).reshape(n, B, d)
     drift = np.empty_like(x)
     drift[0] = 0.0
-    np.cumsum(0.5 * (f_vals[:-1] + f_vals[1:]) * dt[:, None], axis=0, out=drift[1:])
-    g_vals = field.eval_g(ts[:-1], x[:-1])
+    np.cumsum(0.5 * (f_vals[:-1] + f_vals[1:]) * dt[:, None, None], axis=0, out=drift[1:])
+    g_vals = field.eval_g(ts[:-B], x[:-1].reshape((n - 1) * B, d))
+    terms = np.einsum("idm,im->id", g_vals, dw)
     young = np.empty_like(x)
     young[0] = 0.0
-    np.cumsum(np.einsum("idm,im->id", g_vals, dw), axis=0, out=young[1:])
+    np.cumsum(terms.reshape(n - 1, B, d), axis=0, out=young[1:])
     return drift, young
 
 
@@ -170,7 +181,8 @@ def apply_F(
     sub = x.restrict(window)
     ts = sub.times
     dw = np.diff(driver.at(ts), axis=0)
-    drift, young = _solution_map_parts(field, ts, np.diff(ts), dw, sub.values)
+    drift, young = _solution_map_parts(field, ts, np.diff(ts), dw, sub.values[:, None, :])
+    drift, young = drift[:, 0], young[:, 0]
     return FApplication(
         path=SampledPath(ts, sub.values[0][None, :] + drift + young),
         drift_part=SampledPath(ts, drift),
@@ -208,6 +220,17 @@ def apply_F_certificate(
 # Picard iteration on one grid slice
 
 
+class _Slice(NamedTuple):
+    """Picard on one grid slice for a stack of B states."""
+
+    values: np.ndarray  # (n, B, d); a failed member's rows are meaningless
+    iters: int  # iterations of the members that converged, summed
+    residuals: np.ndarray  # (B,)
+    ball_ok: np.ndarray  # (B,)
+    member_iters: np.ndarray  # (B,)
+    failed: np.ndarray  # (B,)
+
+
 def _picard_slice(
     field: CoefficientField,
     ts: np.ndarray,
@@ -216,66 +239,90 @@ def _picard_slice(
     opts: SolveOptions,
     q: float,
     x_init: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, int, float, bool]:
-    """Iterate F to the numerical fixed point on a fixed grid slice.
+) -> _Slice:
+    """Iterate F to the numerical fixed point on a fixed grid slice, for the
+    stack of initial states x0, shape (B, d).
 
     Convergence first to picard_tol within picard_max_iters, then a polish
     phase well below picard_tol so that chunked and monolithic solves of
-    the same grid agree far inside the reported residuals.
+    the same grid agree far inside the reported residuals.  Every member
+    stops by these rules on its own iterates, and its iterate is frozen
+    from then on, so it ends exactly where its one-state slice ends.
+    Members that diverge or exhaust the budget are marked failed;
+    _NoConvergence is raised when no member converges.
     """
     if q < 1:
         raise ParameterError(f"the ball norm needs q >= 1, got {q}")
-    n = len(ts)
+    n, B = len(ts), len(x0)
     dt = np.diff(ts)
     dw = np.diff(ws, axis=0)
-    x = np.tile(x0, (n, 1)) if x_init is None else np.array(x_init, dtype=float)
-    x0_norm = float(np.linalg.norm(x0))
-    scale = max(1.0, x0_norm)
-    floor = max(64.0 * np.finfo(float).eps * scale, 1e-5 * opts.picard_tol)
+    x = np.repeat(x0[None], n, axis=0) if x_init is None else np.array(x_init, dtype=float)
+    x0_norm = [float(np.linalg.norm(v)) for v in x0]
+    scale = [max(1.0, v) for v in x0_norm]
+    floor = [max(64.0 * np.finfo(float).eps * v, 1e-5 * opts.picard_tol) for v in scale]
     ball_idx = thin_indices(n, 32)
-    ball_cap = 2.0 * x0_norm + 1.0
-    ball_ok = True
-    iters = 0
-    reached_tol = False
-    prev_change = math.inf
+    ball_cap = [2.0 * v + 1.0 for v in x0_norm]
+    ball_ok = [True] * B
+    reached_tol = [False] * B
+    failed = [False] * B
+    member_iters = [0] * B
+    prev_change = [math.inf] * B
     max_total = opts.picard_max_iters + 40
 
-    def apply_f(x):
+    def apply_f(x, members):
         drift, young = _solution_map_parts(field, ts, dt, dw, x)
-        return x0[None, :] + drift + young
+        return (x0 if len(members) == B else x0[members])[None] + drift + young
 
-    while iters < max_total:
-        fx = apply_f(x)
-        change = float(np.max(np.abs(fx - x))) if n > 1 else 0.0
-        x = fx
+    live = list(range(B))  # the members still iterating, all at the same count
+    iters = 0
+    while live and iters < max_total:
+        xl = x if len(live) == B else x[:, live]
+        fx = apply_f(xl, live)
+        changes = np.abs(fx - xl).max(axis=(0, 2)).tolist() if n > 1 else [0.0] * len(live)
+        if len(live) == B:
+            x = fx
+        else:
+            x[:, live] = fx
         iters += 1
-        if len(ball_idx) >= 2:
-            # the 1-variation bounds the q-variation from above (q >= 1); the DP
-            # runs only when that bound, with a rounding margin, does not settle it
-            xb = x[ball_idx]
-            if not np.all(np.isfinite(xb)):
-                raise DataError("Picard iterate contains non-finite entries")
-            bound = x0_norm + _variation(xb, 1.0)
-            if bound * (1.0 + 1e-12) > ball_cap + 1e-9:
-                if x0_norm + _variation(xb, q) > ball_cap + 1e-9:
-                    ball_ok = False
-        if change > 1e8 * scale:
-            raise _NoConvergence("iteration diverging")
-        if change <= floor:
-            reached_tol = True
-            break
-        if change < opts.picard_tol:
-            reached_tol = True
-            if change >= 0.9999 * prev_change:
-                break  # stalled at rounding level
-        elif iters >= opts.picard_max_iters:
-            raise _NoConvergence("no contraction within iteration budget")
-        prev_change = change
-    if not reached_tol:
-        raise _NoConvergence("polish phase exhausted")
-    final = apply_f(x)
-    residual = float(np.max(np.abs(final - x)))
-    return x, iters, residual, ball_ok
+        still = []
+        for j, b in enumerate(live):
+            if len(ball_idx) >= 2:
+                # the 1-variation bounds the q-variation from above (q >= 1); the
+                # DP runs only when that bound, with a rounding margin, does not
+                # settle it
+                xb = fx[ball_idx, j]
+                if not np.all(np.isfinite(xb)):
+                    raise DataError("Picard iterate contains non-finite entries")
+                bound = x0_norm[b] + _variation(xb, 1.0)
+                if bound * (1.0 + 1e-12) > ball_cap[b] + 1e-9:
+                    if x0_norm[b] + _variation(xb, q) > ball_cap[b] + 1e-9:
+                        ball_ok[b] = False
+            change = changes[j]
+            member_iters[b] = iters
+            if change > 1e8 * scale[b]:
+                failed[b] = True  # diverging
+            elif change <= floor[b]:
+                reached_tol[b] = True
+            elif change < opts.picard_tol:
+                reached_tol[b] = True
+                if not change >= 0.9999 * prev_change[b]:  # else stalled at rounding level
+                    still.append(b)
+            elif iters >= opts.picard_max_iters:
+                failed[b] = True  # no contraction within the iteration budget
+            else:
+                still.append(b)
+            prev_change[b] = change
+        live = still
+    done = [b for b in range(B) if reached_tol[b] and not failed[b]]  # else polish exhausted
+    if not done:
+        raise _NoConvergence("no member of the stack converged")
+    residuals = np.zeros(B)
+    xd = x if len(done) == B else x[:, done]
+    residuals[done] = np.abs(apply_f(xd, done) - xd).max(axis=(0, 2))
+    unconverged = np.ones(B, dtype=bool)
+    unconverged[done] = False
+    return _Slice(x, sum(member_iters[b] for b in done), residuals, np.array(ball_ok),
+                  np.array(member_iters), unconverged)
 
 
 def _solve_span(
@@ -286,22 +333,36 @@ def _solve_span(
     opts: SolveOptions,
     q: float,
     depth: int = 0,
-) -> Tuple[np.ndarray, int, float, bool]:
-    """Picard on the slice, shrinking recursively on non-convergence."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Picard on the slice for the stack x0 (B, d), shrinking recursively.
+
+    Only the members that did not converge are re-solved, together, on the
+    two parts of the slice, so every member's values, iteration count,
+    residual and ball flag are those of its own one-state solve.
+    """
+    B = len(x0)
     try:
-        return _picard_slice(field, ts, ws, x0, opts, q)
+        vals, _, residuals, ball_ok, iters, failed = _picard_slice(field, ts, ws, x0, opts, q)
     except _NoConvergence:
-        if depth >= 20 or len(ts) < 3:
-            raise SolveError(
-                f"Picard failed on [{ts[0]}, {ts[-1]}] at depth {depth}",
-                window=(float(ts[0]), float(ts[-1])),
-            )
-        k = int(round(opts.shrink_factor * (len(ts) - 1)))
-        k = min(max(k, 1), len(ts) - 2)
-        left, il, rl, bl = _solve_span(field, ts[: k + 1], ws[: k + 1], x0, opts, q, depth + 1)
-        right, ir, rr, br = _solve_span(field, ts[k:], ws[k:], left[-1], opts, q, depth + 1)
-        vals = np.concatenate([left, right[1:]])
-        return vals, il + ir, max(rl, rr), bl and br
+        vals = np.empty((len(ts),) + x0.shape)
+        residuals, ball_ok = np.zeros(B), np.ones(B, dtype=bool)
+        iters, failed = np.zeros(B, dtype=int), np.ones(B, dtype=bool)
+    if not failed.any():
+        return vals, iters, residuals, ball_ok
+    if depth >= 20 or len(ts) < 3:
+        raise SolveError(
+            f"Picard failed on [{ts[0]}, {ts[-1]}] at depth {depth}",
+            window=(float(ts[0]), float(ts[-1])),
+        )
+    k = int(round(opts.shrink_factor * (len(ts) - 1)))
+    k = min(max(k, 1), len(ts) - 2)
+    left, il, rl, bl = _solve_span(field, ts[: k + 1], ws[: k + 1], x0[failed], opts, q, depth + 1)
+    right, ir, rr, br = _solve_span(field, ts[k:], ws[k:], left[-1], opts, q, depth + 1)
+    vals[:, failed] = np.concatenate([left, right[1:]])
+    iters[failed] = il + ir
+    residuals[failed] = np.maximum(rl, rr)
+    ball_ok[failed] = bl & br
+    return vals, iters, residuals, ball_ok
 
 
 def solve_interval(
@@ -325,15 +386,16 @@ def solve_interval(
         raise ParameterError("solve_interval needs an ExponentSet")
     ts = _build_grid(driver, t0, t1, opts)
     ws = driver.at(ts)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None]
     if warm_start is not None:
-        x_init = warm_start.at(ts)
-        vals, iters, residual, _ = _picard_slice(
+        x_init = warm_start.at(ts)[:, None, :]
+        vals, iters, residual, _, _, _ = _picard_slice(
             field, ts, ws, x0, opts, exponents.q, x_init=x_init
         )
     else:
         vals, iters, residual, _ = _solve_span(field, ts, ws, x0, opts, exponents.q)
-    return SampledPath(ts, vals), iters, residual
+        iters = int(iters[0])
+    return SampledPath(ts, vals[:, 0]), iters, float(residual[0])
 
 
 # ----------------------------------------------------------------------
@@ -377,6 +439,77 @@ def _chunk_boundaries(ts: np.ndarray, greedy_times: np.ndarray) -> List[int]:
 # global forward and backward solves
 
 
+class BatchSolve(NamedTuple):
+    """A forward solve of a stack of B initial states over one window."""
+
+    times: np.ndarray  # (n,)
+    values: np.ndarray  # (n, B, d)
+    greedy: GreedySequence
+    iters: np.ndarray  # (chunks, B)
+    residuals: np.ndarray  # (chunks, B)
+    ball_ok: np.ndarray  # (B,)
+    mu: float
+    constants: DerivedConstants
+
+
+def solve_forward_batch(
+    field: CoefficientField,
+    driver: SampledPath,
+    t0: float,
+    x0: np.ndarray,
+    T: float,
+    opts: Optional[SolveOptions] = None,
+    exponents: Optional[ExponentSet] = None,
+    keep_path: bool = True,
+) -> BatchSolve:
+    """Solve the stack of initial states x0, shape (B, d), forward on [t0, T].
+
+    The greedy partition, the grid and the driver on it depend on the
+    window alone, so they are built once for the whole stack; Picard then
+    runs chunk by chunk on (n, B, d) arrays, and every member's values
+    equal those of its own one-state solve bit for bit.  With keep_path
+    False only the final states are kept (times holds T alone): a
+    transport needs no more, and the stack's path takes B times the
+    memory of a one-state solve.
+    """
+    opts = opts or SolveOptions()
+    if exponents is None:
+        raise ParameterError("solve_forward needs an ExponentSet")
+    dom = driver.domain
+    if not (dom.contains(t0) and dom.contains(T)) or not t0 < T:
+        raise DomainError(f"solve window [{t0}, {T}] outside driver domain")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 2 or x0.shape[1] != field.dim_d:
+        raise ParameterError(f"x0 has dimension {x0.shape[-1]}, field expects {field.dim_d}")
+
+    cons = derived_constants(field, t0, T, exponents.K0)
+    mu = opts.mu_override if opts.mu_override is not None else cons.mu_star
+    greedy = greedy_sequence(driver, t0, T, lam=exponents.alpha, mu=mu, p=exponents.p)
+
+    ts = _build_grid(driver, t0, T, opts)
+    ws = driver.at(ts)
+    chunk_idx = _chunk_boundaries(ts, greedy.times)
+
+    values = np.empty((len(ts) if keep_path else 1,) + x0.shape)
+    iters, residuals = [], []
+    ball_ok = np.ones(len(x0), dtype=bool)
+    current = x0
+    for a, b in zip(chunk_idx[:-1], chunk_idx[1:]):
+        sl = slice(a, b + 1)
+        vals, its, res, b_ok = _solve_span(field, ts[sl], ws[sl], current, opts, exponents.q)
+        if keep_path:
+            values[sl] = vals
+        iters.append(its)
+        residuals.append(res)
+        ball_ok &= b_ok
+        current = vals[-1]
+    if not keep_path:
+        ts = ts[-1:]
+        values[0] = current
+    return BatchSolve(ts, values, greedy, np.array(iters), np.array(residuals), ball_ok,
+                      float(mu), cons)
+
+
 def solve_forward(
     field: CoefficientField,
     driver: SampledPath,
@@ -387,52 +520,22 @@ def solve_forward(
     exponents: Optional[ExponentSet] = None,
     certify: bool = True,
 ) -> SolveReport:
-    """Global solve on [t0, T]: greedy partition, Picard per chunk, certificates."""
-    opts = opts or SolveOptions()
-    if exponents is None:
-        raise ParameterError("solve_forward needs an ExponentSet")
-    dom = driver.domain
-    if not (dom.contains(t0) and dom.contains(T)) or not t0 < T:
-        raise DomainError(f"solve window [{t0}, {T}] outside driver domain")
+    """Global solve on [t0, T]: greedy partition, Picard per chunk, certificates.
+
+    The batch of one of solve_forward_batch.
+    """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if len(x0) != field.dim_d:
-        raise ParameterError(f"x0 has dimension {len(x0)}, field expects {field.dim_d}")
-
-    cons = derived_constants(field, t0, T, exponents.K0)
-    mu = opts.mu_override if opts.mu_override is not None else cons.mu_star
-    greedy = greedy_sequence(driver, t0, T, lam=exponents.alpha, mu=mu, p=exponents.p)
-
-    ts = _build_grid(driver, t0, T, opts)
-    ws = driver.at(ts)
-    chunk_idx = _chunk_boundaries(ts, greedy.times)
-
-    values = np.empty((len(ts), field.dim_d))
-    iters_per = []
-    residuals = []
-    ball_ok = True
-    current = x0
-    for a, b in zip(chunk_idx[:-1], chunk_idx[1:]):
-        sl = slice(a, b + 1)
-        vals, iters, residual, b_ok = _solve_span(
-            field, ts[sl], ws[sl], current, opts, exponents.q
-        )
-        values[sl] = vals
-        iters_per.append(iters)
-        residuals.append(residual)
-        ball_ok = ball_ok and b_ok
-        current = vals[-1]
-
-    solution = SampledPath(ts, values)
+    batch = solve_forward_batch(field, driver, t0, x0[None], T, opts, exponents)
     report = SolveReport(
-        solution=solution,
-        greedy=greedy,
-        iters_per_interval=iters_per,
-        fixed_point_residuals=residuals,
-        ball_ok=ball_ok,
+        solution=SampledPath(batch.times, batch.values[:, 0]),
+        greedy=batch.greedy,
+        iters_per_interval=batch.iters[:, 0].tolist(),
+        fixed_point_residuals=batch.residuals[:, 0].tolist(),
+        ball_ok=bool(batch.ball_ok[0]),
         certificates=[],
         exponents=exponents,
-        mu=float(mu),
-        constants=cons,
+        mu=batch.mu,
+        constants=batch.constants,
         t0=float(t0),
         T=float(T),
         x0=x0,
@@ -440,6 +543,29 @@ def solve_forward(
     if certify:
         report.certificates = standard_certificates(report, field, driver)
     return report
+
+
+def reversed_problem(
+    field: CoefficientField,
+    driver: SampledPath,
+    t0: float,
+    T: float,
+    opts: Optional[SolveOptions] = None,
+) -> Tuple[CoefficientField, SampledPath, Optional[SolveOptions]]:
+    """The forward problem on the reversed clock u -> t0 + T - u.
+
+    Reversing the clock flips the orientation of the noise integral once,
+    so the transformed problem carries drift -f(t0+T-u, .) and unchanged
+    diffusion g(t0+T-u, .) against the reversed driver; the extra output
+    times of opts.grid are reflected with the clock.
+    """
+    if not t0 < T:
+        raise DomainError("solve_backward needs t0 < T")
+    rev_field = field.time_reversed(t0, T, negate_drift=True)
+    rev_driver = driver.restrict((t0, T)).reversed_clock()
+    if opts is not None and opts.grid is not None:
+        opts = replace(opts, grid=(t0 + T) - np.asarray(opts.grid, dtype=float))
+    return rev_field, rev_driver, opts
 
 
 def solve_backward(
@@ -454,20 +580,14 @@ def solve_backward(
 ) -> SolveReport:
     """Continue the dynamics backwards from (T, xT) down to t0.
 
-    Change of variables u -> t0 + T - u turns the terminal-value problem
-    into a forward one; reversing the clock flips the orientation of the
-    noise integral once, so the transformed problem carries drift
-    -f(t0+T-u, .) and unchanged diffusion g(t0+T-u, .) against the
-    reversed driver.  The returned solution is mapped back to the
-    original clock, and the forward-then-backward round trip inverts the
-    flow up to quadrature resolution.
+    The terminal-value problem is solved forward on the reversed clock
+    (reversed_problem) and the solution is mapped back to the original
+    clock; the forward-then-backward round trip inverts the flow up to
+    quadrature resolution.
     """
-    if not t0 < T:
-        raise DomainError("solve_backward needs t0 < T")
-    rev_field = field.time_reversed(t0, T, negate_drift=True)
-    rev_driver = driver.restrict((t0, T)).reversed_clock()
+    rev_field, rev_driver, rev_opts = reversed_problem(field, driver, t0, T, opts)
     inner = solve_forward(
-        rev_field, rev_driver, t0, xT, T, opts=opts, exponents=exponents, certify=certify
+        rev_field, rev_driver, t0, xT, T, opts=rev_opts, exponents=exponents, certify=certify
     )
     sol = inner.solution
     return replace(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from youngflow import (
+    SCENARIOS,
     SampledPath,
     SolveOptions,
     analytic_driver,
@@ -11,6 +13,8 @@ from youngflow import (
     non_intersection_check,
     select_exponents,
 )
+from youngflow.errors import ParameterError
+from test_vector_systems import _rotation_field, _sine_driver
 
 EXPS = select_exponents(4.0 / 3.0, 0.75, 0.75, 1.0)
 
@@ -135,3 +139,41 @@ def test_flow_report_json():
     payload = rep.to_json()
     assert payload["ok"] is True
     assert payload["times"] == [0.2, 0.5, 0.8]
+
+
+_FLOW_LINEAR = SCENARIOS["flow-linear"]
+_SYSTEMS = {
+    "flow-linear": (_FLOW_LINEAR.make_field(), _FLOW_LINEAR.make_driver(None),
+                    _FLOW_LINEAR.exponents()),
+    "rotation": (_rotation_field(), _sine_driver(), EXPS),
+}
+_BATCH_OPTS = SolveOptions(oversample=2)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(
+    system=st.sampled_from(sorted(_SYSTEMS)),
+    window=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).filter(
+        lambda w: abs(w[0] - w[1]) > 0.05),
+    size=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_transport_equals_one_state_transports(system, window, size, seed):
+    # states over four decades need different Picard iteration counts
+    field, driver, exps = _SYSTEMS[system]
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-1.0, 1.0, (size, field.dim_d)) * 10.0 ** rng.uniform(-2, 2, (size, 1))
+    t1, t2 = window
+    moved = cauchy_operator(field, driver, t1, t2, states, opts=_BATCH_OPTS, exponents=exps)
+    assert moved.shape == states.shape
+    for x, y in zip(states, moved):
+        alone = cauchy_operator(field, driver, t1, t2, x, opts=_BATCH_OPTS, exponents=exps)
+        assert alone.shape == x.shape
+        assert np.array_equal(alone, y)
+
+
+def test_cauchy_operator_rejects_wrong_state_dimension():
+    field, driver, exps = _SYSTEMS["rotation"]
+    for states in ([1.0], np.ones((3, 1)), np.ones((2, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(ParameterError):
+            cauchy_operator(field, driver, 0.2, 0.8, states, exponents=exps)

@@ -22,6 +22,8 @@ from youngflow import (
     solve_forward,
     solve_interval,
 )
+from youngflow.errors import SolveError
+from youngflow.solver import _chunk_boundaries, _picard_slice, solve_forward_batch
 
 
 def _sine(n=2001, t1=2.0, amp=1.0, freq=1.0):
@@ -173,6 +175,16 @@ def test_backward_linear_closed_form():
     assert np.max(np.abs(rep.solution.values[:, 0] - target)) < 1e-5
 
 
+def test_backward_output_grid_is_reflected():
+    # an extra output time keeps its place on the original clock
+    field = _mult_field()
+    drv = _sine(201, 1.0)  # samples every 0.005: neither 0.3001 nor 0.6999
+    rep = solve_backward(field, drv, 1.0, [1.0], 0.0, opts=SolveOptions(grid=[0.3001]),
+                         exponents=EXPS, certify=False)
+    assert np.min(np.abs(rep.solution.times - 0.3001)) < 1e-12
+    assert np.min(np.abs(rep.solution.times - 0.6999)) > 1e-6
+
+
 def test_round_trip_small():
     field = linear_field(-0.4, 0.05, 0.3, 0.0)
     drv = _sine(2001, 1.0, amp=0.5)
@@ -209,6 +221,49 @@ def test_invariant_ball_failure_is_reported():
 
     assert ball_ok(SolveOptions(oversample=2))
     assert not ball_ok(SolveOptions(mu_override=3.0, oversample=2))
+
+
+def test_batch_members_shrink_on_their_own():
+    # on a tight budget the large state fails on the first chunk and is re-solved
+    # on its halves, while the small one converges there; each member keeps
+    # the values, counts, residuals and ball flag of its one-state solve
+    field, drv = _mult_field(), _sine(501, 1.0)
+    opts = SolveOptions(picard_max_iters=8, mu_override=0.3)
+    x0 = np.array([[1e-3], [1e3]])
+    batch = solve_forward_batch(field, drv, 0.0, x0, 1.0, opts, EXPS)
+    ends = _chunk_boundaries(batch.times, batch.greedy.times)
+    ts = batch.times[: ends[1] + 1]
+    first = _picard_slice(field, ts, drv.at(ts), x0, opts, EXPS.q)
+    assert first.failed.tolist() == [False, True]
+    for b, x in enumerate(x0):
+        single = solve_forward(field, drv, 0.0, x, 1.0, opts=opts, exponents=EXPS,
+                               certify=False)
+        assert np.array_equal(batch.values[:, b], single.solution.values)
+        assert batch.iters[:, b].tolist() == single.iters_per_interval
+        assert batch.residuals[:, b].tolist() == single.fixed_point_residuals
+        assert bool(batch.ball_ok[b]) == single.ball_ok
+    assert batch.iters[0, 1] > batch.iters[0, 0]
+
+
+def test_batch_member_that_never_converges_names_its_window():
+    # dx = x^2 dt: from 1e5 the trapezoid step has no fixed point on any grid
+    # step, so shrinking ends at a two-point slice; the small member converges
+    zero = lambda t, x: np.zeros_like(x)
+    field = scalar_field(
+        f=lambda t, x: x * x, g=zero, g_x=zero,
+        L_g=0.0, M_N=0.0, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=0.0, a=0.0, name="square",
+    )
+    drv = _sine(201, 1.0)
+    with pytest.raises(SolveError) as single:
+        solve_forward(field, drv, 0.0, [1e5], 1.0, exponents=EXPS, certify=False)
+    solve_forward(field, drv, 0.0, [0.1], 1.0, exponents=EXPS, certify=False)
+    with pytest.raises(SolveError) as batch:
+        solve_forward_batch(field, drv, 0.0, np.array([[0.1], [1e5]]), 1.0, None, EXPS)
+    assert batch.value.window == single.value.window
+    lo, hi = batch.value.window
+    assert 0.0 <= lo < hi <= 1.0
+    assert f"[{lo}, {hi}]" in str(batch.value)
 
 
 def test_fixed_point_residuals_within_tol(scenario_run):
