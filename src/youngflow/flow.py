@@ -17,13 +17,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coefficients import CoefficientField, ExponentSet
+from .coefficients import CoefficientField, ExponentSet, derived_constants
 from .errors import ParameterError
 from .paths import SampledPath, WindowLike, as_interval, p_variation, p_variation_norm, subsample
-from .solver import _COARSE_CAP, SolveOptions, reversed_problem, solve_forward_batch
+from .solver import (_COARSE_CAP, SolveOptions, _gronwall_constant, reversed_problem,
+                     solve_forward_batch)
 from .young import Certificate
-
-_LN2 = math.log(2.0)
 
 
 def cauchy_operator(
@@ -154,11 +153,9 @@ def difference_growth_log_constant(
     """
     window = as_interval(window)
     w_c = subsample(driver.restrict(window), _COARSE_CAP)
-    from .coefficients import derived_constants
-
     cons = derived_constants(field, window.lo, window.hi, exponents.K0)
     c_z = cons.M_prime(N0) * (exponents.K0 + 1.0) * (2.0 + 2.0 * N0 ** exponents.delta)
-    C_z = (4.0 ** exponents.p) * (c_z ** exponents.p) * _LN2
+    C_z = _gronwall_constant(c_z, exponents.p)
     theta = (window.hi - window.lo) ** exponents.p + p_variation(w_c, exponents.p) ** exponents.p
     return float(np.logaddexp(0.0, C_z * theta))
 
@@ -170,7 +167,6 @@ def non_intersection_check(
     x0,
     x0_prime,
     window: WindowLike,
-    separation_floor: Optional[float] = None,
     opts: Optional[SolveOptions] = None,
     exponents: Optional[ExponentSet] = None,
 ) -> Certificate:
@@ -197,10 +193,7 @@ def non_intersection_check(
                               exponents.q) for b in (0, 1))
     log_C = difference_growth_log_constant(field, driver, exponents, window, N0)
     log_floor = math.log(float(np.linalg.norm(x0 - x0p))) - log_C
-    if separation_floor is None:
-        floor = math.exp(max(log_floor, -700.0))
-    else:
-        floor = float(separation_floor)
+    floor = math.exp(max(log_floor, -700.0))
     ok = min_sep >= floor and min_sep > 0.0
     return Certificate(
         name="non_intersection",

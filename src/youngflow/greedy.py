@@ -25,21 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, GreedyExhausted, ParameterError
-from .paths import SampledPath, WindowLike, as_interval, p_variation
+from .paths import SampledPath, WindowLike, _endpoint_power, as_interval, p_variation
 
 _RESIDUAL_TOL = 1e-8
 _TIME_TOL = 1e-12
 _MAX_BISECT = 200
-
-
-def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float) -> float:
-    """sup-partition power over the committed points, ending at a fresh value."""
-    if pts.shape[1] == 1:
-        d = np.abs(pts[:, 0] - value[0])
-    else:
-        diff = pts - value
-        d = np.sqrt(np.einsum("ik,ik->i", diff, diff))
-    return float(np.maximum.reduce(V + d ** p))
 
 
 def _vertex_walk(times, flat, t0, w0, j, stop, lam, mu, p):

@@ -145,9 +145,6 @@ class SampledPath:
         times, values = _window_samples(self, window)
         return SampledPath(times, values)
 
-    def shift(self, dt: float) -> "SampledPath":
-        return SampledPath(self.times + dt, self.values)
-
     def reversed_clock(self) -> "SampledPath":
         """The path u -> x(a + b - u) on the same window [a, b]."""
         a, b = self.times[0], self.times[-1]
@@ -203,11 +200,16 @@ def merge_times(*time_arrays, tol: float = _TIME_TOL) -> np.ndarray:
     return allt[keep]
 
 
-def _increment_norms(flat: np.ndarray, j: int) -> np.ndarray:
-    diff = flat[:j] - flat[j]
-    if diff.shape[1] == 1:
-        return np.abs(diff[:, 0])
-    return np.sqrt(np.einsum("ik,ik->i", diff, diff))
+def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float) -> float:
+    """The p-variation DP step: max_i V[i] + |value - pts[i]|^p, the
+    sup-partition power over the points pts, shape (m, k), with their
+    powers V, ending at a fresh value, shape (k,)."""
+    if pts.shape[1] == 1:
+        d = np.abs(pts[:, 0] - value[0])
+    else:
+        diff = pts - value
+        d = np.sqrt(np.einsum("ik,ik->i", diff, diff))
+    return float(np.maximum.reduce(V + d ** p))
 
 
 def _turning_indices(v: np.ndarray) -> np.ndarray:
@@ -231,7 +233,7 @@ def _variation(flat: np.ndarray, p: float, power: bool = False) -> float:
         flat = flat[_turning_indices(flat[:, 0])]
     V = np.zeros(len(flat))
     for j in range(1, len(flat)):
-        V[j] = (V[:j] + _increment_norms(flat, j) ** p).max()
+        V[j] = _endpoint_power(flat[:j], V[:j], flat[j], p)
     return float(V[-1]) if power else float(V[-1] ** (1.0 / p))
 
 

@@ -45,7 +45,7 @@ from .paths import (
     subsample,
     thin_indices,
 )
-from .young import Certificate, YoungConstants, young_loeve_check
+from .young import _RULES, Certificate, YoungConstants, _pair_terms, _running_sum, young_loeve_check
 
 _LN2 = math.log(2.0)
 # certificate sampling: points kept per path, and the anchors that pair up windows
@@ -152,22 +152,18 @@ def _solution_map_parts(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Drift and Young parts of F(x) - x_{t0} on the grid ts for a stack of paths.
 
-    x has shape (n, B, d).  f and g are evaluated over one flattened
-    (n*B, d) axis with the times repeated, so every member's values are
-    those of its own (n, d) evaluation.
+    x has shape (n, B, d).  The drift is young's midpoint rule against the
+    clock (the trapezoid rule), the noise its left rule against w.  f and g
+    are evaluated over one flattened (n*B, d) axis with the times repeated,
+    so every member's values are those of its own (n, d) evaluation.
     """
     n, B, d = x.shape
     if B > 1:
         ts, dw = np.repeat(ts, B), np.repeat(dw, B, axis=0)
     f_vals = field.eval_f(ts, x.reshape(n * B, d)).reshape(n, B, d)
-    drift = np.empty_like(x)
-    drift[0] = 0.0
-    np.cumsum(0.5 * (f_vals[:-1] + f_vals[1:]) * dt[:, None, None], axis=0, out=drift[1:])
+    drift = _running_sum(_RULES["midpoint"](f_vals) * dt[:, None, None])
     g_vals = field.eval_g(ts[:-B], x[:-1].reshape((n - 1) * B, d))
-    terms = np.einsum("idm,im->id", g_vals, dw)
-    young = np.empty_like(x)
-    young[0] = 0.0
-    np.cumsum(terms.reshape(n - 1, B, d), axis=0, out=young[1:])
+    young = _running_sum(_pair_terms(g_vals, dw).reshape(n - 1, B, d))
     return drift, young
 
 
@@ -389,9 +385,13 @@ def solve_interval(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None]
     if warm_start is not None:
         x_init = warm_start.at(ts)[:, None, :]
-        vals, iters, residual, _, _, _ = _picard_slice(
-            field, ts, ws, x0, opts, exponents.q, x_init=x_init
-        )
+        try:
+            vals, iters, residual, _, _, _ = _picard_slice(
+                field, ts, ws, x0, opts, exponents.q, x_init=x_init
+            )
+        except _NoConvergence:
+            raise SolveError(f"Picard failed from the warm start on [{t0}, {t1}]",
+                             window=(float(t0), float(t1))) from None
     else:
         vals, iters, residual, _ = _solve_span(field, ts, ws, x0, opts, exponents.q)
         iters = int(iters[0])
@@ -645,6 +645,11 @@ def _log_safe(x: float) -> float:
     return math.log(max(x, 1e-300))
 
 
+def _gronwall_constant(c: float, p: float) -> float:
+    """C = 4^p c^p ln 2, the exponential rate of the Gronwall-type lemma."""
+    return (4.0 ** p) * (c ** p) * _LN2
+
+
 def gronwall_certificate(
     gin: GronwallInput,
     driver: SampledPath,
@@ -676,7 +681,7 @@ def gronwall_certificate(
         raise ParameterError(f"unknown gronwall variant {variant!r}")
     K = YoungConstants(p, q).K
     c = gin.c(K) if variant == "increment" else gin.a1
-    C = (4.0 ** p) * (c ** p) * _LN2
+    C = _gronwall_constant(c, p)
     y = gin.y
     window = y.domain
     A0 = gin.A(window.lo, window.hi) ** (1.0 / q)
@@ -689,14 +694,12 @@ def gronwall_certificate(
     w_on_y = SampledPath(y_coarse.times, w_sub.at(y_coarse.times))
 
     if variant == "increment":
-        # cumulative integrals of y on its own grid (same rules as the solver)
-        dt = np.diff(ts)
+        # cumulative integrals of y on its own grid (same rules as the solver);
+        # int y dw is the d x m matrix integral of the hypothesis, an outer
+        # product that _pair_terms does not define
+        cum_du = _running_sum(_RULES["midpoint"](y.values) * np.diff(ts)[:, None])
         dwy = np.diff(w_sub.at(ts), axis=0)
-        cum_du = np.zeros_like(y.values)
-        np.cumsum(0.5 * (y.values[:-1] + y.values[1:]) * dt[:, None], axis=0, out=cum_du[1:])
-        terms = y.values[:-1][:, :, None] * dwy[:, None, :]  # (n-1, d, m)
-        cum_dw = np.zeros((n,) + terms.shape[1:])
-        np.cumsum(terms, axis=0, out=cum_dw[1:])
+        cum_dw = _running_sum(y.values[:-1][:, :, None] * dwy[:, None, :])
 
     hyp_gap = -math.inf
     hyp_pair = None

@@ -113,6 +113,13 @@ _RULES = {
 }
 
 
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """Partial sums of the per-step terms along axis 0, starting from a zero row."""
+    out = np.zeros((len(terms) + 1,) + terms.shape[1:])
+    np.cumsum(terms, axis=0, out=out[1:])
+    return out
+
+
 def _rs_terms(
     integrand: SampledPath,
     driver: SampledPath,
@@ -152,9 +159,7 @@ def partial_sums_path(
 ) -> SampledPath:
     """The path t -> sum of RS terms up to t on the common grid."""
     grid, _, _, terms = _rs_terms(integrand, driver, window, rule)
-    out = np.zeros((len(grid), terms.shape[1]))
-    np.cumsum(terms, axis=0, out=out[1:])
-    return SampledPath(grid, out)
+    return SampledPath(grid, _running_sum(terms))
 
 
 def reverse_integral(
@@ -191,19 +196,12 @@ def young_integral(
 
     coarse: List[Tuple[int, float]] = []
     stride = 2
-    prev = value
-    gap = 0.0
-    first = True
     while (len(grid) - 1) // stride >= 4:
         idx = np.unique(np.concatenate([np.arange(0, len(grid), stride), [len(grid) - 1]]))
-        sub_w = w_vals[idx]
-        sub_x = x_vals[idx]
-        v = _pair_terms(sub_x[:-1], np.diff(sub_w, axis=0)).sum(axis=0)
+        v = _pair_terms(_RULES["left"](x_vals[idx]), np.diff(w_vals[idx], axis=0)).sum(axis=0)
         coarse.append((len(idx), float(np.linalg.norm(v - value))))
-        if first:
-            gap = float(np.linalg.norm(v - prev))
-            first = False
         stride *= 2
+    gap = coarse[0][1] if coarse else 0.0
 
     x_path = SampledPath(grid, x_vals)
     w_path = SampledPath(grid, w_vals)
@@ -244,9 +242,7 @@ def young_loeve_check(
     var_w = p_variation(w_path, constants.p)
     bound = K * var_x * var_w
 
-    sums = np.zeros((len(grid), terms.shape[1]))
-    np.cumsum(terms, axis=0, out=sums[1:])
-    yl1_lhs = p_variation(SampledPath(grid, sums), constants.p)
+    yl1_lhs = p_variation(SampledPath(grid, _running_sum(terms)), constants.p)
     x_a = float(np.linalg.norm(x_vals.reshape(len(grid), -1)[0]))
     yl1_rhs = var_w * (x_a + (K + 1.0) * var_x)
 

@@ -103,6 +103,17 @@ def test_warm_start_reaches_same_fixed_point():
     assert np.max(np.abs(cold.values - warm.values)) <= 10 * opts.picard_tol
 
 
+def test_warm_start_that_never_converges_raises_solve_error():
+    field = _mult_field()
+    drv = analytic_driver("sine", {"amp": 50.0}, np.linspace(0.0, 1.0, 201))
+    opts = SolveOptions(picard_max_iters=3)
+    solve_interval(field, drv, 0.0, [1.0], 1.0, opts, EXPS)  # the cold start shrinks
+    warm_path = euler_solve(field, drv, 0.0, [1.0], 1.0, drv.times)
+    with pytest.raises(SolveError) as err:
+        solve_interval(field, drv, 0.0, [1.0], 1.0, opts, EXPS, warm_start=warm_path)
+    assert err.value.window == (0.0, 1.0)
+
+
 def test_concatenation_consistency(scenario_run):
     run = scenario_run("time-varying")
     rep = run.report

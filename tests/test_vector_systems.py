@@ -9,13 +9,17 @@ from youngflow import (
     GronwallData,
     SampledPath,
     SolveOptions,
+    apply_F,
+    composed_path,
     flow_axiom_check,
+    linear_field,
     path_from_csv,
     path_to_csv,
     select_exponents,
     solve_backward,
     solve_forward,
 )
+from youngflow.young import partial_sums_path
 
 EXPS = select_exponents(4.0 / 3.0, 0.75, 0.75, 1.0)
 
@@ -147,6 +151,29 @@ def test_two_channel_additive_exact():
     target = 0.2 + 0.7 * np.sin(rep.solution.times) - 0.3 * (np.cos(2 * rep.solution.times) - 1.0)
     assert np.max(np.abs(rep.solution.values[:, 0] - target)) < 1e-12
     assert rep.max_residual <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["scalar-linear", "rotation", "two-channel"])
+def test_solution_map_is_the_young_sum(case):
+    """The drift and noise parts of F are young's midpoint and left-rule
+    running sums, bit for bit."""
+    ts = np.linspace(0.0, 1.0, 401)
+    if case == "scalar-linear":
+        field, w, x0 = linear_field(), SampledPath(ts, 0.5 * np.sin(3 * ts)), [0.7]
+    elif case == "rotation":
+        field, w, x0 = _rotation_field(), _sine_driver(401, 1.0), [1.0, 0.25]
+    else:
+        w = SampledPath(ts, np.stack([np.sin(ts), np.cos(2 * ts) - 1.0], axis=1))
+        field, x0 = _additive_two_channel_field(), [0.2]
+    x = solve_forward(field, w, 0.0, x0, 1.0, exponents=EXPS, certify=False).solution
+    fx = apply_F(field, w, x)
+    noise = partial_sums_path(composed_path(field, x), w)
+    clock = SampledPath(x.times, x.times)
+    drift = partial_sums_path(SampledPath(x.times, field.eval_f(x.times, x.values)), clock,
+                              rule="midpoint")
+    np.testing.assert_array_equal(noise.times, x.times)
+    np.testing.assert_array_equal(fx.young_part.values, noise.values)
+    np.testing.assert_array_equal(fx.drift_part.values, drift.values)
 
 
 def test_vector_csv_round_trip(tmp_path):
