@@ -19,7 +19,8 @@ import numpy as np
 
 from .coefficients import CoefficientField, ExponentSet, derived_constants
 from .errors import ParameterError
-from .paths import SampledPath, WindowLike, as_interval, p_variation, p_variation_norm, subsample
+from .paths import (_TIME_TOL, SampledPath, WindowLike, as_interval, p_variation,
+                    p_variation_norm, subsample)
 from .solver import (_COARSE_CAP, SolveOptions, _gronwall_constant, reversed_problem,
                      solve_forward_batch)
 from .young import Certificate
@@ -172,13 +173,17 @@ def non_intersection_check(
 ) -> Certificate:
     """Minimum separation of two trajectories against a positive floor.
 
-    The floor comes from transporting the separation back to t0: if the
-    paths came within eps at some time, the backward continuity estimate
-    would force |x0 - x0'| <= C eps, so the separation never drops below
+    Both trajectories start at t0, which must be window.lo, and the floor
+    comes from transporting the separation back to window.lo: if the paths
+    came within eps at some time, the backward continuity estimate would
+    force |x0 - x0'| <= C eps, so the separation never drops below
     |x0 - x0'| / C.  A violated floor is reported in the certificate, not
     raised.
     """
     window = as_interval(window)
+    if abs(t0 - window.lo) > _TIME_TOL * max(window.length, 1.0):
+        raise ParameterError(f"non_intersection_check starts at window.lo = {window.lo}, "
+                             f"got t0 = {t0}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     x0p = np.atleast_1d(np.asarray(x0_prime, dtype=float))
     if np.allclose(x0, x0p):

@@ -34,12 +34,14 @@ def path_to_csv(path: SampledPath, destination) -> None:
         raise DataError("only vector-valued paths serialise to CSV")
     header = "t," + ",".join(f"x{i + 1}" for i in range(path.dimension))
     data = np.column_stack([path.times, path.values])
+    row = ",".join(["%r"] * data.shape[1]) + "\n"
     with Path(destination).open("w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        # block by block: Python lists of every row would outweigh the file text
+        # block by block: Python lists of every row would outweigh the file text;
+        # one %-format per block, and %r is repr
         for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            rows = data[start : start + _CSV_BLOCK_ROWS].tolist()
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            block = data[start : start + _CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def path_from_csv(source) -> SampledPath:

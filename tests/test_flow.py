@@ -131,6 +131,15 @@ def test_non_intersection_requires_distinct_points():
                                opts=opts, exponents=EXPS)
 
 
+def test_non_intersection_rejects_start_inside_window():
+    # the trajectories and the floor both start at window.lo, so another t0
+    # would certify a window the caller did not ask about
+    field, driver, opts = _mult_setup(501)
+    with pytest.raises(ParameterError):
+        non_intersection_check(field, driver, 0.5, [0.2], [0.9], (0.0, 1.0),
+                               opts=opts, exponents=EXPS)
+
+
 def test_flow_report_json():
     field = _zero_field()
     driver = analytic_driver("sine", {}, np.linspace(0.0, 1.0, 301))

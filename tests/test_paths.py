@@ -6,6 +6,7 @@ from youngflow import (
     ControlFunction,
     DataError,
     DomainError,
+    FbmSpec,
     Interval,
     JoinError,
     ParameterError,
@@ -13,6 +14,7 @@ from youngflow import (
     SizeError,
     concatenate,
     dominated_variation_bound,
+    fbm_sample,
     holder_norm,
     metric_d,
     p_variation,
@@ -98,6 +100,36 @@ def _plain_dp(flat, p):
 def test_pruned_pvar_is_bit_equal_to_the_plain_dp(values, p, scale):
     path = SampledPath(np.arange(len(values), dtype=float), scale * values)
     assert p_variation(path, p) == _plain_dp(path._flat_values(), p)
+
+
+def _long_scalar_path(kind):
+    rng = np.random.default_rng(20261018)
+    if kind == "fbm":
+        return fbm_sample(FbmSpec(hurst=0.7, horizon=1.0, samples=4097, seed=7))
+    if kind == "gaussian":
+        values = np.cumsum(rng.standard_normal(5000))
+    else:
+        # steps of -1, 0 or 1: many repeated values and plateaus
+        values = np.cumsum(rng.integers(-1, 2, 5000)).astype(float)
+    return SampledPath(np.arange(len(values), dtype=float), values)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer", "fbm"])
+def test_long_scalar_pvar_is_bit_equal_to_the_plain_dp(kind):
+    # long paths keep deep suffix-extremum stacks, which short walks rarely build
+    path = _long_scalar_path(kind)
+    for p in (1.5, 2.0, 2.5, 3.7):
+        assert p_variation(path, p) == _plain_dp(path._flat_values(), p)
+
+
+def test_pvar_constant_two_point_and_final_plateau():
+    const = SampledPath([0.0, 1.0], [2.5, 2.5])
+    plateau = SampledPath(np.arange(7.0), [0.0, 2.0, -1.0, 1.5, 0.5, 0.5, 0.5])
+    for p in (1.5, 2.0, 3.7):
+        assert p_variation(const, p) == _plain_dp(const._flat_values(), p) == 0.0
+        exact = p_variation_bruteforce(plateau, p)
+        assert p_variation(plateau, p) == _plain_dp(plateau._flat_values(), p)
+        assert abs(p_variation(plateau, p) - exact) <= 1e-12 * exact
 
 
 def test_bruteforce_two_point_and_size_cap(rng):
