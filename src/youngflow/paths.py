@@ -202,16 +202,21 @@ def merge_times(*time_arrays, tol: float = _TIME_TOL) -> np.ndarray:
     return allt[keep]
 
 
-def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float) -> float:
+def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float):
     """The p-variation DP step: max_i V[i] + |value - pts[i]|^p, the
     sup-partition power over the points pts, shape (m, k), with their
-    powers V, ending at a fresh value, shape (k,)."""
+    powers V, ending at a fresh value, shape (k,).  A stack of values,
+    shape (r, k), takes the step from the same points for each of them and
+    gives the r powers as an array: the elementwise operations and the max
+    round the same way at any shape, so each equals its one-value step."""
     if pts.shape[1] == 1:
-        d = np.abs(pts[:, 0] - value[0])
+        d = np.abs(pts[:, 0] - value)
     else:
-        diff = pts - value
-        d = np.sqrt(np.einsum("ik,ik->i", diff, diff))
-    return float(np.maximum.reduce(V + d ** p))
+        diff = pts - value[..., None, :]
+        d = np.sqrt(np.einsum("...ik,...ik->...i", diff, diff))
+    if value.ndim == 1:
+        return float(np.maximum.reduce(V + d ** p))
+    return np.maximum.reduce(V + d ** p, axis=1)
 
 
 def _turning_indices(v: np.ndarray) -> np.ndarray:

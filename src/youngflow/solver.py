@@ -280,19 +280,21 @@ def _picard_slice(
         else:
             x[:, live] = fx
         iters += 1
+        # the ball screen for the whole stack: the 1-variation bounds the
+        # q-variation from above (q >= 1), as row sums of a contiguous
+        # (members, steps) array, each the np.sum of that member's step norms
+        xb = fx[ball_idx]
+        if not np.isfinite(xb).all():
+            raise DataError("Picard iterate contains non-finite entries")
+        steps = np.linalg.norm(np.diff(xb, axis=0), axis=2)
+        var1 = np.ascontiguousarray(steps.T).sum(axis=1).tolist()
         still = []
         for j, b in enumerate(live):
-            if len(ball_idx) >= 2:
-                # the 1-variation bounds the q-variation from above (q >= 1); the
-                # DP runs only when that bound, with a rounding margin, does not
-                # settle it
-                xb = fx[ball_idx, j]
-                if not np.all(np.isfinite(xb)):
-                    raise DataError("Picard iterate contains non-finite entries")
-                bound = x0_norm[b] + _variation(xb, 1.0)
-                if bound * (1.0 + 1e-12) > ball_cap[b] + 1e-9:
-                    if x0_norm[b] + _variation(xb, q) > ball_cap[b] + 1e-9:
-                        ball_ok[b] = False
+            # the DP runs only when that bound, with a rounding margin, does not
+            # settle it
+            if (x0_norm[b] + var1[j]) * (1.0 + 1e-12) > ball_cap[b] + 1e-9:
+                if x0_norm[b] + _variation(xb[:, j], q) > ball_cap[b] + 1e-9:
+                    ball_ok[b] = False
             change = changes[j]
             member_iters[b] = iters
             if change > 1e8 * scale[b]:

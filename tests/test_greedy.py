@@ -218,3 +218,121 @@ def test_chunk_ends_are_the_grid_points_nearest_the_greedy_times(driver, lam, mu
     # every chunk end is nearest some greedy time, every greedy time lands on a chunk end
     assert all(np.any(dist[b] == nearest) for b in bounds)
     np.testing.assert_array_equal(dist[bounds].min(axis=0), nearest)
+
+
+def _reference_greedy(driver, start, end, lam, mu, p):
+    """Greedy times, residuals and clamped flag by a per-step walk over the
+    kept vertices and one bisection step at a time: the engine's definition,
+    without its run blocks and bisection batches."""
+    times, flat = driver.times, driver._flat_values()
+    scalar = flat.shape[1] == 1
+    dom_tol = 1e-12 * max(1.0, abs(times[-1]) + abs(times[0]))
+
+    def next_time(t0):
+        stop_t = min(end, float(times[-1]))
+        pts, V = [np.ravel(driver.at(t0))], [0.0]
+
+        def power(value):
+            kept = np.array(pts)
+            if scalar:
+                d = np.abs(kept[:, 0] - value[0])
+            else:
+                diff = kept - value
+                d = np.sqrt(np.einsum("ik,ik->i", diff, diff))
+            return float(np.maximum.reduce(np.array(V) + d ** p))
+
+        def kappa(t):
+            value = np.array([np.interp(t, times, c) for c in flat.T])
+            return (t - t0) ** lam + power(value) ** (1.0 / p)
+
+        j = j0 = int(np.searchsorted(times, t0, side="right"))
+        stop = int(np.searchsorted(times, stop_t, side="left"))
+        while j < stop:
+            pw = power(flat[j])
+            if not (times[j] - t0) ** lam + pw ** (1.0 / p) < mu:
+                break
+            if scalar and len(pts) > 1:
+                a, b, c = pts[-2][0], pts[-1][0], flat[j, 0]
+                if a <= b <= c or a >= b >= c:
+                    pts.pop()
+                    V.pop()
+            pts.append(flat[j])
+            V.append(pw)
+            j += 1
+        if j < stop:
+            hi = float(times[j])
+        else:
+            k_end = kappa(stop_t)
+            if k_end < mu:
+                return stop_t, k_end - mu, True
+            hi = stop_t
+        lo = float(times[j - 1]) if j > j0 else t0
+        for _ in range(200):
+            if hi - lo <= dom_tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if kappa(mid) < mu:
+                lo = mid
+            else:
+                hi = mid
+        t = hi
+        if j < len(times) and abs(t - times[j]) <= dom_tol:
+            t = float(min(times[j], stop_t))
+        return t, kappa(t) - mu, False
+
+    seq_tol = 1e-12 * max(1.0, abs(start) + abs(end))
+    ts, residuals, clamped, t = [float(start)], [], False, float(start)
+    while t < end - seq_tol:
+        t, r, clamped = next_time(t)
+        ts.append(float(t))
+        residuals.append(float(r))
+    if abs(ts[-1] - end) <= seq_tol:
+        ts[-1] = float(end)
+    return np.array(ts), np.array(residuals), clamped
+
+
+@st.composite
+def _walk_drivers(draw):
+    """Drivers on [0, 1] of five kinds: rough Gaussian walks, integer walks
+    with plateaus, a sine with tiny noise, piecewise-linear ramps whose
+    monotone runs are longer than the walk's block lookahead, and 2-d walks."""
+    kind = draw(st.sampled_from(["rough", "integer", "sine", "ramps", "planar"]))
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.uniform(0.5, 1.5, n - 1)
+    times = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    scale = draw(st.floats(0.05, 1.0))
+    if kind == "rough":
+        values = scale * np.cumsum(rng.standard_normal(n)) / np.sqrt(n)
+    elif kind == "integer":
+        steps = rng.integers(-2, 3, n) * (rng.random(n) < 0.6)
+        values = 0.05 * scale * np.cumsum(steps).astype(float)
+    elif kind == "sine":
+        noise = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+        values = scale * np.sin(draw(st.floats(1.0, 20.0)) * times)
+        values = values + noise * rng.standard_normal(n)
+    elif kind == "ramps":
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 3)), [1.0]])
+        values = np.interp(times, knots, scale * rng.standard_normal(5))
+    else:
+        values = scale * np.cumsum(rng.standard_normal((n, 2)), axis=0) / np.sqrt(n)
+    return SampledPath(times, values)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    driver=_walk_drivers(),
+    start=st.sampled_from([0.0, 0.013, 0.25]),
+    end=st.sampled_from([1.0, 0.8]),
+    lam=st.floats(0.5, 1.0),
+    mu=st.floats(0.1, 2.0),
+    p=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
+)
+def test_greedy_is_byte_equal_to_the_per_step_reference(driver, start, end, lam, mu, p):
+    # the run blocks and bisection batches change how the walk is computed,
+    # never a bit of what it returns
+    seq = greedy_sequence(driver, start, end, lam=lam, mu=mu, p=p)
+    times, residuals, clamped = _reference_greedy(driver, start, end, lam, mu, p)
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.residuals.tobytes() == residuals.tobytes()
+    assert seq.clamped == clamped

@@ -22,7 +22,7 @@ from youngflow import (
     solve_forward,
     solve_interval,
 )
-from youngflow.errors import SolveError
+from youngflow.errors import DataError, SolveError
 from youngflow.solver import _chunk_boundaries, _picard_slice, solve_forward_batch
 
 
@@ -254,6 +254,43 @@ def test_batch_members_shrink_on_their_own():
         assert batch.residuals[:, b].tolist() == single.fixed_point_residuals
         assert bool(batch.ball_ok[b]) == single.ball_ok
     assert batch.iters[0, 1] > batch.iters[0, 0]
+
+
+def test_batch_members_keep_their_own_ball_flags():
+    # on an oversized budget the iterates from 1.0 and -0.3 leave their balls on
+    # the first chunk while those from 0.2, 1e-3 and 0.0 stay inside: one stack
+    # screen sets each flag as the member's one-state solve does
+    field, drv = _mult_field(), _sine(2001, 2.0, amp=2.0)
+    opts = SolveOptions(mu_override=3.0, oversample=2)
+    x0 = np.array([[0.2], [1.0], [1e-3], [-0.3], [0.0]])
+    flags = [True, False, True, False, True]
+    batch = solve_forward_batch(field, drv, 0.0, x0, 2.0, opts, EXPS)
+    ends = _chunk_boundaries(batch.times, batch.greedy.times)
+    ts = batch.times[: ends[1] + 1]
+    assert _picard_slice(field, ts, drv.at(ts), x0, opts, EXPS.q).ball_ok.tolist() == flags
+    for b, x in enumerate(x0):
+        single = solve_forward(field, drv, 0.0, x, 2.0, opts=opts, exponents=EXPS,
+                               certify=False)
+        assert np.array_equal(batch.values[:, b], single.solution.values)
+        assert batch.iters[:, b].tolist() == single.iters_per_interval
+        assert batch.residuals[:, b].tolist() == single.fixed_point_residuals
+        assert bool(batch.ball_ok[b]) == single.ball_ok
+    assert batch.ball_ok.tolist() == flags
+
+
+def test_batch_member_with_non_finite_iterate_raises_data_error():
+    # the drift is +inf above 5, so the first iterate from 10 is infinite while
+    # the member from 0.1 stays finite; no overflow warning is involved
+    zero = lambda t, x: np.zeros_like(x)
+    field = scalar_field(
+        f=lambda t, x: np.where(x > 5.0, np.inf, 0.0), g=zero, g_x=zero,
+        L_g=0.0, M_N=0.0, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=0.0, a=0.0, name="blow-up",
+    )
+    drv = _sine(201, 1.0)
+    solve_forward(field, drv, 0.0, [0.1], 1.0, exponents=EXPS, certify=False)
+    with pytest.raises(DataError, match="non-finite"):
+        solve_forward_batch(field, drv, 0.0, np.array([[0.1], [10.0]]), 1.0, None, EXPS)
 
 
 def test_batch_member_that_never_converges_names_its_window():
