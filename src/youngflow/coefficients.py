@@ -105,19 +105,16 @@ class CoefficientField:
         out = np.asarray(self.g_x(np.asarray(ts, float), np.asarray(xs, float)), float)
         return out.reshape(len(np.atleast_1d(ts)), self.dim_d, self.dim_m, self.dim_d)
 
-    def time_reversed(self, t0: float, t1: float, negate_drift: bool = True) -> "CoefficientField":
-        """The field on the reversed clock u -> t0 + t1 - u.
-
-        With negate_drift=True this is the field of the inverse-flow
-        problem: running dy = -f_hat du + g_hat d(w o rho) forward on the
-        reversed clock traces the original trajectories backwards.
+    def time_reversed(self, t0: float, t1: float) -> "CoefficientField":
+        """The field of the inverse-flow problem on the reversed clock
+        u -> t0 + t1 - u: running dy = -f_hat du + g_hat d(w o rho) forward
+        on the reversed clock traces the original trajectories backwards.
         """
         rho = lambda u: (t0 + t1) - np.asarray(u, float)
-        sgn = -1.0 if negate_drift else 1.0
         f, g, g_x, b, h = self.f, self.g, self.g_x, self.b, self.h
         return replace(
             self,
-            f=lambda ts, xs: sgn * f(rho(ts), xs),
+            f=lambda ts, xs: -f(rho(ts), xs),
             g=lambda ts, xs: g(rho(ts), xs),
             g_x=lambda ts, xs: g_x(rho(ts), xs),
             h=ControlFunction(

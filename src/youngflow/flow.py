@@ -21,8 +21,8 @@ from .coefficients import CoefficientField, ExponentSet, derived_constants
 from .errors import ParameterError
 from .paths import (_TIME_TOL, SampledPath, WindowLike, as_interval, p_variation,
                     p_variation_norm, subsample)
-from .solver import (_COARSE_CAP, SolveOptions, _gronwall_constant, reversed_problem,
-                     solve_forward_batch)
+from .solver import (_COARSE_CAP, _SEWING_CAP, SolveOptions, _gronwall_constant,
+                     reversed_problem, solve_forward_batch)
 from .young import Certificate
 
 
@@ -194,7 +194,7 @@ def non_intersection_check(
     min_sep = float(np.min(sep))
     argmin_t = float(both.times[int(np.argmin(sep))])
 
-    N0 = max(p_variation_norm(subsample(SampledPath(both.times, both.values[:, b]), 400),
+    N0 = max(p_variation_norm(subsample(SampledPath(both.times, both.values[:, b]), _SEWING_CAP),
                               exponents.q) for b in (0, 1))
     log_C = difference_growth_log_constant(field, driver, exponents, window, N0)
     log_floor = math.log(float(np.linalg.norm(x0 - x0p))) - log_C

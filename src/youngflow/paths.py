@@ -8,7 +8,9 @@ p-variation of the interpolant.  For the same reason a scalar path loses
 nothing when it is reduced to its endpoints and strict turning points
 before the p-variation DP (Butkus & Norvaisa, Lith. Math. J. 58, 2018),
 and each DP step then scans only the suffix extrema that can still win;
-vector paths run the DP over every earlier sample.
+vector paths run the DP over every earlier sample.  The control
+ControlFunction.from_p_variation runs it once per left end s, over [s, path
+end], and reads each window [s, t] off that row with one last DP step.
 """
 
 from __future__ import annotations
@@ -277,17 +279,26 @@ def _scalar_powers(x: np.ndarray, p: float) -> np.ndarray:
     return V
 
 
+def _powers(flat: np.ndarray, p: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The p-variation DP over flat, shape (n, k), p >= 1: the indices it keeps
+    (a scalar path's ends and turning points, or every sample) and their powers."""
+    if p < 1:
+        raise ParameterError(f"p-variation needs p >= 1, got {p}")
+    if flat.shape[1] == 1:
+        kept = _turning_indices(flat[:, 0])
+        return kept, _scalar_powers(flat[kept], p)
+    V = np.zeros(len(flat))
+    for j in range(1, len(flat)):
+        V[j] = _endpoint_power(flat[:j], V[:j], flat[j], p)
+    return np.arange(len(flat)), V
+
+
 def _variation(flat: np.ndarray, p: float, power: bool = False) -> float:
     """p-variation of the samples flat, shape (n, k), p >= 1: the DP kernel."""
     if p == 1.0:
         # triangle inequality: the full partition is maximal
         return float(np.sum(np.linalg.norm(np.diff(flat, axis=0), axis=1)))
-    if flat.shape[1] == 1:
-        V = _scalar_powers(flat[_turning_indices(flat[:, 0])], p)
-    else:
-        V = np.zeros(len(flat))
-        for j in range(1, len(flat)):
-            V[j] = _endpoint_power(flat[:j], V[:j], flat[j], p)
+    V = _powers(flat, p)[1]
     return float(V[-1]) if power else float(V[-1] ** (1.0 / p))
 
 
@@ -314,8 +325,6 @@ def p_variation(
     power : bool
         If True return the p-th power (the control value) instead of the root.
     """
-    if p < 1:
-        raise ParameterError(f"p-variation needs p >= 1, got {p}")
     return _variation(path.restrict(window)._flat_values(), p, power)
 
 
@@ -447,12 +456,32 @@ class ControlFunction:
 
     @classmethod
     def from_p_variation(cls, path: SampledPath, p: float) -> "ControlFunction":
-        """The control (s, t) -> |||path|||^p_{p-var,[s,t]}."""
+        """The control (s, t) -> |||path|||^p_{p-var,[s,t]}, bit-equal to
+        p_variation(path, p, (s, t), power=True).
+
+        The row of s, the DP over the samples of [s, path end], runs once.
+        restrict gives the window's samples: the row's up to the last before
+        t, then a sample or a point on the row's next segment.  So the
+        window's DP keeps no point the row's does not, with equal powers, and
+        its last step is one exact max over the row's kept points before t.
+        """
+        rows = {}
 
         def ev(s, t):
             if t - s <= _TIME_TOL:
                 return 0.0
-            return p_variation(path, p, Interval(s, t), power=True)
+            sub = path.restrict(Interval(s, t))
+            flat = sub._flat_values()
+            if p == 1.0 or len(flat) == 2 or sub is path:
+                return _variation(flat, p, power=True)
+            if s not in rows:
+                times, values = _window_samples(path, Interval(s, path.times[-1]))
+                row = values.reshape(len(times), -1)
+                kept, V = _powers(row, p)
+                rows[s] = (row[kept], kept, V)
+            pts, kept, V = rows[s]
+            k = int(np.searchsorted(kept, len(flat) - 1))
+            return _endpoint_power(pts[:k], V[:k], flat[-1], p)
 
         return cls(ev, f"pvar^{p}")
 
@@ -487,12 +516,11 @@ def dominated_variation_bound(
     routine verifies it on all anchor pairs drawn from the sample times.
     """
     sub = path.restrict(window)
+    omega = ControlFunction.from_p_variation(sub, p)
     ts = sub.times[thin_indices(len(sub.times), max_anchors)]
-    for a in range(len(ts)):
-        for b in range(a + 1, len(ts)):
-            s, t = float(ts[a]), float(ts[b])
-            lhs = p_variation(sub, p, Interval(s, t))
-            rhs = sum(c * w(s, t) ** (1.0 / p) for c, w in controls)
-            if lhs > rhs + tol:
-                return False
+    for s, t in itertools.combinations(ts.tolist(), 2):
+        lhs = omega(s, t) ** (1.0 / p)
+        rhs = sum(c * w(s, t) ** (1.0 / p) for c, w in controls)
+        if lhs > rhs + tol:
+            return False
     return True

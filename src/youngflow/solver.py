@@ -53,6 +53,7 @@ _COARSE_CAP = 512
 _SEWING_CAP = 400
 _GRONWALL_ANCHORS = 10
 _GROWTH_ANCHORS = 6
+_SHRINK_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,11 @@ class SolveOptions:
 
     picard_tol: float = 1e-10
     picard_max_iters: int = 50
-    shrink_factor: float = 0.5
     grid: Optional[np.ndarray] = None
     mu_override: Optional[float] = None
     oversample: int = 1
 
     def __post_init__(self):
-        if not 0 < self.shrink_factor < 1:
-            raise ParameterError("shrink_factor must lie in (0, 1)")
         if self.picard_tol <= 0 or self.picard_max_iters < 1:
             raise ParameterError("invalid Picard tolerances")
         if self.oversample < 1 or int(self.oversample) != self.oversample:
@@ -352,7 +350,7 @@ def _solve_span(
             f"Picard failed on [{ts[0]}, {ts[-1]}] at depth {depth}",
             window=(float(ts[0]), float(ts[-1])),
         )
-    k = int(round(opts.shrink_factor * (len(ts) - 1)))
+    k = int(round(_SHRINK_FACTOR * (len(ts) - 1)))
     k = min(max(k, 1), len(ts) - 2)
     left, il, rl, bl = _solve_span(field, ts[: k + 1], ws[: k + 1], x0[failed], opts, q, depth + 1)
     right, ir, rr, br = _solve_span(field, ts[k:], ws[k:], left[-1], opts, q, depth + 1)
@@ -563,7 +561,7 @@ def reversed_problem(
     """
     if not t0 < T:
         raise DomainError("solve_backward needs t0 < T")
-    rev_field = field.time_reversed(t0, T, negate_drift=True)
+    rev_field = field.time_reversed(t0, T)
     rev_driver = driver.restrict((t0, T)).reversed_clock()
     if opts is not None and opts.grid is not None:
         opts = replace(opts, grid=(t0 + T) - np.asarray(opts.grid, dtype=float))
@@ -662,10 +660,8 @@ def gronwall_certificate(
 ) -> Certificate:
     """Check the Gronwall-type conclusion with C = 4^p c^p ln 2.
 
-    variant "increment" verifies the pointwise hypothesis
-    |y_t - y_s| <= A^{1/q} + a1 |int y du| + a2 |int y dw| on sampled
-    pairs (reporting the worst violating pair instead of certifying when
-    it fails) and then checks
+    variant "increment" takes the pointwise hypothesis
+    |y_t - y_s| <= A^{1/q} + a1 |int y du| + a2 |int y dw| and the conclusion
 
         |||y|||_{q-var,[s,t]} <= (2 A0 + |y_s|) exp(C (|t-s|^p + |||w|||^p)),
 
@@ -677,7 +673,11 @@ def gronwall_certificate(
     variant "variation" takes the hypothesis in its q-variation form
     |||y|||_{q,[s,t]} <= A^{1/q} + a1 (|y_s| + |||y|||)(t-s+|||w|||) with
     c = a1 and certifies |||y|||_{q,[s,t]} <= (|y_s| + A^{1/q}_{s,t}) e^{C theta}.
-    Exponentially large right-hand sides are compared in logarithms.
+
+    One pass over the anchor pairs checks both, with windowed variations
+    from ControlFunction.from_p_variation.  A failed hypothesis is reported
+    with its worst pair and leaves the conclusion unclaimed (conclusion_ok
+    True, log_margin 0).  Large right-hand sides are compared in logs.
     """
     if variant not in ("increment", "variation"):
         raise ParameterError(f"unknown gronwall variant {variant!r}")
@@ -703,69 +703,62 @@ def gronwall_certificate(
         dwy = np.diff(w_sub.at(ts), axis=0)
         cum_dw = _running_sum(y.values[:-1][:, :, None] * dwy[:, None, :])
 
+    omega_y = ControlFunction.from_p_variation(y_coarse, q)
+    omega_w = ControlFunction.from_p_variation(w_on_y, p)
     hyp_gap = -math.inf
     hyp_pair = None
+    conclusion_ok = True
+    worst_margin = math.inf
     for ii, i in enumerate(anchor_idx):
         for j in anchor_idx[ii + 1 :]:
             s, t = float(ts[i]), float(ts[j])
+            A_root = gin.A(s, t) ** (1.0 / q)
+            y_s = float(np.linalg.norm(y.values[i]))
+            var_y = omega_y(s, t) ** (1.0 / q)
+            var_w = omega_w(s, t) ** (1.0 / p)
             if variant == "increment":
                 lhs = float(np.linalg.norm(y.values[j] - y.values[i]))
                 rhs = (
-                    gin.A(s, t) ** (1.0 / q)
+                    A_root
                     + gin.a1 * float(np.linalg.norm(cum_du[j] - cum_du[i]))
                     + gin.a2 * float(np.linalg.norm(cum_dw[j] - cum_dw[i]))
                 )
+                base = 2.0 * A0 + y_s
             else:
-                var_y = p_variation(y_coarse, q, (s, t))
                 lhs = var_y
-                rhs = gin.A(s, t) ** (1.0 / q) + gin.a1 * (
-                    float(np.linalg.norm(y.values[i])) + var_y
-                ) * ((t - s) + p_variation(w_on_y, p, (s, t)))
+                rhs = A_root + gin.a1 * (y_s + var_y) * ((t - s) + var_w)
+                base = y_s + A_root
             gap = lhs - rhs
             if gap > hyp_gap:
                 hyp_gap = gap
                 hyp_pair = (s, t)
+            log_rhs = _log_safe(base) + C * ((t - s) ** p + var_w ** p)
+            worst_margin = min(worst_margin, log_rhs - _log_safe(var_y))
+            if _log_safe(var_y) > log_rhs + 1e-12:
+                conclusion_ok = False
     hypothesis_ok = hyp_gap <= tol
-
-    conclusion_ok = True
-    worst_margin = math.inf
-    if hypothesis_ok:
-        for ii, i in enumerate(anchor_idx):
-            for j in anchor_idx[ii + 1 :]:
-                s, t = float(ts[i]), float(ts[j])
-                lhs = p_variation(y_coarse, q, (s, t))
-                theta = (t - s) ** p + p_variation(w_on_y, p, (s, t)) ** p
-                if variant == "increment":
-                    base = 2.0 * A0 + float(np.linalg.norm(y.values[i]))
-                else:
-                    base = float(np.linalg.norm(y.values[i])) + gin.A(s, t) ** (1.0 / q)
-                log_rhs = _log_safe(base) + C * theta
-                margin = log_rhs - _log_safe(lhs)
-                worst_margin = min(worst_margin, margin)
-                if _log_safe(lhs) > log_rhs + 1e-12:
-                    conclusion_ok = False
+    if not hypothesis_ok:
+        # the conclusion is claimed only under its hypothesis
+        conclusion_ok, worst_margin = True, math.inf
 
     # sup-norm consequence via the unit-exponent greedy count (increment form)
     sup_y = float(np.max(np.linalg.norm(y.values, axis=1)))
+    N = 0
+    induction_ok = True
+    log_sup_rhs = math.inf
+    supnorm_ok = True
     if variant == "increment" and c > 0:
         seq = greedy_sequence(w_sub, window.lo, window.hi, lam=1.0, mu=1.0 / (2.0 * c), p=p)
         N = seq.n_full()
-        induction_ok = True
         z_prev = 2.0 * A0 + float(np.linalg.norm(y.at(seq.times[0])))
         for t_next in seq.times[1:]:
             z_next = 2.0 * A0 + float(np.linalg.norm(y.at(float(t_next))))
             if z_next > 2.0 * z_prev + tol:
                 induction_ok = False
             z_prev = z_next
-    else:
-        N = 0
-        induction_ok = True
     if variant == "increment":
         log_sup_rhs = _log_safe(2.0 * A0 + float(np.linalg.norm(y.values[0]))) + (N + 1) * _LN2
         supnorm_ok = _log_safe(sup_y) <= log_sup_rhs + 1e-12
-    else:
-        log_sup_rhs = math.inf
-        supnorm_ok = True
 
     ok = hypothesis_ok and conclusion_ok and supnorm_ok and induction_ok
     return Certificate(
@@ -813,8 +806,7 @@ def build_gronwall_input(
     exps = report.exponents
     p, q = exps.p, exps.q
     y = report.solution
-    w_sub = driver.restrict((report.t0, report.T))
-    w_coarse = subsample(w_sub, _COARSE_CAP)
+    w_coarse = subsample(driver.restrict((report.t0, report.T)), _COARSE_CAP)
     horizon = report.T - report.t0
 
     if gd.mode == "linear":
@@ -830,10 +822,12 @@ def build_gronwall_input(
     else:
         raise ParameterError(f"unknown gronwall mode {gd.mode!r}")
 
+    omega_w = ControlFunction.from_p_variation(w_coarse, p)
+
     def A_eval(s, t, _phi=phi, _psi=psi_eff, _q=q, _p=p):
         if t - s <= 0:
             return 0.0
-        var_w = p_variation(w_coarse, _p, (s, t))
+        var_w = omega_w(s, t) ** (1.0 / _p)
         return 2.0 ** (_q - 1.0) * (
             (_phi * (t - s)) ** _q + (_psi * var_w) ** _q
         )
@@ -875,8 +869,9 @@ def growth_certificate(
     C2 = _LN2 * (4.0 * c_star) ** p_prime
     log_C1 = _LN2 + C2 * (report.T - report.t0) ** (p_prime * alpha)
 
-    y_c = subsample(report.solution, _COARSE_CAP)
-    w_c = subsample(driver.restrict((report.t0, report.T)), _COARSE_CAP)
+    omega_y = ControlFunction.from_p_variation(subsample(report.solution, _COARSE_CAP), q)
+    omega_w = ControlFunction.from_p_variation(
+        subsample(driver.restrict((report.t0, report.T)), _COARSE_CAP), p)
     x0n = float(np.linalg.norm(report.x0))
 
     ends = np.linspace(report.t0, report.T, _GROWTH_ANCHORS + 1)[1:]
@@ -887,8 +882,8 @@ def growth_certificate(
     monotone = True
     for t in ends:
         t = float(t)
-        lhs = x0n + p_variation(y_c, q, (report.t0, t))
-        var_w = p_variation(w_c, p, (report.t0, t))
+        lhs = x0n + omega_y(report.t0, t) ** (1.0 / q)
+        var_w = omega_w(report.t0, t) ** (1.0 / p)
         log_rhs = (
             log_C1
             + math.log(1.0 + (t - report.t0) ** alpha)

@@ -173,7 +173,7 @@ def test_growth_bound_of_g():
 
 def test_time_reversed_field_evaluations():
     field = time_varying_field()
-    rev = field.time_reversed(0.0, 2.0, negate_drift=True)
+    rev = field.time_reversed(0.0, 2.0)
     ts = np.array([0.3, 1.1])
     xs = np.array([[0.5], [-0.2]])
     np.testing.assert_allclose(rev.eval_f(ts, xs), -field.eval_f(2.0 - ts, xs), atol=1e-14)

@@ -159,6 +159,61 @@ def test_pvar_power_is_control(rng):
     assert ctrl.superadditivity_defect(path.times) <= 1e-10
 
 
+@st.composite
+def paths_with_windows(draw):
+    """A path, n <= 200, over a span of 1 or 300: a Gaussian walk, an integer
+    walk with plateaus, a sine plus 1e-3 noise or a 2-d walk; and windows
+    whose ends lie on samples, between them or within the path's time
+    tolerance of one, with degenerate windows and a left end revisited."""
+    kind = draw(st.sampled_from(["gauss", "integer", "sine", "planar"]))
+    n = draw(st.integers(3, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([1.0, 300.0]))
+    times = np.sort(rng.uniform(0.0, span, n)) + np.arange(n) * 1e-6 * span
+    if kind == "gauss":
+        values = np.cumsum(rng.standard_normal(n))
+    elif kind == "integer":
+        values = np.cumsum(rng.integers(-2, 3, n) * (rng.random(n) < 0.6)).astype(float)
+    elif kind == "sine":
+        values = np.sin(6.0 * times / times[-1]) + 1e-3 * rng.standard_normal(n)
+    else:
+        values = np.cumsum(rng.standard_normal((n, 2)), axis=0)
+    tol = 1e-12 * max(times[-1] - times[0], 1.0)
+    last = times[-1] + 0.5 * tol
+
+    def end():
+        i = draw(st.integers(0, n - 1))
+        # near ends twice as often: the tolerance rules act there
+        where = draw(st.sampled_from(["on", "between", "near", "near"]))
+        if where == "on":
+            return float(times[i])
+        if where == "between":
+            j = min(i + 1, n - 1)
+            return float(times[i] + draw(st.floats(0.0, 1.0)) * (times[j] - times[i]))
+        near = times[i] + draw(st.floats(-2.0, 2.0)) * tol
+        return float(np.clip(near, times[0] - 0.5 * tol, last))
+
+    windows = []
+    for _ in range(draw(st.integers(2, 8))):
+        s, t = sorted((end(), end()))
+        windows.append((s, t))
+        if draw(st.booleans()):
+            windows.append((s, min(s + draw(st.floats(0.0, 1.0)) * tol, last)))
+    s = windows[0][0]
+    windows.append((s, max(s, end())))
+    return SampledPath(times, values), windows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=paths_with_windows(), p=st.floats(1.0, 3.0))
+def test_pvar_control_is_bit_equal_to_windowed_pvar(case, p):
+    # one DP row per left end, then one DP step per window
+    path, windows = case
+    ctrl = ControlFunction.from_p_variation(path, p)
+    for s, t in windows:
+        assert ctrl(s, t) == p_variation(path, p, (s, t), power=True), (s, t)
+
+
 def test_refining_linear_segments_keeps_pvar(rng):
     # interior points of straight segments never increase the supremum
     path = random_path(rng, 15)

@@ -343,6 +343,9 @@ def test_gronwall_certificate_reports_violation():
     assert not cert.ok
     assert not cert.extra["hypothesis_ok"]
     assert cert.extra["hypothesis_pair"] is not None
+    # the conclusion is not claimed under a failed hypothesis
+    assert cert.extra["conclusion_ok"] is True
+    assert cert.extra["log_margin"] == 0.0
 
 
 def test_gronwall_variation_variant(scenario_run):
@@ -472,11 +475,20 @@ def test_solve_window_outside_domain():
         solve_backward(field, drv, 0.5, [1.0], 0.5, exponents=EXPS)
 
 
+def test_picard_shrinking_stops_at_depth_cap():
+    # one Picard iteration never converges, so every slice is halved; with
+    # 2^21 grid steps the slice at depth 20 still has 3 points, so the depth
+    # cap, not the slice length, ends the recursion
+    opts = SolveOptions(picard_max_iters=1, oversample=1024)
+    with pytest.raises(SolveError, match=r"at depth 20$") as err:
+        solve_interval(linear_field(), _sine(2049, 1.0), 0.0, [1.0], 1.0, opts=opts,
+                       exponents=EXPS)
+    assert err.value.window == (0.0, pytest.approx(2.0 / 2**21, rel=1e-12))
+
+
 def test_solve_options_validation():
     from youngflow.errors import ParameterError
 
-    with pytest.raises(ParameterError):
-        SolveOptions(shrink_factor=1.5)
     with pytest.raises(ParameterError):
         SolveOptions(oversample=0)
     with pytest.raises(ParameterError):
