@@ -8,15 +8,23 @@ p-variation of the interpolant.  For the same reason a scalar path loses
 nothing when it is reduced to its endpoints and strict turning points
 before the p-variation DP (Butkus & Norvaisa, Lith. Math. J. 58, 2018),
 and each DP step then scans only the suffix extrema that can still win;
-vector paths run the DP over every earlier sample.  The control
-ControlFunction.from_p_variation runs it once per left end s, over [s, path
-end], and reads each window [s, t] off that row with one last DP step.
+vector paths run the DP over every earlier sample.  Those candidates depend
+on the values alone, so the scalar DP runs in blocks of a few hundred steps
+and three passes: a Python walk of the suffix-extremum stacks lists every
+step's candidates, one numpy call rounds all the block's legs |x_i - x_j|^p
+(in _leg_powers, the one place a leg is rounded), and each step takes its
+max of V_i + leg in Python floats, which round as numpy's add and max do.
+So V is bit-equal to the one-step-at-a-time DP, with no numpy call per
+step.  The control ControlFunction.from_p_variation runs the DP once per
+left end s, over [s, path end], and reads each window [s, t] off that row
+with one last DP step.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -136,15 +144,7 @@ class SampledPath:
     def restrict(self, window: WindowLike) -> "SampledPath":
         """Restriction to a window, interpolating the endpoints if needed."""
         window = as_interval(window)
-        if window is None:
-            return self
-        lo, hi = self.times[0], self.times[-1]
-        tol = _TIME_TOL * max(hi - lo, 1.0)
-        if window.lo <= lo + tol and window.hi >= hi - tol:
-            if window.lo < lo - tol or window.hi > hi + tol:
-                raise DomainError(
-                    f"window [{window.lo}, {window.hi}] outside path domain [{lo}, {hi}]"
-                )
+        if window is None or _covers(self, window):
             return self
         times, values = _window_samples(self, window)
         return SampledPath(times, values)
@@ -167,10 +167,28 @@ def subsample(path: SampledPath, cap: int, keep: Sequence[int] = ()) -> SampledP
     return SampledPath(path.times[idx], path.values[idx])
 
 
-def _window_samples(path: SampledPath, window: Interval):
+def _covers(path: SampledPath, window: Interval) -> bool:
+    """Whether window covers the path's domain up to its time tolerance, so
+    that restrict returns the path itself."""
     lo, hi = path.times[0], path.times[-1]
-    span = max(hi - lo, 1.0)
-    tol = _TIME_TOL * span
+    tol = _TIME_TOL * max(hi - lo, 1.0)
+    if window.lo <= lo + tol and window.hi >= hi - tol:
+        if window.lo < lo - tol or window.hi > hi + tol:
+            raise DomainError(
+                f"window [{window.lo}, {window.hi}] outside path domain [{lo}, {hi}]"
+            )
+        return True
+    return False
+
+
+def _window_cut(path: SampledPath, window: Interval):
+    """How _window_samples cuts a window out of the path, by its time
+    tolerance tol: (tol, a, b, i0, i1, head, tail), with a <= b the window
+    clamped to the domain and path.times[i0:i1] the samples it keeps; it adds
+    an interpolated point at a if head and at b if tail.  A window shorter
+    than tol has i0 = i1 = None."""
+    lo, hi = path.times[0], path.times[-1]
+    tol = _TIME_TOL * max(hi - lo, 1.0)
     if window.lo < lo - tol or window.hi > hi + tol:
         raise DomainError(
             f"window [{window.lo}, {window.hi}] outside path domain [{lo}, {hi}]"
@@ -178,22 +196,42 @@ def _window_samples(path: SampledPath, window: Interval):
     a = min(max(window.lo, lo), hi)
     b = min(max(window.hi, lo), hi)
     if b - a <= tol:
-        t_mid = 0.5 * (a + b)
-        v = path.at(t_mid)
-        return np.array([a, a + max(tol, 1e-300)]), np.stack([v, v])
+        return tol, a, b, None, None, True, True
     i0 = int(np.searchsorted(path.times, a + tol))
     i1 = int(np.searchsorted(path.times, b - tol, side="right"))
-    inner_t = path.times[i0:i1]
-    inner_v = path.values[i0:i1]
-    ts = [np.array([a])] if (i0 >= len(path.times) or abs(path.times[i0] - a) > tol) else []
-    pre_v = [path.at(a)[None]] if ts else []
-    post_t, post_v = [], []
-    if i1 == 0 or abs(path.times[i1 - 1] - b) > tol:
-        post_t = [np.array([b])]
-        post_v = [path.at(b)[None]]
-    times = np.concatenate(ts + [inner_t] + post_t)
-    values = np.concatenate(pre_v + [inner_v] + post_v)
+    head = i0 >= len(path.times) or abs(path.times[i0] - a) > tol
+    tail = i1 == 0 or abs(path.times[i1 - 1] - b) > tol
+    return tol, a, b, i0, i1, head, tail
+
+
+def _window_samples(path: SampledPath, window: Interval):
+    tol, a, b, i0, i1, head, tail = _window_cut(path, window)
+    if i0 is None:
+        v = path.at(0.5 * (a + b))
+        return np.array([a, a + max(tol, 1e-300)]), np.stack([v, v])
+    ts = [np.array([a])] if head else []
+    pre_v = [path.at(a)[None]] if head else []
+    post_t = [np.array([b])] if tail else []
+    post_v = [path.at(b)[None]] if tail else []
+    times = np.concatenate(ts + [path.times[i0:i1]] + post_t)
+    values = np.concatenate(pre_v + [path.values[i0:i1]] + post_v)
     return times, values
+
+
+def _window_end(path: SampledPath, window: Interval):
+    """The sample count and the flat last value of _window_samples(path,
+    window), the latter from the same path.at call, without the samples."""
+    _, a, b, i0, i1, head, tail = _window_cut(path, window)
+    if i0 is None:
+        return 2, path.at(0.5 * (a + b)).reshape(-1)
+    inner = max(i1 - i0, 0)
+    if tail:
+        end = path.at(b)
+    elif inner:
+        end = path.values[i1 - 1]
+    else:
+        end = path.at(a)
+    return head + inner + tail, end.reshape(-1)
 
 
 def merge_times(*time_arrays, tol: float = _TIME_TOL) -> np.ndarray:
@@ -204,6 +242,19 @@ def merge_times(*time_arrays, tol: float = _TIME_TOL) -> np.ndarray:
     return allt[keep]
 
 
+def _leg_powers(pts: np.ndarray, value: np.ndarray, p: float) -> np.ndarray:
+    """The leg powers |value - pts[i]|^p of the points pts, shape (m, k): the
+    one place the p-variation DPs round a leg.  value has shape (k,), or
+    (r, k) for a stack of ends (giving shape (r, m)); for scalar points it may
+    also hold one end per point, shape (m,)."""
+    if pts.shape[1] == 1:
+        d = np.abs(pts[:, 0] - value)
+    else:
+        diff = pts - value[..., None, :]
+        d = np.sqrt(np.einsum("...ik,...ik->...i", diff, diff))
+    return d ** p
+
+
 def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float):
     """The p-variation DP step: max_i V[i] + |value - pts[i]|^p, the
     sup-partition power over the points pts, shape (m, k), with their
@@ -211,14 +262,10 @@ def _endpoint_power(pts: np.ndarray, V: np.ndarray, value: np.ndarray, p: float)
     shape (r, k), takes the step from the same points for each of them and
     gives the r powers as an array: the elementwise operations and the max
     round the same way at any shape, so each equals its one-value step."""
-    if pts.shape[1] == 1:
-        d = np.abs(pts[:, 0] - value)
-    else:
-        diff = pts - value[..., None, :]
-        d = np.sqrt(np.einsum("...ik,...ik->...i", diff, diff))
+    legs = _leg_powers(pts, value, p)
     if value.ndim == 1:
-        return float(np.maximum.reduce(V + d ** p))
-    return np.maximum.reduce(V + d ** p, axis=1)
+        return float(np.maximum.reduce(V + legs))
+    return np.maximum.reduce(V + legs, axis=1)
 
 
 def _turning_indices(v: np.ndarray) -> np.ndarray:
@@ -233,6 +280,13 @@ def _turning_indices(v: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], turns, [len(v) - 1]])
 
 
+# A block of DP steps ends after _BLOCK_STEPS steps, or once it holds
+# _BLOCK_PAIRS legs, which are held at once: a drifting path keeps O(m)
+# candidates per step.
+_BLOCK_STEPS = 256
+_BLOCK_PAIRS = 1 << 14
+
+
 def _scalar_powers(x: np.ndarray, p: float) -> np.ndarray:
     """The DP powers V of the scalar samples x, shape (m, 1), each step taken
     over the starts that can still win, not over every earlier sample.
@@ -243,39 +297,112 @@ def _scalar_powers(x: np.ndarray, p: float) -> np.ndarray:
     minima of x[:j] after k*, the last sample above x_j; k* is the top of the
     suffix-maximum stack once x_j has popped it.  A down-step mirrors this,
     and an equal later value beats an earlier one, so the stacks are strict.
-    Both facts hold in floating point when pow and + round monotonically, so
-    V is bit-equal to the plain DP, at O(m c) for c candidates per step.
+    Both facts hold in floating point when pow and + round monotonically.
+
+    The stacks depend on x alone, so the steps run in blocks of three passes.
+    1. A Python walk of the stacks lists each step's candidates: those that
+       were on the stacks at the block start and stay through it as a range
+       of positions in stack_x and stack_V, the others by index.
+    2. One _leg_powers call rounds every leg of the block.  The candidates
+       from before the block have their powers already, so numpy adds them
+       to their legs and takes each step's max over them.
+    3. Each step, in order, takes the max of that and V[i] + leg over its
+       other candidates in Python floats, reading V through a memoryview.
+    This is bit-equal to the one-step-at-a-time DP, and so to the plain DP:
+    the candidates are the same, numpy's pow rounds an element the same way
+    at any array length or stride, and Python's float + and max are the IEEE
+    operations of numpy's add and maximum.reduce (x is finite, so no NaN
+    arises, and no power is -0.0).  The cost is O(m c) for c candidates per
+    step, with a fixed number of numpy calls per block.
     """
     xs = x[:, 0].tolist()
     m = len(xs)
     V = np.zeros(m)
-    # the strict suffix minima and maxima of x[:j]: indices, with their
-    # points and powers mirrored in arrays so a candidate tail is a view
+    Vm = memoryview(V)
+    # the strict suffix minima and maxima of x[:j], as indices; x[j - 1] tops
+    # both.  stack_x and stack_V hold the points and powers of their entries
+    # by position, lows first and highs from m on, written at each block's end
     lows, highs = [0], [0]
-    low_pts, high_pts = np.empty((m, 1)), np.empty((m, 1))
-    low_x, high_x = low_pts[:, 0], high_pts[:, 0]
-    low_V, high_V = np.zeros(m), np.zeros(m)
-    low_x[0] = high_x[0] = xs[0]
-    vj = 0.0
-    for j in range(1, m):
-        v = xs[j]
-        while lows and xs[lows[-1]] >= v:
-            lows.pop()
-        while highs and xs[highs[-1]] <= v:
-            highs.pop()
-        nl, nh = len(lows), len(highs)
-        if v > xs[j - 1]:
-            start = bisect.bisect_right(lows, highs[-1]) if highs else 0
-            vj = _endpoint_power(low_pts[start:nl], low_V[start:nl], x[j], p)
-        elif v < xs[j - 1]:
-            start = bisect.bisect_right(highs, lows[-1]) if lows else 0
-            vj = _endpoint_power(high_pts[start:nh], high_V[start:nh], x[j], p)
-        # a flat step, which only a constant path keeps, leaves vj = V[j - 1]
-        V[j] = vj
-        low_x[nl] = high_x[nh] = v
-        low_V[nl] = high_V[nh] = vj
-        lows.append(j)
-        highs.append(j)
+    stack_x, stack_V = np.zeros(2 * m), np.zeros(2 * m)
+    stack_x[0] = stack_x[m] = xs[0]
+    j0 = 1
+    while j0 < m:
+        # pass 1.  The first keep_low and keep_high entries stay on the stacks
+        # through the block, so a step's candidates among them are a range
+        # [start, start + n) of positions, and the rest are listed in news.
+        keep_low, keep_high = len(lows), len(highs)
+        starts, n_old, news, n_new = [], [], [], []
+        pairs = 0
+        for j in range(j0, min(m, j0 + _BLOCK_STEPS)):
+            v = xs[j]
+            if v > xs[j - 1]:
+                highs.pop()
+                while highs and xs[highs[-1]] <= v:
+                    highs.pop()
+                keep_high = min(keep_high, len(highs))
+                start = bisect.bisect_right(lows, highs[-1]) if highs else 0
+                stop = max(start, keep_low)
+                new = lows[stop:]
+            elif v < xs[j - 1]:
+                lows.pop()
+                while lows and xs[lows[-1]] >= v:
+                    lows.pop()
+                keep_low = min(keep_low, len(lows))
+                start = bisect.bisect_right(highs, lows[-1]) if lows else 0
+                stop = max(start, keep_high)
+                new = highs[stop:]
+                start, stop = start + m, stop + m
+            else:
+                # a flat step, which only a constant path keeps, has no
+                # candidate and leaves V[j] = V[j - 1]
+                lows.pop()
+                highs.pop()
+                keep_low, keep_high = min(keep_low, len(lows)), min(keep_high, len(highs))
+                start = stop = 0
+                new = []
+            starts.append(start)
+            n_old.append(stop - start)
+            news += new
+            n_new.append(len(new))
+            lows.append(j)
+            highs.append(j)
+            pairs += stop - start + len(new)
+            if pairs >= _BLOCK_PAIRS:
+                break
+        j1 = j + 1
+        # pass 2: every leg, then each step's max over its old candidates
+        n_old = np.array(n_old)
+        old_at = np.cumsum(n_old) - n_old
+        total_old = int(old_at[-1] + n_old[-1])
+        old = np.arange(total_old) - np.repeat(old_at - starts, n_old)
+        ends = x[j0:j1, 0]
+        legs = _leg_powers(
+            np.concatenate([stack_x[old], x[news, 0]])[:, None],
+            np.repeat(np.concatenate([ends, ends]), np.concatenate([n_old, n_new])),
+            p,
+        )
+        best = np.full(j1 - j0, -np.inf)
+        some = n_old > 0
+        if total_old:
+            best[some] = np.maximum.reduceat(stack_V[old] + legs[:total_old], old_at[some])
+        # pass 3: each step in order, with its candidates inside the block
+        new_legs = legs[total_old:].tolist()
+        k = 0
+        for i, b, c in zip(range(j0, j1), best.tolist(), n_new):
+            if c:
+                for q in range(k, k + c):
+                    s = Vm[news[q]] + new_legs[q]
+                    if s > b:
+                        b = s
+                k += c
+            elif b == -math.inf:
+                b = Vm[i - 1]
+            Vm[i] = b
+        for stack, at, keep in ((lows, 0, keep_low), (highs, m, keep_high)):
+            top = stack[keep:]
+            stack_x[at + keep : at + len(stack)] = x[top, 0]
+            stack_V[at + keep : at + len(stack)] = V[top]
+        j0 = j1
     return V
 
 
@@ -314,8 +441,11 @@ def p_variation(
     which realises the supremum over all sub-partitions.  A scalar path is
     first reduced to its first point, its last point and its strict turning
     points, which is exact for p >= 1, and each step scans only the c suffix
-    extrema that can still win: O(m c) in the m points kept.  A vector path
-    runs the plain O(n^2) DP.
+    extrema that can still win: O(m c) in the m points kept.  Its steps run
+    in blocks: the candidates of every step first, then all the block's legs
+    in one numpy call, then each step's max in Python floats; the result is
+    bit-equal to the plain DP (see _scalar_powers).  A vector path runs the
+    plain O(n^2) DP.
 
     Parameters
     ----------
@@ -460,28 +590,31 @@ class ControlFunction:
         p_variation(path, p, (s, t), power=True).
 
         The row of s, the DP over the samples of [s, path end], runs once.
-        restrict gives the window's samples: the row's up to the last before
-        t, then a sample or a point on the row's next segment.  So the
+        restrict would give the window's samples: the row's up to the last
+        before t, then a sample or a point on the row's next segment.  So the
         window's DP keeps no point the row's does not, with equal powers, and
         its last step is one exact max over the row's kept points before t.
+        That step needs only the window's sample count and end value, which
+        _window_end reads by restrict's rules without building the samples.
         """
         rows = {}
 
         def ev(s, t):
             if t - s <= _TIME_TOL:
                 return 0.0
-            sub = path.restrict(Interval(s, t))
-            flat = sub._flat_values()
-            if p == 1.0 or len(flat) == 2 or sub is path:
-                return _variation(flat, p, power=True)
-            if s not in rows:
-                times, values = _window_samples(path, Interval(s, path.times[-1]))
-                row = values.reshape(len(times), -1)
-                kept, V = _powers(row, p)
-                rows[s] = (row[kept], kept, V)
-            pts, kept, V = rows[s]
-            k = int(np.searchsorted(kept, len(flat) - 1))
-            return _endpoint_power(pts[:k], V[:k], flat[-1], p)
+            window = Interval(s, t)
+            if p != 1.0 and not _covers(path, window):
+                count, end = _window_end(path, window)
+                if count > 2:
+                    if s not in rows:
+                        times, values = _window_samples(path, Interval(s, path.times[-1]))
+                        row = values.reshape(len(times), -1)
+                        kept, V = _powers(row, p)
+                        rows[s] = (row[kept], kept, V)
+                    pts, kept, V = rows[s]
+                    k = int(np.searchsorted(kept, count - 1))
+                    return _endpoint_power(pts[:k], V[:k], end, p)
+            return _variation(path.restrict(window)._flat_values(), p, power=True)
 
         return cls(ev, f"pvar^{p}")
 

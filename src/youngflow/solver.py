@@ -148,16 +148,16 @@ def _solution_map_parts(
     dw: np.ndarray,
     x: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Drift and Young parts of F(x) - x_{t0} on the grid ts for a stack of paths.
+    """Drift and Young parts of F(x) - x_{t0} on a grid for a stack of paths.
 
-    x has shape (n, B, d).  The drift is young's midpoint rule against the
-    clock (the trapezoid rule), the noise its left rule against w.  f and g
-    are evaluated over one flattened (n*B, d) axis with the times repeated,
-    so every member's values are those of its own (n, d) evaluation.
+    x has shape (n, B, d); ts and dw are the grid's times and driver steps,
+    each repeated B-fold (np.repeat), which the caller builds once per B.
+    The drift is young's midpoint rule against the clock (the trapezoid
+    rule), the noise its left rule against w.  f and g are evaluated over one
+    flattened (n*B, d) axis, so every member's values are those of its own
+    (n, d) evaluation.
     """
     n, B, d = x.shape
-    if B > 1:
-        ts, dw = np.repeat(ts, B), np.repeat(dw, B, axis=0)
     f_vals = field.eval_f(ts, x.reshape(n * B, d)).reshape(n, B, d)
     drift = _running_sum(_RULES["midpoint"](f_vals) * dt[:, None, None])
     g_vals = field.eval_g(ts[:-B], x[:-1].reshape((n - 1) * B, d))
@@ -263,8 +263,14 @@ def _picard_slice(
     prev_change = [math.inf] * B
     max_total = opts.picard_max_iters + 40
 
+    repeated = (1, ts, dw)  # ts and dw repeated for the live count
+
     def apply_f(x, members):
-        drift, young = _solution_map_parts(field, ts, dt, dw, x)
+        nonlocal repeated
+        b = len(members)
+        if repeated[0] != b:
+            repeated = (b, np.repeat(ts, b), np.repeat(dw, b, axis=0))
+        drift, young = _solution_map_parts(field, repeated[1], dt, repeated[2], x)
         return (x0 if len(members) == B else x0[members])[None] + drift + young
 
     live = list(range(B))  # the members still iterating, all at the same count

@@ -21,6 +21,7 @@ from youngflow import (
     p_variation_bruteforce,
     p_variation_norm,
 )
+from youngflow import paths
 from conftest import random_path, turning_walks
 
 
@@ -77,9 +78,7 @@ def test_pvar_matches_bruteforce_on_turning_walks(values, p):
 
 
 def _plain_dp(flat, p):
-    """The p-variation DP over every sample, without pruning."""
-    if p == 1.0:
-        return float(np.sum(np.linalg.norm(np.diff(flat, axis=0), axis=1)))
+    """The p-variation DP powers over every sample, without pruning."""
     V = np.zeros(len(flat))
     for j in range(1, len(flat)):
         diff = flat[:j] - flat[j]
@@ -88,7 +87,14 @@ def _plain_dp(flat, p):
         else:
             norms = np.sqrt(np.einsum("ik,ik->i", diff, diff))
         V[j] = (V[:j] + norms ** p).max()
-    return float(V[-1] ** (1.0 / p))
+    return V
+
+
+def _plain_pvar(flat, p):
+    """p_variation by the plain DP."""
+    if p == 1.0:
+        return float(np.sum(np.linalg.norm(np.diff(flat, axis=0), axis=1)))
+    return float(_plain_dp(flat, p)[-1] ** (1.0 / p))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -99,7 +105,10 @@ def _plain_dp(flat, p):
 )
 def test_pruned_pvar_is_bit_equal_to_the_plain_dp(values, p, scale):
     path = SampledPath(np.arange(len(values), dtype=float), scale * values)
-    assert p_variation(path, p) == _plain_dp(path._flat_values(), p)
+    assert p_variation(path, p) == _plain_pvar(path._flat_values(), p)
+
+
+_BLOCK = paths._BLOCK_STEPS
 
 
 def _long_scalar_path(kind):
@@ -108,27 +117,38 @@ def _long_scalar_path(kind):
         return fbm_sample(FbmSpec(hurst=0.7, horizon=1.0, samples=4097, seed=7))
     if kind == "gaussian":
         values = np.cumsum(rng.standard_normal(5000))
-    else:
+    elif kind == "drift":
+        # deep suffix-minimum stacks: blocks end at _BLOCK_PAIRS legs
+        values = np.cumsum(rng.standard_normal(5000) + 0.3)
+    elif kind == "integer":
         # steps of -1, 0 or 1: many repeated values and plateaus
         values = np.cumsum(rng.integers(-1, 2, 5000)).astype(float)
+    else:
+        # a zigzag of kind DP steps: every sample is a turning point
+        values = np.cumsum(rng.exponential(size=kind + 1) * (-1.0) ** np.arange(kind + 1))
     return SampledPath(np.arange(len(values), dtype=float), values)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "integer", "fbm"])
+@pytest.mark.parametrize(
+    "kind", ["gaussian", "integer", "fbm", "drift", _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 40]
+)
 def test_long_scalar_pvar_is_bit_equal_to_the_plain_dp(kind):
-    # long paths keep deep suffix-extremum stacks, which short walks rarely build
-    path = _long_scalar_path(kind)
+    # long paths keep deep suffix-extremum stacks, which short walks rarely
+    # build, and cross block edges; every kept point's power is a row the
+    # control reads
+    flat = _long_scalar_path(kind)._flat_values()
     for p in (1.5, 2.0, 2.5, 3.7):
-        assert p_variation(path, p) == _plain_dp(path._flat_values(), p)
+        kept, V = paths._powers(flat, p)
+        assert np.array_equal(V, _plain_dp(flat, p)[kept])
 
 
 def test_pvar_constant_two_point_and_final_plateau():
     const = SampledPath([0.0, 1.0], [2.5, 2.5])
     plateau = SampledPath(np.arange(7.0), [0.0, 2.0, -1.0, 1.5, 0.5, 0.5, 0.5])
     for p in (1.5, 2.0, 3.7):
-        assert p_variation(const, p) == _plain_dp(const._flat_values(), p) == 0.0
+        assert p_variation(const, p) == _plain_pvar(const._flat_values(), p) == 0.0
         exact = p_variation_bruteforce(plateau, p)
-        assert p_variation(plateau, p) == _plain_dp(plateau._flat_values(), p)
+        assert p_variation(plateau, p) == _plain_pvar(plateau._flat_values(), p)
         assert abs(p_variation(plateau, p) - exact) <= 1e-12 * exact
 
 
