@@ -4,44 +4,28 @@ The next greedy time after tau solves
 
     (t - tau)^lambda + |||w|||_{p-var,[tau, t]}  =  mu.
 
-The left side is continuous and strictly increasing in t.  A running
-p-variation DP walks the driver's vertices until the budget is spent, and
-bisection inside that last segment of the interpolated path finds the
-root.  On a scalar driver the walk keeps only the start, the turning
-points and the last vertex, as `paths.p_variation` does, so each DP step
-and each bisection step runs over turning points only.  The number of
-full intervals inside [a, b] obeys the counting bound
+The left side is continuous and strictly increasing in t.  The budget at
+each vertex comes from the p-variation DP of `paths._powers`, the one that
+`p_variation` and the certificates run, over the start value and the
+vertices after it; bisection inside the segment where the budget reaches mu
+finds the root.  The number of full intervals inside [a, b] obeys the
+counting bound
 
     N(a,b,w) <= 2^{p'-1} / mu^{p'} * ( (b-a)^{p' lambda} + |||w|||^{p'}_{p-var,[a,b]} )
 
 for any p' >= max(p, 1/lambda).
 
-Both loops run a block of steps per numpy call and return the bits of the
-step-by-step loops:
-
-* Monotone runs.  Once a vertex of a scalar driver continues the monotone
-  run of the last two kept points, the walk checks whether the next
-  _RUN_MIN vertices do too (in plain Python, so rough drivers pay no numpy
-  call for it); if so it takes the run up to its first step back, at most
-  _RUN_LOOKAHEAD vertices, as one block.  Inside the run the last kept
-  point is always the previous vertex, so the DP step at w_k is
-  max(A_k, P_{k-1} + |w_{k-1} - w_k|^p), where A_k is the step over the
-  other kept points; all A_k are one (kept x run) array.  Wherever the
-  chain check P_{k-1} + |w_{k-1} - w_k|^p <= A_k holds, that max is A_k
-  bit for bit, so P_k = A_k.  For p >= 1 the check holds in exact
-  arithmetic: superadditivity of x^p covers the kept points the run moves
-  away from, and the run's start dominates those it moves towards.
-  Rounding can break it, and from the first vertex where it fails the
-  walk steps one vertex at a time again.  Each vertex's
-  budget is still a Python float, since numpy's array ** can round
-  differently from the scalar pow, and the first one that reaches mu stops
-  the walk.
-* Bisection.  The 2^L - 1 midpoints of the next L = _BISECT_LEVELS levels
-  are made by the same 0.5 * (a + b) as the one-step loop, evaluated as one
-  (midpoints x kept) array, and the decisions are replayed in Python.
-
-Elementwise numpy -, abs, ** and + round the same way at any array shape,
-and max is exact, so every power equals its one-step value.
+One DP row covers the vertices of a window that starts with _FIRST_WINDOW
+vertices and doubles until the budget is spent.  A scalar driver's row
+keeps the start, the turning points and its last vertex, so a vertex
+inside a monotone run has as its DP step the max over the kept points up
+to the run's start; the run where the budget crosses mu takes that step
+for all its vertices in one stacked call.  Bisection evaluates the 2^L - 1
+midpoints of the next L = _BISECT_LEVELS levels, made by the same
+0.5 * (a + b) as the one-step loop, as one (midpoints x kept) array and
+replays the decisions in Python.  Every budget is computed in Python
+floats, and elementwise numpy -, abs, ** and + round the same way at any
+array shape while max is exact, so each power equals its one-step value.
 """
 
 from __future__ import annotations
@@ -52,15 +36,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, GreedyExhausted, ParameterError
-from .paths import SampledPath, WindowLike, _endpoint_power, as_interval, p_variation
+from .paths import SampledPath, WindowLike, _endpoint_power, _powers, as_interval, p_variation
 
 _RESIDUAL_TOL = 1e-8
 _TIME_TOL = 1e-12
 _MAX_BISECT = 200
-# a scalar walk takes a monotone run as one block once this many vertices
-# ahead continue it, and scans at most _RUN_LOOKAHEAD vertices for its end
-_RUN_MIN = 6
-_RUN_LOOKAHEAD = 64
+# vertices in the first DP row of a greedy step; the row doubles until the
+# budget is spent
+_FIRST_WINDOW = 64
 # bisection levels whose midpoints are evaluated together
 _BISECT_LEVELS = 6
 
@@ -72,106 +55,56 @@ class _Samples(NamedTuple):
     times: np.ndarray
     flat: np.ndarray  # (n, k)
     cols: list  # the k columns, contiguous, as np.interp reads them
-    line: Optional[list]  # a scalar driver's values as Python floats
 
 
 def _samples(driver: SampledPath) -> _Samples:
     flat = driver._flat_values()
-    line = flat[:, 0].tolist() if flat.shape[1] == 1 else None
-    return _Samples(driver, driver.times, flat, [np.ascontiguousarray(c) for c in flat.T], line)
+    return _Samples(driver, driver.times, flat, [np.ascontiguousarray(c) for c in flat.T])
 
 
-def _vertex_walk(drv, t0, w0, j, stop, lam, mu, p):
-    """Running p-variation DP from (t0, w0) over the vertices j, j+1, ... < stop.
+def _first_spent(times, powers, t0, lam, mu, p) -> int:
+    """Index of the first (time, power) whose budget (t - t0)^lam +
+    power^(1/p), in Python floats, reaches mu; len(times) when none does."""
+    for i, (t, power) in enumerate(zip(times, powers)):
+        if not (t - t0) ** lam + power ** (1.0 / p) < mu:
+            return i
+    return len(times)
 
-    Each vertex is committed while its budget (t_j - t0)^lam + |||w|||_{p-var}
-    stays strictly below mu.  Returns the first vertex not committed (stop
-    when all were) and the committed values with their sup-partition powers,
-    the start first.  For a scalar driver a committed vertex that continues
-    the monotone run of the last committed one (not the start) overwrites
-    it, so only the start, the turning points and the last vertex are kept;
-    for p >= 1 that loses nothing.  A run that goes on for _RUN_MIN more
-    vertices after an overwrite is taken as one block (_run_powers).
+
+def _budget_row(drv, t0, w0, j0, stop, lam, mu, p):
+    """The first vertex j in j0 .. stop-1 whose budget (t_j - t0)^lam +
+    |||w|||_{p-var,[t0, t_j]} reaches mu (stop when none does), and the kept
+    points before it with their DP powers, the start first.
+
+    The DP row runs over (t0, w0) and the vertices j0 .. hi, one past the
+    last vertex it decides, so that each kept point before j has the turning
+    status it has on the whole driver.  A kept point's budget reads its DP
+    power; a vertex between two kept points continues the monotone run from
+    the first, whose DP step is over the kept points up to that one.
     """
-    times, flat, line = drv.times, drv.flat, drv.line
-    pts = np.empty((stop - j + 1, flat.shape[1]))
-    V = np.empty(len(pts))
-    pts[0] = w0
-    V[0] = 0.0
-    n = 1
-    # the values of the last two kept points of a scalar driver, and whether
-    # the last vertex taken by itself continued their run
-    a = b = float(w0[0]) if line is not None else None
-    overwrote = False
-    while j < stop:
-        if overwrote and stop - j >= _RUN_MIN and _continues(a, b, line, j):
-            A = _run_powers(flat, pts[: n - 1], V[: n - 1], V[n - 1], a, j, stop, p)
-            took = 0
-            for t, power in zip(times[j : j + len(A)].tolist(), A.tolist()):
-                if not (t - t0) ** lam + power ** (1.0 / p) < mu:
-                    break
-                took += 1
-            if took:
-                # every vertex of the run overwrites the last kept point
-                j += took
-                pts[n - 1] = flat[j - 1]
-                V[n - 1] = A[took - 1]
-                b = line[j - 1]
-            if took < len(A) or j == stop:
-                break  # the budget is spent, or no vertex is left
-        power = _endpoint_power(pts[:n], V[:n], flat[j], p)
-        kappa = (times[j] - t0) ** lam + power ** (1.0 / p)
-        if not kappa < mu:
+    times, flat = drv.times, drv.flat
+    hi = min(stop, j0 + _FIRST_WINDOW)
+    while True:
+        row = np.concatenate([w0[None], flat[j0 : hi + 1]])  # row r holds vertex j0 + r - 1
+        kept, V = _powers(row, p)
+        decided = kept[1:-1]  # the row's last point, vertex hi, is past them
+        i = _first_spent(times[decided + (j0 - 1)].tolist(), V[1:-1].tolist(), t0, lam, mu, p)
+        # the crossing lies in the run from kept row a to kept row r
+        a, r = int(kept[i]), int(kept[i + 1])
+        inner = _endpoint_power(row[kept[: i + 1]], V[: i + 1], row[a + 1 : r], p)
+        q = _first_spent(times[j0 + a : j0 + r - 1].tolist(), inner.tolist(), t0, lam, mu, p)
+        if q < len(inner):
+            j = j0 + a + q
             break
-        if line is not None:
-            c = line[j]
-            overwrote = n > 1 and (a <= b <= c or a >= b >= c)
-            if overwrote:
-                n -= 1  # no turn at the last committed vertex: overwrite it
-            else:
-                a = b
-            b = c
-        pts[n] = flat[j]
-        V[n] = power
-        n += 1
-        j += 1
-    return j, pts[:n], V[:n]
-
-
-def _continues(a: float, b: float, line: list, j: int) -> bool:
-    """Whether the vertices j .. j+_RUN_MIN-1 all continue the monotone run of
-    the kept values a, b, by the walk's own overwrite rule; plain Python."""
-    for c in line[j : j + _RUN_MIN]:
-        if not (a <= b <= c or a >= b >= c):
-            return False
-        b = c
-    return True
-
-
-def _run_powers(flat, pts, V, last_power, a, j, stop, p):
-    """The DP powers of the vertices j, j+1, ... of a monotone run that
-    starts at the kept value a, as long as the walk's steps equal them.
-
-    pts and V are the kept points before the last one, whose power is
-    last_power.  The run ends at the first step against its direction,
-    within _RUN_LOOKAHEAD vertices.  While it lasts, the last kept point is
-    always the previous vertex, so the DP step at w_k is
-    max(A_k, P_{k-1} + |w_{k-1} - w_k|^p) with A_k the step over pts alone;
-    wherever P_{k-1} + |w_{k-1} - w_k|^p <= A_k, that max is A_k bit for bit.
-    The powers are returned up to the first vertex where this chain check
-    fails, which the walk then takes by itself.
-    """
-    seg = flat[j - 1 : min(j + _RUN_LOOKAHEAD, stop), 0]
-    steps = np.diff(seg)
-    # the run is monotone through its first _RUN_MIN vertices, so their last
-    # one gives its direction (a plateau at a counts as rising)
-    against = np.flatnonzero(steps < 0 if seg[_RUN_MIN] >= a else steps > 0)
-    end = j + (int(against[0]) if len(against) else len(steps))
-    A = _endpoint_power(pts, V, flat[j:end], p)
-    delta = np.abs(seg[: end - j] - seg[1 : end - j + 1]) ** p
-    prev = np.concatenate(([last_power], A[:-1]))
-    broken = np.flatnonzero(prev + delta > A)
-    return A[: broken[0]] if len(broken) else A
+        if i < len(decided):
+            j = j0 + r - 1
+            break
+        if hi == stop:
+            j = stop
+            break
+        hi = min(stop, j0 + 2 * (hi - j0))
+    k = int(np.searchsorted(kept, j - j0 + 1))
+    return j, row[kept[:k]], V[:k]
 
 
 @dataclass(frozen=True)
@@ -217,8 +150,8 @@ def _next_greedy(
     end: Optional[float] = None,
 ):
     """Root of the budget equation from `start`; returns (time, residual, clamped)."""
-    if lam <= 0 or mu <= 0:
-        raise ParameterError("greedy parameters lambda and mu must be positive")
+    if lam <= 0 or mu <= 0 or p < 1:
+        raise ParameterError("greedy parameters need lambda > 0, mu > 0 and p >= 1")
     dom = drv.path.domain
     if end is None:
         end = dom.hi
@@ -234,7 +167,7 @@ def _next_greedy(
     times = drv.times
     j0 = int(np.searchsorted(times, start, side="right"))
     stop = int(np.searchsorted(times, end, side="left"))
-    j, pts, V = _vertex_walk(drv, start, np.ravel(drv.path.at(start)), j0, stop, lam, mu, p)
+    j, pts, V = _budget_row(drv, start, np.ravel(drv.path.at(start)), j0, stop, lam, mu, p)
 
     def powers(t):
         # inside the last segment the driver is interpolated as SampledPath.at does

@@ -254,7 +254,6 @@ def _picard_slice(
     x0_norm = [float(np.linalg.norm(v)) for v in x0]
     scale = [max(1.0, v) for v in x0_norm]
     floor = [max(64.0 * np.finfo(float).eps * v, 1e-5 * opts.picard_tol) for v in scale]
-    ball_idx = thin_indices(n, 32)
     ball_cap = [2.0 * v + 1.0 for v in x0_norm]
     ball_ok = [True] * B
     reached_tol = [False] * B
@@ -284,20 +283,20 @@ def _picard_slice(
         else:
             x[:, live] = fx
         iters += 1
-        # the ball screen for the whole stack: the 1-variation bounds the
-        # q-variation from above (q >= 1), as row sums of a contiguous
-        # (members, steps) array, each the np.sum of that member's step norms
-        xb = fx[ball_idx]
-        if not np.isfinite(xb).all():
+        # the ball screen for the whole stack, on every grid point: the
+        # 1-variation bounds the q-variation from above (q >= 1), as row sums
+        # of a contiguous (members, steps) array, each the np.sum of that
+        # member's step norms
+        if not np.isfinite(fx).all():
             raise DataError("Picard iterate contains non-finite entries")
-        steps = np.linalg.norm(np.diff(xb, axis=0), axis=2)
+        steps = np.linalg.norm(np.diff(fx, axis=0), axis=2)
         var1 = np.ascontiguousarray(steps.T).sum(axis=1).tolist()
         still = []
         for j, b in enumerate(live):
             # the DP runs only when that bound, with a rounding margin, does not
             # settle it
             if (x0_norm[b] + var1[j]) * (1.0 + 1e-12) > ball_cap[b] + 1e-9:
-                if x0_norm[b] + _variation(xb[:, j], q) > ball_cap[b] + 1e-9:
+                if x0_norm[b] + _variation(fx[:, j], q) > ball_cap[b] + 1e-9:
                     ball_ok[b] = False
             change = changes[j]
             member_iters[b] = iters

@@ -76,6 +76,18 @@ def test_residuals_small_for_fbm_drivers():
         assert seq.times[0] == 0.0 and seq.times[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "lam, mu, p",
+    [(0.0, 0.5, 1.5), (-0.75, 0.5, 1.5), (0.75, 0.0, 1.5), (0.75, -0.5, 1.5),
+     (0.75, 0.5, 0.5), (0.75, 0.5, 0.999)],
+)
+def test_greedy_rejects_parameters_outside_its_range(lam, mu, p):
+    # the budget is a p-variation, defined for p >= 1 only
+    drv = fbm_sample(FbmSpec(hurst=0.75, horizon=1.0, samples=129, seed=0))
+    with pytest.raises(ParameterError):
+        greedy_sequence(drv, 0.0, 1.0, lam=lam, mu=mu, p=p)
+
+
 def test_count_bound_closed_form():
     drv = _linear_driver()
     cb = count_bound(drv, (0.0, 1.0), lam=1.0, mu=0.5, p=1.5, p_prime=1.5)
@@ -193,8 +205,8 @@ def test_greedy_intervals_spend_the_budget(driver, lam, mu, p):
     p=st.floats(1.0, 3.0),
 )
 def test_pruned_walk_spends_the_budget_by_bruteforce(values, scale, lam, mu, p):
-    # scalar drivers with plateaus and long monotone runs, where the walk
-    # overwrites the most; the oracle enumerates every partition
+    # scalar drivers with plateaus and long monotone runs, where the DP keeps
+    # the fewest vertices; the oracle enumerates every partition
     driver = SampledPath(np.linspace(0.0, 1.0, len(values)), scale * values)
     seq = greedy_sequence(driver, 0.0, 1.0, lam=lam, mu=mu, p=p)
     for i, (a, b) in enumerate(zip(seq.times[:-1], seq.times[1:])):
@@ -223,7 +235,8 @@ def test_chunk_ends_are_the_grid_points_nearest_the_greedy_times(driver, lam, mu
 def _reference_greedy(driver, start, end, lam, mu, p):
     """Greedy times, residuals and clamped flag by a per-step walk over the
     kept vertices and one bisection step at a time: the engine's definition,
-    without its run blocks and bisection batches."""
+    without its DP rows and bisection batches.  On a scalar driver the last
+    kept vertex stays a candidate for the next step only where it turns."""
     times, flat = driver.times, driver._flat_values()
     scalar = flat.shape[1] == 1
     dom_tol = 1e-12 * max(1.0, abs(times[-1]) + abs(times[0]))
@@ -245,20 +258,26 @@ def _reference_greedy(driver, start, end, lam, mu, p):
             value = np.array([np.interp(t, times, c) for c in flat.T])
             return (t - t0) ** lam + power(value) ** (1.0 / p)
 
-        j = j0 = int(np.searchsorted(times, t0, side="right"))
-        stop = int(np.searchsorted(times, stop_t, side="left"))
-        while j < stop:
-            pw = power(flat[j])
-            if not (times[j] - t0) ** lam + pw ** (1.0 / p) < mu:
-                break
+        def drop_unturned(c):
+            # the last kept vertex, if it does not turn on the way to c
             if scalar and len(pts) > 1:
-                a, b, c = pts[-2][0], pts[-1][0], flat[j, 0]
+                a, b = pts[-2][0], pts[-1][0]
                 if a <= b <= c or a >= b >= c:
                     pts.pop()
                     V.pop()
+
+        j = j0 = int(np.searchsorted(times, t0, side="right"))
+        stop = int(np.searchsorted(times, stop_t, side="left"))
+        while j < stop:
+            drop_unturned(flat[j, 0])
+            pw = power(flat[j])
+            if not (times[j] - t0) ** lam + pw ** (1.0 / p) < mu:
+                break
             pts.append(flat[j])
             V.append(pw)
             j += 1
+        if j == stop:
+            drop_unturned(flat[stop, 0])
         if j < stop:
             hi = float(times[j])
         else:
@@ -293,11 +312,12 @@ def _reference_greedy(driver, start, end, lam, mu, p):
 
 @st.composite
 def _walk_drivers(draw):
-    """Drivers on [0, 1] of five kinds: rough Gaussian walks, integer walks
-    with plateaus, a sine with tiny noise, piecewise-linear ramps whose
-    monotone runs are longer than the walk's block lookahead, and 2-d walks."""
-    kind = draw(st.sampled_from(["rough", "integer", "sine", "ramps", "planar"]))
-    n = draw(st.integers(2, 300))
+    """Drivers on [0, 1] of six kinds: rough Gaussian walks, integer walks
+    with plateaus, a sine with tiny noise, piecewise-linear ramps, 2-d walks,
+    and long ramps with a small rough walk on top, up to 1,500 samples, whose
+    intervals span several doublings of the engine's first DP row."""
+    kind = draw(st.sampled_from(["rough", "integer", "sine", "ramps", "planar", "long"]))
+    n = draw(st.integers(300, 1500) if kind == "long" else st.integers(2, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gaps = rng.uniform(0.5, 1.5, n - 1)
     times = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
@@ -311,9 +331,12 @@ def _walk_drivers(draw):
         noise = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
         values = scale * np.sin(draw(st.floats(1.0, 20.0)) * times)
         values = values + noise * rng.standard_normal(n)
-    elif kind == "ramps":
+    elif kind in ("ramps", "long"):
         knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 3)), [1.0]])
         values = np.interp(times, knots, scale * rng.standard_normal(5))
+        if kind == "long":
+            noise = draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+            values = values + noise * scale * np.cumsum(rng.standard_normal(n)) / np.sqrt(n)
     else:
         values = scale * np.cumsum(rng.standard_normal((n, 2)), axis=0) / np.sqrt(n)
     return SampledPath(times, values)
@@ -329,7 +352,7 @@ def _walk_drivers(draw):
     p=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
 )
 def test_greedy_is_byte_equal_to_the_per_step_reference(driver, start, end, lam, mu, p):
-    # the run blocks and bisection batches change how the walk is computed,
+    # the DP rows and bisection batches change how the budget is computed,
     # never a bit of what it returns
     seq = greedy_sequence(driver, start, end, lam=lam, mu=mu, p=p)
     times, residuals, clamped = _reference_greedy(driver, start, end, lam, mu, p)
