@@ -71,6 +71,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _as(kind, value, key: str):
+    """kind(value), or a ConfigError naming the config key the value came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: expected a number, got {value!r}") from exc
+
+
 def _solve_options(cfg: dict, base: SolveOptions) -> SolveOptions:
     solve_cfg = cfg.get("solve", {})
     if not isinstance(solve_cfg, dict):
@@ -79,6 +87,9 @@ def _solve_options(cfg: dict, base: SolveOptions) -> SolveOptions:
     unknown = set(solve_cfg) - allowed
     if unknown:
         raise ConfigError(f"config key 'solve': unknown fields {sorted(unknown)}")
+    for key, value in solve_cfg.items():
+        if type(value) not in (int, float) and not (key == "mu_override" and value is None):
+            raise ConfigError(f"config key 'solve.{key}': expected a number, got {value!r}")
     return replace(base, **solve_cfg)
 
 
@@ -115,26 +126,24 @@ def _scenario_from_config(cfg: dict) -> Scenario:
     if (
         not isinstance(window, list)
         or len(window) != 2
-        or not window[0] < window[1]
+        or not _as(float, window[0], "window") < _as(float, window[1], "window")
     ):
         raise ConfigError("config key 'window': expected [t0, T] with t0 < T")
     t0, T = float(window[0]), float(window[1])
 
     kind = driver_cfg.get("kind")
     if kind == "fbm":
-        hurst = float(driver_cfg.get("hurst", 0.75))
-        samples = int(driver_cfg.get("samples", 1025))
-        horizon = float(driver_cfg.get("horizon", T))
+        hurst = _as(float, driver_cfg.get("hurst", 0.75), "driver.hurst")
+        samples = _as(int, driver_cfg.get("samples", 1025), "driver.samples")
+        horizon = _as(float, driver_cfg.get("horizon", T), "driver.horizon")
         if horizon < T:
             raise ConfigError("config key 'driver.horizon': must cover the window")
 
         def make_driver(seed, _h=hurst, _n=samples, _hor=horizon):
             return fbm_sample(FbmSpec(hurst=_h, horizon=_hor, samples=_n,
                                       seed=0 if seed is None else seed))
-
-        stochastic = True
     elif kind in ("linear", "sine", "power", "brownian_like"):
-        n = int(driver_cfg.get("n", 1001))
+        n = _as(int, driver_cfg.get("n", 1001), "driver.n")
         dparams = dict(driver_cfg.get("params", {}))
 
         def make_driver(seed, _k=kind, _p=dparams, _n=n, _a=t0, _b=T):
@@ -142,8 +151,6 @@ def _scenario_from_config(cfg: dict) -> Scenario:
             if _k == "brownian_like" and seed is not None:
                 params.setdefault("seed", seed)
             return analytic_driver(_k, params, np.linspace(_a, _b, _n))
-
-        stochastic = kind == "brownian_like"
     else:
         raise ConfigError(
             f"config key 'driver.kind': unknown kind {kind!r}; "
@@ -151,16 +158,13 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         )
 
     exps_cfg = cfg.get("exponents", "auto")
-    p = float(cfg.get("p", 1.5))
+    p = _as(float, cfg.get("p", 1.5), "p")
     if exps_cfg == "auto":
         exponent_params = (p, probe_field.alpha, probe_field.beta, probe_field.delta)
     elif isinstance(exps_cfg, dict):
         try:
-            exponent_params = (
-                float(exps_cfg["p"]),
-                float(exps_cfg["alpha"]),
-                float(exps_cfg["beta"]),
-                float(exps_cfg["delta"]),
+            exponent_params = tuple(
+                _as(float, exps_cfg[k], f"exponents.{k}") for k in ("p", "alpha", "beta", "delta")
             )
         except KeyError as exc:
             raise ConfigError(f"config key 'exponents': missing {exc}") from exc
@@ -172,6 +176,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigError(f"config key 'exponents': {exc}") from exc
 
     x0 = cfg.get("x0", 1.0)
+    x0 = [_as(float, v, "x0") for v in x0] if isinstance(x0, list) else _as(float, x0, "x0")
     span = T - t0
     return Scenario(
         name=str(cfg.get("name", "custom")),
@@ -180,10 +185,9 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         p=p,
         t0=t0,
         T=T,
-        x0=float(x0) if np.isscalar(x0) else x0,
+        x0=x0,
         opts=SolveOptions(),
         flow_triple=(t0 + 0.15 * span, t0 + 0.5 * span, t0 + 0.85 * span),
-        stochastic=stochastic,
         exponent_params=exponent_params,
     )
 

@@ -9,13 +9,13 @@ nothing when it is reduced to its endpoints and strict turning points
 before the p-variation DP (Butkus & Norvaisa, Lith. Math. J. 58, 2018),
 and each DP step then scans only the suffix extrema that can still win;
 vector paths run the DP over every earlier sample.  Those candidates depend
-on the values alone, so the scalar DP runs in blocks of a few hundred steps
-and three passes: a Python walk of the suffix-extremum stacks lists every
-step's candidates, one numpy call rounds all the block's legs |x_i - x_j|^p
-(in _leg_powers, the one place a leg is rounded), and each step takes its
-max of V_i + leg in Python floats, which round as numpy's add and max do.
-So V is bit-equal to the one-step-at-a-time DP, with no numpy call per
-step.  The control ControlFunction.from_p_variation runs the DP once per
+on the values alone, so the scalar DP runs in blocks of a few hundred steps:
+a Python walk of the suffix-extremum stacks lists every step's candidates
+by index in one list, one numpy call rounds all the block's legs
+|x_i - x_j|^p (in _leg_powers, the one place a leg is rounded), and then
+each step in order takes its max of V_i + leg, in numpy for a step with
+many candidates and in Python floats otherwise, which round as numpy's add
+and max do.  So V is bit-equal to the one-step-at-a-time DP.  The control ControlFunction.from_p_variation runs the DP once per
 left end s, over [s, path end], and reads each window [s, t] off that row
 with one last DP step.
 """
@@ -282,9 +282,11 @@ def _turning_indices(v: np.ndarray) -> np.ndarray:
 
 # A block of DP steps ends after _BLOCK_STEPS steps, or once it holds
 # _BLOCK_PAIRS legs, which are held at once: a drifting path keeps O(m)
-# candidates per step.
+# candidates per step.  A step with more than _LONG_STEP candidates takes its
+# max in numpy, a shorter one in Python floats.
 _BLOCK_STEPS = 256
 _BLOCK_PAIRS = 1 << 14
+_LONG_STEP = 64
 
 
 def _scalar_powers(x: np.ndarray, p: float) -> np.ndarray:
@@ -300,108 +302,71 @@ def _scalar_powers(x: np.ndarray, p: float) -> np.ndarray:
     Both facts hold in floating point when pow and + round monotonically.
 
     The stacks depend on x alone, so the steps run in blocks of three passes.
-    1. A Python walk of the stacks lists each step's candidates: those that
-       were on the stacks at the block start and stay through it as a range
-       of positions in stack_x and stack_V, the others by index.
-    2. One _leg_powers call rounds every leg of the block.  The candidates
-       from before the block have their powers already, so numpy adds them
-       to their legs and takes each step's max over them.
-    3. Each step, in order, takes the max of that and V[i] + leg over its
-       other candidates in Python floats, reading V through a memoryview.
+    1. A Python walk of the stacks appends each step's candidates, by index,
+       to one list and records their count.
+    2. One _leg_powers call rounds every leg of the block.
+    3. Each step, in order, takes its max of V[i] + leg over its candidates:
+       in numpy for a long step, in Python floats through a memoryview of V
+       for a short one.  Every candidate precedes its step, so its power is
+       final when the step runs.
     This is bit-equal to the one-step-at-a-time DP, and so to the plain DP:
     the candidates are the same, numpy's pow rounds an element the same way
     at any array length or stride, and Python's float + and max are the IEEE
     operations of numpy's add and maximum.reduce (x is finite, so no NaN
     arises, and no power is -0.0).  The cost is O(m c) for c candidates per
-    step, with a fixed number of numpy calls per block.
+    step, with one leg call per block.
     """
     xs = x[:, 0].tolist()
     m = len(xs)
     V = np.zeros(m)
     Vm = memoryview(V)
-    # the strict suffix minima and maxima of x[:j], as indices; x[j - 1] tops
-    # both.  stack_x and stack_V hold the points and powers of their entries
-    # by position, lows first and highs from m on, written at each block's end
+    # the strict suffix minima and maxima of x[:j], as indices; x[j - 1] tops both
     lows, highs = [0], [0]
-    stack_x, stack_V = np.zeros(2 * m), np.zeros(2 * m)
-    stack_x[0] = stack_x[m] = xs[0]
     j0 = 1
     while j0 < m:
-        # pass 1.  The first keep_low and keep_high entries stay on the stacks
-        # through the block, so a step's candidates among them are a range
-        # [start, start + n) of positions, and the rest are listed in news.
-        keep_low, keep_high = len(lows), len(highs)
-        starts, n_old, news, n_new = [], [], [], []
-        pairs = 0
+        # pass 1: every step's candidates, in step order
+        cands, counts = [], []
         for j in range(j0, min(m, j0 + _BLOCK_STEPS)):
-            v = xs[j]
+            v, n = xs[j], len(cands)
             if v > xs[j - 1]:
                 highs.pop()
                 while highs and xs[highs[-1]] <= v:
                     highs.pop()
-                keep_high = min(keep_high, len(highs))
-                start = bisect.bisect_right(lows, highs[-1]) if highs else 0
-                stop = max(start, keep_low)
-                new = lows[stop:]
+                cands += lows[bisect.bisect_right(lows, highs[-1]) if highs else 0 :]
             elif v < xs[j - 1]:
                 lows.pop()
                 while lows and xs[lows[-1]] >= v:
                     lows.pop()
-                keep_low = min(keep_low, len(lows))
-                start = bisect.bisect_right(highs, lows[-1]) if lows else 0
-                stop = max(start, keep_high)
-                new = highs[stop:]
-                start, stop = start + m, stop + m
+                cands += highs[bisect.bisect_right(highs, lows[-1]) if lows else 0 :]
             else:
-                # a flat step, which only a constant path keeps, has no
-                # candidate and leaves V[j] = V[j - 1]
+                # a flat step, which only a constant path keeps, has no candidate
                 lows.pop()
                 highs.pop()
-                keep_low, keep_high = min(keep_low, len(lows)), min(keep_high, len(highs))
-                start = stop = 0
-                new = []
-            starts.append(start)
-            n_old.append(stop - start)
-            news += new
-            n_new.append(len(new))
+            counts.append(len(cands) - n)
             lows.append(j)
             highs.append(j)
-            pairs += stop - start + len(new)
-            if pairs >= _BLOCK_PAIRS:
+            if len(cands) >= _BLOCK_PAIRS:
                 break
         j1 = j + 1
-        # pass 2: every leg, then each step's max over its old candidates
-        n_old = np.array(n_old)
-        old_at = np.cumsum(n_old) - n_old
-        total_old = int(old_at[-1] + n_old[-1])
-        old = np.arange(total_old) - np.repeat(old_at - starts, n_old)
-        ends = x[j0:j1, 0]
-        legs = _leg_powers(
-            np.concatenate([stack_x[old], x[news, 0]])[:, None],
-            np.repeat(np.concatenate([ends, ends]), np.concatenate([n_old, n_new])),
-            p,
-        )
-        best = np.full(j1 - j0, -np.inf)
-        some = n_old > 0
-        if total_old:
-            best[some] = np.maximum.reduceat(stack_V[old] + legs[:total_old], old_at[some])
-        # pass 3: each step in order, with its candidates inside the block
-        new_legs = legs[total_old:].tolist()
+        # pass 2: every leg of the block
+        at = np.array(cands, dtype=np.intp)
+        legs = _leg_powers(x[at], np.repeat(x[j0:j1, 0], counts), p)
+        # pass 3: each step's max, in order
+        Lm = memoryview(legs)
         k = 0
-        for i, b, c in zip(range(j0, j1), best.tolist(), n_new):
-            if c:
+        for i, c in zip(range(j0, j1), counts):
+            if c > _LONG_STEP:
+                Vm[i] = np.maximum.reduce(V[at[k : k + c]] + legs[k : k + c])
+            elif c:
+                b = -math.inf
                 for q in range(k, k + c):
-                    s = Vm[news[q]] + new_legs[q]
+                    s = Vm[cands[q]] + Lm[q]
                     if s > b:
                         b = s
-                k += c
-            elif b == -math.inf:
-                b = Vm[i - 1]
-            Vm[i] = b
-        for stack, at, keep in ((lows, 0, keep_low), (highs, m, keep_high)):
-            top = stack[keep:]
-            stack_x[at + keep : at + len(stack)] = x[top, 0]
-            stack_V[at + keep : at + len(stack)] = V[top]
+                Vm[i] = b
+            else:
+                Vm[i] = Vm[i - 1]
+            k += c
         j0 = j1
     return V
 
@@ -443,7 +408,7 @@ def p_variation(
     points, which is exact for p >= 1, and each step scans only the c suffix
     extrema that can still win: O(m c) in the m points kept.  Its steps run
     in blocks: the candidates of every step first, then all the block's legs
-    in one numpy call, then each step's max in Python floats; the result is
+    in one numpy call, then each step's max in step order; the result is
     bit-equal to the plain DP (see _scalar_powers).  A vector path runs the
     plain O(n^2) DP.
 

@@ -48,7 +48,6 @@ class Scenario:
     closed_form: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     flow_triple: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     include_in_flow: bool = False
-    stochastic: bool = False
     exponent_params: Optional[Tuple[float, float, float, float]] = None
 
     def make_field(self) -> CoefficientField:
@@ -164,7 +163,6 @@ def _scenarios() -> Dict[str, Scenario]:
         x0=1.0,
         opts=SolveOptions(oversample=4),
         flow_triple=(0.2, 0.5, 0.85),
-        stochastic=True,
     )
     return out
 

@@ -177,6 +177,37 @@ def test_run_config_rejects_bad_custom_blocks(tmp_path):
                     "window": [0, 1], "exponents": {"p": 1.5}}, tmp_path / "x")
 
 
+_CUSTOM = {
+    "field": {"name": "linear"},
+    "driver": {"kind": "sine", "n": 201},
+    "window": [0.0, 1.0],
+    "seeds": [0],
+}
+
+
+@pytest.mark.parametrize(
+    "key, patch",
+    [
+        ("x0", {"x0": "abc"}),
+        ("x0", {"x0": [1.0, None]}),
+        ("driver.samples", {"driver": {"kind": "fbm", "samples": "many"}}),
+        ("driver.hurst", {"driver": {"kind": "fbm", "hurst": [0.7]}}),
+        ("solve.oversample", {"solve": {"oversample": "4"}}),
+        ("p", {"p": "abc"}),
+        ("p", {"p": None}),
+        ("window", {"window": ["a", "b"]}),
+        ("exponents.alpha", {"exponents": {"p": 1.5, "alpha": "x", "beta": 0.75, "delta": 1.0}}),
+    ],
+)
+def test_malformed_config_value_exits_2_naming_its_key(tmp_path, capsys, key, patch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_CUSTOM, **patch}))
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_config_reproducible(tmp_path):
     cfg = {"scenario": "fbm-linear", "seeds": [0, 1], "solve": {"oversample": 2}}
     run_config(cfg, tmp_path / "r1")

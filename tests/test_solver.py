@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,17 @@ def test_growth_certificate_zero_field():
     assert cert.lhs == pytest.approx(0.7, abs=1e-12)
 
 
+def test_growth_certificate_reports_violation():
+    # a solution scaled far past the bound's right-hand side, about e^270 here
+    rep = solve_forward(_mult_field(), _sine(301, 1.0), 0.0, [0.7], 1.0, exponents=EXPS)
+    scaled = SampledPath(rep.solution.times, 1e150 * rep.solution.values)
+    cert = growth_certificate(replace(rep, solution=scaled), _mult_field(), _sine(301, 1.0))
+    assert not cert.ok
+    assert cert.lhs > cert.rhs
+    assert cert.extra["log_margin"] < 0.0
+    assert rep.certificate("growth").ok
+
+
 def test_growth_certificate_monotone_rows(scenario_run):
     run = scenario_run("flow-linear")
     cert = run.report.certificate("growth")
@@ -504,8 +517,12 @@ def test_solve_report_build_gronwall_requires_structure():
         h=ControlFunction.zero(), L_N=0.0, a=0.0, name="anon",
     )
     drv = _sine(101, 1.0)
-    rep = solve_forward(field, drv, 0.0, [0.0], 1.0, exponents=EXPS, certify=False)
+    rep = solve_forward(field, drv, 0.0, [0.0], 1.0, exponents=EXPS)
+    # the solve skips the Gronwall certificate and keeps the others
+    assert [c.name for c in rep.certificates] == ["growth", "young_loeve"]
+    assert all(c.ok for c in rep.certificates)
     from youngflow.errors import ParameterError
 
     with pytest.raises(ParameterError):
         build_gronwall_input(field, rep, drv)
+
