@@ -144,7 +144,10 @@ def _scenario_from_config(cfg: dict) -> Scenario:
                                       seed=0 if seed is None else seed))
     elif kind in ("linear", "sine", "power", "brownian_like"):
         n = _as(int, driver_cfg.get("n", 1001), "driver.n")
-        dparams = dict(driver_cfg.get("params", {}))
+        dparams = driver_cfg.get("params", {})
+        if not isinstance(dparams, dict):
+            raise ConfigError("config key 'driver.params': must be an object")
+        dparams = {k: _as(float, v, f"driver.params.{k}") for k, v in dparams.items()}
 
         def make_driver(seed, _k=kind, _p=dparams, _n=n, _a=t0, _b=T):
             params = dict(_p)

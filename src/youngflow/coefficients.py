@@ -66,6 +66,10 @@ class GronwallData:
     f_bound: float = 0.0
     g_bound: float = 0.0
 
+    def __post_init__(self):
+        if self.mode not in ("linear", "bounded"):
+            raise ParameterError(f"unknown gronwall mode {self.mode!r}; choose linear or bounded")
+
 
 @dataclass(frozen=True)
 class CoefficientField:

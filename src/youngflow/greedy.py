@@ -23,15 +23,17 @@ to the run's start; the run where the budget crosses mu takes that step
 for all its vertices in one stacked call.  Bisection evaluates the 2^L - 1
 midpoints of the next L = _BISECT_LEVELS levels, made by the same
 0.5 * (a + b) as the one-step loop, as one (midpoints x kept) array and
-replays the decisions in Python.  Every budget is computed in Python
-floats, and elementwise numpy -, abs, ** and + round the same way at any
-array shape while max is exact, so each power equals its one-step value.
+replays the decisions in Python; the midpoints are interpolated from the
+driver's value columns, the ones SampledPath.at reads.  Every budget is
+computed in Python floats, and elementwise numpy -, abs, ** and + round
+the same way at any array shape while max is exact, so each power equals
+its one-step value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,20 +50,6 @@ _FIRST_WINDOW = 64
 _BISECT_LEVELS = 6
 
 
-class _Samples(NamedTuple):
-    """A driver's samples as the greedy engine reads them, once per sequence."""
-
-    path: SampledPath
-    times: np.ndarray
-    flat: np.ndarray  # (n, k)
-    cols: list  # the k columns, contiguous, as np.interp reads them
-
-
-def _samples(driver: SampledPath) -> _Samples:
-    flat = driver._flat_values()
-    return _Samples(driver, driver.times, flat, [np.ascontiguousarray(c) for c in flat.T])
-
-
 def _first_spent(times, powers, t0, lam, mu, p) -> int:
     """Index of the first (time, power) whose budget (t - t0)^lam +
     power^(1/p), in Python floats, reaches mu; len(times) when none does."""
@@ -71,7 +59,7 @@ def _first_spent(times, powers, t0, lam, mu, p) -> int:
     return len(times)
 
 
-def _budget_row(drv, t0, w0, j0, stop, lam, mu, p):
+def _budget_row(driver, t0, w0, j0, stop, lam, mu, p):
     """The first vertex j in j0 .. stop-1 whose budget (t_j - t0)^lam +
     |||w|||_{p-var,[t0, t_j]} reaches mu (stop when none does), and the kept
     points before it with their DP powers, the start first.
@@ -82,7 +70,7 @@ def _budget_row(drv, t0, w0, j0, stop, lam, mu, p):
     power; a vertex between two kept points continues the monotone run from
     the first, whose DP step is over the kept points up to that one.
     """
-    times, flat = drv.times, drv.flat
+    times, flat = driver.times, driver._flat_values()
     hi = min(stop, j0 + _FIRST_WINDOW)
     while True:
         row = np.concatenate([w0[None], flat[j0 : hi + 1]])  # row r holds vertex j0 + r - 1
@@ -142,7 +130,7 @@ class GreedySequence:
 
 
 def _next_greedy(
-    drv: _Samples,
+    driver: SampledPath,
     start: float,
     lam: float,
     mu: float,
@@ -152,7 +140,7 @@ def _next_greedy(
     """Root of the budget equation from `start`; returns (time, residual, clamped)."""
     if lam <= 0 or mu <= 0 or p < 1:
         raise ParameterError("greedy parameters need lambda > 0, mu > 0 and p >= 1")
-    dom = drv.path.domain
+    dom = driver.domain
     if end is None:
         end = dom.hi
     end = min(end, dom.hi)
@@ -164,14 +152,14 @@ def _next_greedy(
     # SampledPath.at has a tighter tolerance than span_tol: read the start in-domain
     start = max(start, dom.lo)
 
-    times = drv.times
+    times = driver.times
     j0 = int(np.searchsorted(times, start, side="right"))
     stop = int(np.searchsorted(times, end, side="left"))
-    j, pts, V = _budget_row(drv, start, np.ravel(drv.path.at(start)), j0, stop, lam, mu, p)
+    j, pts, V = _budget_row(driver, start, np.ravel(driver.at(start)), j0, stop, lam, mu, p)
 
     def powers(t):
-        # inside the last segment the driver is interpolated as SampledPath.at does
-        values = np.stack([np.interp(t, times, c) for c in drv.cols], axis=-1)
+        # inside the last segment the driver is interpolated from the columns at reads
+        values = np.stack([np.interp(t, times, c) for c in driver._cols], axis=-1)
         return _endpoint_power(pts, V, values, p)
 
     def kappa(t: float) -> float:
@@ -229,7 +217,7 @@ def next_greedy_time(
     Returns the (possibly capped) domain end when the budget is never
     exhausted there; raises GreedyExhausted when start is already at the end.
     """
-    t, _, _ = _next_greedy(_samples(driver), start, lam, mu, p, end=end)
+    t, _, _ = _next_greedy(driver, start, lam, mu, p, end=end)
     return t
 
 
@@ -248,14 +236,13 @@ def greedy_sequence(
     if start >= end:
         raise ParameterError("greedy sequence needs start < end")
     span_tol = _TIME_TOL * max(1.0, abs(start) + abs(end))
-    drv = _samples(driver)
     times = [float(start)]
     residuals = []
     clamped = False
     guard = 0
     t = float(start)
     while t < end - span_tol:
-        nxt, res, was_clamped = _next_greedy(drv, t, lam, mu, p, end=end)
+        nxt, res, was_clamped = _next_greedy(driver, t, lam, mu, p, end=end)
         times.append(float(nxt))
         residuals.append(float(res))
         clamped = was_clamped

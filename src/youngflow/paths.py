@@ -1,23 +1,24 @@
 """Sampled paths, discrete p-variation and Hoelder norms, control functions.
 
-A path is stored as samples (t_i, x_i) and interpreted as its piecewise
-linear interpolant.  All variation-type quantities are computed over
-partitions drawn from the sample points; for p >= 1 interior points of a
-linear segment never increase the supremum, so this is the exact
+A path is stored as samples (t_i, x_i) and read as its piecewise linear
+interpolant: SampledPath.at interpolates from value columns built once, and
+_window_samples is the one cut of a window [s, t], which restrict,
+p_variation and the control read.  Variation-type quantities are computed
+over partitions drawn from the sample points; for p >= 1 interior points
+of a linear segment never increase the supremum, so this is the exact
 p-variation of the interpolant.  For the same reason a scalar path loses
 nothing when it is reduced to its endpoints and strict turning points
 before the p-variation DP (Butkus & Norvaisa, Lith. Math. J. 58, 2018),
 and each DP step then scans only the suffix extrema that can still win;
-vector paths run the DP over every earlier sample.  Those candidates depend
-on the values alone, so the scalar DP runs in blocks of a few hundred steps:
-a Python walk of the suffix-extremum stacks lists every step's candidates
-by index in one list, one numpy call rounds all the block's legs
-|x_i - x_j|^p (in _leg_powers, the one place a leg is rounded), and then
-each step in order takes its max of V_i + leg, in numpy for a step with
-many candidates and in Python floats otherwise, which round as numpy's add
-and max do.  So V is bit-equal to the one-step-at-a-time DP.  The control ControlFunction.from_p_variation runs the DP once per
-left end s, over [s, path end], and reads each window [s, t] off that row
-with one last DP step.
+vector paths run the DP over every earlier sample.  The scalar DP runs in
+blocks of a few hundred steps: a Python walk of the suffix-extremum stacks
+lists every step's candidates, one numpy call rounds all the block's legs
+|x_i - x_j|^p (_leg_powers, the one place a leg is rounded), and each step
+in order takes its max of V_i + leg, in numpy or in Python floats, which
+round alike.  So V is bit-equal to the one-step-at-a-time DP.
+ControlFunction.from_p_variation runs the DP once per left end s, over
+[s, path end], and reads each window [s, t] off that row with one last DP
+step from the cut's sample count and end value.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -122,6 +124,11 @@ class SampledPath:
     def _flat_values(self) -> np.ndarray:
         return self.values.reshape(len(self.times), -1)
 
+    @cached_property
+    def _cols(self) -> list:
+        """The contiguous flat value columns np.interp reads; views if scalar."""
+        return [np.ascontiguousarray(c) for c in self._flat_values().T]
+
     def at(self, t) -> np.ndarray:
         """Linear interpolation at time(s) t; t must lie in the domain."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -132,10 +139,7 @@ class SampledPath:
                 f"time(s) outside path domain [{lo}, {hi}]"
             )
         t_arr = np.clip(t_arr, lo, hi)
-        flat = self._flat_values()
-        out = np.empty((len(t_arr), flat.shape[1]))
-        for k in range(flat.shape[1]):
-            out[:, k] = np.interp(t_arr, self.times, flat[:, k])
+        out = np.stack([np.interp(t_arr, self.times, c) for c in self._cols], axis=-1)
         out = out.reshape((len(t_arr),) + self.value_shape)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
@@ -146,8 +150,7 @@ class SampledPath:
         window = as_interval(window)
         if window is None or _covers(self, window):
             return self
-        times, values = _window_samples(self, window)
-        return SampledPath(times, values)
+        return SampledPath(*_window_samples(self, window))
 
     def reversed_clock(self) -> "SampledPath":
         """The path u -> x(a + b - u) on the same window [a, b]."""
@@ -181,12 +184,12 @@ def _covers(path: SampledPath, window: Interval) -> bool:
     return False
 
 
-def _window_cut(path: SampledPath, window: Interval):
-    """How _window_samples cuts a window out of the path, by its time
-    tolerance tol: (tol, a, b, i0, i1, head, tail), with a <= b the window
-    clamped to the domain and path.times[i0:i1] the samples it keeps; it adds
-    an interpolated point at a if head and at b if tail.  A window shorter
-    than tol has i0 = i1 = None."""
+def _window_samples(path: SampledPath, window: Interval):
+    """The samples (times, values) of the window cut out of the path by its
+    time tolerance tol: the window, clamped to the domain, is [a, b]; the
+    samples strictly inside it by more than tol are kept, and a or b is added,
+    its value interpolated, unless a kept sample lies within tol of it.  A
+    window no longer than tol gives two samples of the value at its centre."""
     lo, hi = path.times[0], path.times[-1]
     tol = _TIME_TOL * max(hi - lo, 1.0)
     if window.lo < lo - tol or window.hi > hi + tol:
@@ -196,42 +199,17 @@ def _window_cut(path: SampledPath, window: Interval):
     a = min(max(window.lo, lo), hi)
     b = min(max(window.hi, lo), hi)
     if b - a <= tol:
-        return tol, a, b, None, None, True, True
-    i0 = int(np.searchsorted(path.times, a + tol))
-    i1 = int(np.searchsorted(path.times, b - tol, side="right"))
-    head = i0 >= len(path.times) or abs(path.times[i0] - a) > tol
-    tail = i1 == 0 or abs(path.times[i1 - 1] - b) > tol
-    return tol, a, b, i0, i1, head, tail
-
-
-def _window_samples(path: SampledPath, window: Interval):
-    tol, a, b, i0, i1, head, tail = _window_cut(path, window)
-    if i0 is None:
         v = path.at(0.5 * (a + b))
         return np.array([a, a + max(tol, 1e-300)]), np.stack([v, v])
-    ts = [np.array([a])] if head else []
-    pre_v = [path.at(a)[None]] if head else []
-    post_t = [np.array([b])] if tail else []
-    post_v = [path.at(b)[None]] if tail else []
-    times = np.concatenate(ts + [path.times[i0:i1]] + post_t)
-    values = np.concatenate(pre_v + [path.values[i0:i1]] + post_v)
+    i0 = int(np.searchsorted(path.times, a + tol))
+    i1 = int(np.searchsorted(path.times, b - tol, side="right"))
+    head = bool(i0 >= len(path.times) or abs(path.times[i0] - a) > tol)
+    tail = bool(i1 == 0 or abs(path.times[i1 - 1] - b) > tol)
+    ends = [a] * head + [b] * tail
+    end_values = path.at(ends) if ends else path.values[:0]
+    times = np.concatenate([ends[:head], path.times[i0:i1], ends[head:]])
+    values = np.concatenate([end_values[:head], path.values[i0:i1], end_values[head:]])
     return times, values
-
-
-def _window_end(path: SampledPath, window: Interval):
-    """The sample count and the flat last value of _window_samples(path,
-    window), the latter from the same path.at call, without the samples."""
-    _, a, b, i0, i1, head, tail = _window_cut(path, window)
-    if i0 is None:
-        return 2, path.at(0.5 * (a + b)).reshape(-1)
-    inner = max(i1 - i0, 0)
-    if tail:
-        end = path.at(b)
-    elif inner:
-        end = path.values[i1 - 1]
-    else:
-        end = path.at(a)
-    return head + inner + tail, end.reshape(-1)
 
 
 def merge_times(*time_arrays, tol: float = _TIME_TOL) -> np.ndarray:
@@ -403,14 +381,9 @@ def p_variation(
     """Exact discrete p-variation seminorm over a window.
 
     Dynamic programme over sample points: V[j] = max_{i<j} V[i] + |x_j - x_i|^p,
-    which realises the supremum over all sub-partitions.  A scalar path is
-    first reduced to its first point, its last point and its strict turning
-    points, which is exact for p >= 1, and each step scans only the c suffix
-    extrema that can still win: O(m c) in the m points kept.  Its steps run
-    in blocks: the candidates of every step first, then all the block's legs
-    in one numpy call, then each step's max in step order; the result is
-    bit-equal to the plain DP (see _scalar_powers).  A vector path runs the
-    plain O(n^2) DP.
+    which realises the supremum over all sub-partitions; a scalar path runs
+    it over its turning points in blocks (see _scalar_powers), a vector path
+    over every sample.  The window's values come from _window_samples.
 
     Parameters
     ----------
@@ -420,7 +393,11 @@ def p_variation(
     power : bool
         If True return the p-th power (the control value) instead of the root.
     """
-    return _variation(path.restrict(window)._flat_values(), p, power)
+    window = as_interval(window)
+    if window is not None and not _covers(path, window):
+        values = _window_samples(path, window)[1]
+        return _variation(values.reshape(len(values), -1), p, power)
+    return _variation(path._flat_values(), p, power)
 
 
 def p_variation_norm(path: SampledPath, p: float, window: WindowLike = None) -> float:
@@ -555,12 +532,13 @@ class ControlFunction:
         p_variation(path, p, (s, t), power=True).
 
         The row of s, the DP over the samples of [s, path end], runs once.
-        restrict would give the window's samples: the row's up to the last
-        before t, then a sample or a point on the row's next segment.  So the
-        window's DP keeps no point the row's does not, with equal powers, and
-        its last step is one exact max over the row's kept points before t.
-        That step needs only the window's sample count and end value, which
-        _window_end reads by restrict's rules without building the samples.
+        The window's samples, cut by _window_samples as p_variation cuts
+        them, are the row's up to the last before t, then a sample or a point
+        on the row's next segment.  So the window's DP keeps no point the
+        row's does not, with equal powers, and its last step is one exact max
+        over the row's kept points before t, which reads only the cut's
+        sample count and end value.  A window that covers the path, a
+        two-sample cut and p = 1 take p_variation's own branch.
         """
         rows = {}
 
@@ -568,18 +546,20 @@ class ControlFunction:
             if t - s <= _TIME_TOL:
                 return 0.0
             window = Interval(s, t)
-            if p != 1.0 and not _covers(path, window):
-                count, end = _window_end(path, window)
-                if count > 2:
-                    if s not in rows:
-                        times, values = _window_samples(path, Interval(s, path.times[-1]))
-                        row = values.reshape(len(times), -1)
-                        kept, V = _powers(row, p)
-                        rows[s] = (row[kept], kept, V)
-                    pts, kept, V = rows[s]
-                    k = int(np.searchsorted(kept, count - 1))
-                    return _endpoint_power(pts[:k], V[:k], end, p)
-            return _variation(path.restrict(window)._flat_values(), p, power=True)
+            if _covers(path, window):
+                return _variation(path._flat_values(), p, power=True)
+            values = _window_samples(path, window)[1]
+            flat = values.reshape(len(values), -1)
+            if p == 1.0 or len(flat) <= 2:
+                return _variation(flat, p, power=True)
+            if s not in rows:
+                row = _window_samples(path, Interval(s, path.times[-1]))[1]
+                row = row.reshape(len(row), -1)
+                kept, V = _powers(row, p)
+                rows[s] = (row[kept], kept, V)
+            pts, kept, V = rows[s]
+            k = int(np.searchsorted(kept, len(flat) - 1))
+            return _endpoint_power(pts[:k], V[:k], flat[-1], p)
 
         return cls(ev, f"pvar^{p}")
 

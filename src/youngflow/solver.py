@@ -819,13 +819,11 @@ def build_gronwall_input(
         phi = gd.drift_inhom
         psi_eff = gd.noise_inhom + Kq * gd.noise_inhom_lip * horizon
         a1, a2 = gd.a1, gd.a2
-    elif gd.mode == "bounded":
+    else:
         var_x = p_variation(subsample(y, _COARSE_CAP), q)
         phi = gd.f_bound
         psi_eff = gd.g_bound + exps.K0 * report.constants.M * (1.0 + var_x)
         a1 = a2 = 0.0
-    else:
-        raise ParameterError(f"unknown gronwall mode {gd.mode!r}")
 
     omega_w = ControlFunction.from_p_variation(w_coarse, p)
 
@@ -930,11 +928,9 @@ def standard_certificates(
     """Gronwall, growth and sewing certificates for a finished solve."""
     certs = []
     exps = report.exponents
-    try:
+    if field.gronwall is not None:
         gin = build_gronwall_input(field, report, driver)
         certs.append(gronwall_certificate(gin, driver, exps.p, exps.q))
-    except ParameterError:
-        pass
     certs.append(growth_certificate(report, field, driver))
 
     y_c = subsample(report.solution, _SEWING_CAP)

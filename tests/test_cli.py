@@ -197,6 +197,8 @@ _CUSTOM = {
         ("p", {"p": None}),
         ("window", {"window": ["a", "b"]}),
         ("exponents.alpha", {"exponents": {"p": 1.5, "alpha": "x", "beta": 0.75, "delta": 1.0}}),
+        ("driver.params.amp", {"driver": {"kind": "sine", "params": {"amp": "x"}}}),
+        ("driver.params", {"driver": {"kind": "sine", "params": "amp"}}),
     ],
 )
 def test_malformed_config_value_exits_2_naming_its_key(tmp_path, capsys, key, patch):

@@ -124,6 +124,20 @@ def test_non_intersection_random_probes(rng):
         assert cert.extra["min_separation"] > 0
 
 
+def test_non_intersection_reports_a_violated_floor(monkeypatch):
+    # log_C = -1 puts the floor at e |x0 - x0'|, above the separation at t0
+    from youngflow import flow
+
+    monkeypatch.setattr(flow, "difference_growth_log_constant", lambda *args: -1.0)
+    field, driver, opts = _mult_setup(501)
+    cert = non_intersection_check(field, driver, 0.0, [1.0], [1.5], (0.0, 1.0),
+                                  opts=opts, exponents=EXPS)
+    assert cert.extra["min_separation"] > 0.0
+    assert not cert.ok
+    assert cert.lhs > cert.rhs
+    assert cert.lhs == pytest.approx(0.5 * np.e, rel=1e-12)
+
+
 def test_non_intersection_requires_distinct_points():
     field, driver, opts = _mult_setup(501)
     with pytest.raises(ValueError):

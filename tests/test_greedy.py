@@ -160,6 +160,21 @@ def test_greedy_interval_variation_budget():
         assert kappa <= mu + 1e-7
 
 
+def test_vector_greedy_intervals_spend_the_budget():
+    # every coordinate of a vector driver enters the budget inside a segment too
+    rng = np.random.default_rng(3)
+    lam, mu, p = 0.75, 0.8, 1.5
+    for dim in (2, 3):
+        values = 0.2 * np.cumsum(rng.standard_normal((41, dim)), axis=0)
+        drv = SampledPath(np.linspace(0.0, 1.0, 41), values)
+        seq = greedy_sequence(drv, 0.0, 1.0, lam=lam, mu=mu, p=p)
+        # the last interval is clamped to the end; the others spend mu
+        assert seq.n_intervals > 5 and seq.n_full() == seq.n_intervals - 1
+        for a, b in zip(seq.times[:-2], seq.times[1:-1]):
+            kappa = (b - a) ** lam + p_variation(drv, p, (a, b))
+            assert kappa == pytest.approx(mu, abs=1e-8)
+
+
 @st.composite
 def _piecewise_linear(draw):
     """Random scalar or 2-d piecewise-linear driver on [0, 1] with n <= 200."""

@@ -234,6 +234,33 @@ def test_pvar_control_is_bit_equal_to_windowed_pvar(case, p):
         assert ctrl(s, t) == p_variation(path, p, (s, t), power=True), (s, t)
 
 
+def test_pvar_control_rows_keyed_near_the_first_sample():
+    # a row keyed by s within tol after the first sample starts at the
+    # interpolated value at s, as the window cut does; the whole-path rule of
+    # restrict would start it at the first sample
+    times = np.linspace(0.0, 300.0, 11)
+    path = SampledPath(times, [0.0, 3.0, 1.0, 4.0, -2.0, 2.0, 2.0, 5.0, -1.0, 0.0, 3.0])
+    tol = 1e-12 * 300.0
+    for p in (1.5, 2.0, 2.5):
+        ctrl = ControlFunction.from_p_variation(path, p)
+        for s in (0.5 * tol, 0.9 * tol):
+            for t in (150.0, 151.3, 299.0):
+                assert ctrl(s, t) == p_variation(path, p, (s, t), power=True), (p, s, t)
+
+
+def test_window_cut_to_one_sample_has_no_variation():
+    # a window 2 tol long whose ends both lie within tol of one sample; restrict
+    # cannot build a path from it, while p_variation and the control read 0.0
+    path = SampledPath([0.0, 1.0, 2.0], [0.0, 5.0, 1.0])
+    s, t = 1.0 - 2e-12, 1.0 + 2e-12
+    assert len(paths._window_samples(path, Interval(s, t))[0]) == 1
+    with pytest.raises(ParameterError):
+        path.restrict((s, t))
+    for p in (1.0, 2.0):
+        assert p_variation(path, p, (s, t)) == 0.0
+        assert ControlFunction.from_p_variation(path, p)(s, t) == 0.0
+
+
 def test_refining_linear_segments_keeps_pvar(rng):
     # interior points of straight segments never increase the supremum
     path = random_path(rng, 15)

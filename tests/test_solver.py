@@ -6,6 +6,7 @@ import pytest
 from youngflow import (
     DETERMINISTIC_BUNDLE,
     ControlFunction,
+    GronwallData,
     GronwallInput,
     SampledPath,
     SolveOptions,
@@ -506,6 +507,17 @@ def test_solve_options_validation():
         SolveOptions(oversample=0)
     with pytest.raises(ParameterError):
         SolveOptions(picard_tol=-1.0)
+
+
+def test_misspelled_gronwall_mode_is_rejected():
+    # an unknown mode would otherwise reach the solve, which skips Gronwall
+    # only for a field that declares no structure
+    from youngflow.errors import ParameterError
+
+    with pytest.raises(ParameterError, match="lineer"):
+        GronwallData(mode="lineer")
+    for mode in ("linear", "bounded"):
+        assert GronwallData(mode=mode).mode == mode
 
 
 def test_solve_report_build_gronwall_requires_structure():
