@@ -428,9 +428,11 @@ VERIFY_OVERRIDES = {
 
 
 def _cmd_verify(args) -> int:
+    seeds = list(range(10)) if args.seeds is None else [
+        _as(int, s, "--seeds") for s in args.seeds.split(",")
+    ]
     out_dir = Path(args.out or "youngflow-verify")
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(range(10))
     all_ok = True
     combined = []
     plan = []

@@ -113,6 +113,8 @@ def flow_axiom_check(
     once; the continuity table is one more transport of the perturbed
     first probe.
     """
+    if len(probes) == 0:
+        raise ParameterError("flow_axiom_check needs at least one probe state")
     s, u, t = (float(v) for v in times)
     X = lambda a, b, x: cauchy_operator(field, driver, a, b, x, opts=opts, exponents=exponents)
     P = np.stack([np.atleast_1d(np.asarray(probe, dtype=float)) for probe in probes])

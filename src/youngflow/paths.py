@@ -189,7 +189,8 @@ def _window_samples(path: SampledPath, window: Interval):
     time tolerance tol: the window, clamped to the domain, is [a, b]; the
     samples strictly inside it by more than tol are kept, and a or b is added,
     its value interpolated, unless a kept sample lies within tol of it.  A
-    window no longer than tol gives two samples of the value at its centre."""
+    window no longer than tol, or one that this cut leaves with fewer than
+    two samples, gives two samples of the value at its centre."""
     lo, hi = path.times[0], path.times[-1]
     tol = _TIME_TOL * max(hi - lo, 1.0)
     if window.lo < lo - tol or window.hi > hi + tol:
@@ -198,18 +199,19 @@ def _window_samples(path: SampledPath, window: Interval):
         )
     a = min(max(window.lo, lo), hi)
     b = min(max(window.hi, lo), hi)
-    if b - a <= tol:
-        v = path.at(0.5 * (a + b))
-        return np.array([a, a + max(tol, 1e-300)]), np.stack([v, v])
-    i0 = int(np.searchsorted(path.times, a + tol))
-    i1 = int(np.searchsorted(path.times, b - tol, side="right"))
-    head = bool(i0 >= len(path.times) or abs(path.times[i0] - a) > tol)
-    tail = bool(i1 == 0 or abs(path.times[i1 - 1] - b) > tol)
-    ends = [a] * head + [b] * tail
-    end_values = path.at(ends) if ends else path.values[:0]
-    times = np.concatenate([ends[:head], path.times[i0:i1], ends[head:]])
-    values = np.concatenate([end_values[:head], path.values[i0:i1], end_values[head:]])
-    return times, values
+    if b - a > tol:
+        i0 = int(np.searchsorted(path.times, a + tol))
+        i1 = int(np.searchsorted(path.times, b - tol, side="right"))
+        head = bool(i0 >= len(path.times) or abs(path.times[i0] - a) > tol)
+        tail = bool(i1 == 0 or abs(path.times[i1 - 1] - b) > tol)
+        ends = [a] * head + [b] * tail
+        end_values = path.at(ends) if ends else path.values[:0]
+        times = np.concatenate([ends[:head], path.times[i0:i1], ends[head:]])
+        if len(times) >= 2:
+            values = np.concatenate([end_values[:head], path.values[i0:i1], end_values[head:]])
+            return times, values
+    v = path.at(0.5 * (a + b))
+    return np.array([a, a + max(tol, 1e-300)]), np.stack([v, v])
 
 
 def merge_times(*time_arrays, tol: float = _TIME_TOL) -> np.ndarray:

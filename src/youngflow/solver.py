@@ -28,7 +28,6 @@ from .coefficients import (
     CoefficientField,
     DerivedConstants,
     ExponentSet,
-    GronwallData,
     composed_path,
     derived_constants,
 )
@@ -131,10 +130,6 @@ class SolveReport:
             "ball_ok": bool(self.ball_ok),
             "certificates": [c.to_json() for c in self.certificates],
         }
-
-
-class _NoConvergence(Exception):
-    pass
 
 
 # ----------------------------------------------------------------------
@@ -242,8 +237,8 @@ def _picard_slice(
     the same grid agree far inside the reported residuals.  Every member
     stops by these rules on its own iterates, and its iterate is frozen
     from then on, so it ends exactly where its one-state slice ends.
-    Members that diverge or exhaust the budget are marked failed;
-    _NoConvergence is raised when no member converges.
+    Non-convergence is reported in failed, the mask of the members that
+    diverge or exhaust the budget (every member when none converges).
     """
     if q < 1:
         raise ParameterError(f"the ball norm needs q >= 1, got {q}")
@@ -315,11 +310,10 @@ def _picard_slice(
             prev_change[b] = change
         live = still
     done = [b for b in range(B) if reached_tol[b] and not failed[b]]  # else polish exhausted
-    if not done:
-        raise _NoConvergence("no member of the stack converged")
     residuals = np.zeros(B)
-    xd = x if len(done) == B else x[:, done]
-    residuals[done] = np.abs(apply_f(xd, done) - xd).max(axis=(0, 2))
+    if done:
+        xd = x if len(done) == B else x[:, done]
+        residuals[done] = np.abs(apply_f(xd, done) - xd).max(axis=(0, 2))
     unconverged = np.ones(B, dtype=bool)
     unconverged[done] = False
     return _Slice(x, sum(member_iters[b] for b in done), residuals, np.array(ball_ok),
@@ -341,13 +335,7 @@ def _solve_span(
     two parts of the slice, so every member's values, iteration count,
     residual and ball flag are those of its own one-state solve.
     """
-    B = len(x0)
-    try:
-        vals, _, residuals, ball_ok, iters, failed = _picard_slice(field, ts, ws, x0, opts, q)
-    except _NoConvergence:
-        vals = np.empty((len(ts),) + x0.shape)
-        residuals, ball_ok = np.zeros(B), np.ones(B, dtype=bool)
-        iters, failed = np.zeros(B, dtype=int), np.ones(B, dtype=bool)
+    vals, _, residuals, ball_ok, iters, failed = _picard_slice(field, ts, ws, x0, opts, q)
     if not failed.any():
         return vals, iters, residuals, ball_ok
     if depth >= 20 or len(ts) < 3:
@@ -390,13 +378,12 @@ def solve_interval(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None]
     if warm_start is not None:
         x_init = warm_start.at(ts)[:, None, :]
-        try:
-            vals, iters, residual, _, _, _ = _picard_slice(
-                field, ts, ws, x0, opts, exponents.q, x_init=x_init
-            )
-        except _NoConvergence:
+        vals, iters, residual, _, _, failed = _picard_slice(
+            field, ts, ws, x0, opts, exponents.q, x_init=x_init
+        )
+        if failed[0]:
             raise SolveError(f"Picard failed from the warm start on [{t0}, {t1}]",
-                             window=(float(t0), float(t1))) from None
+                             window=(float(t0), float(t1)))
     else:
         vals, iters, residual, _ = _solve_span(field, ts, ws, x0, opts, exponents.q)
         iters = int(iters[0])
@@ -701,12 +688,12 @@ def gronwall_certificate(
     w_on_y = SampledPath(y_coarse.times, w_sub.at(y_coarse.times))
 
     if variant == "increment":
-        # cumulative integrals of y on its own grid (same rules as the solver);
-        # int y dw is the d x m matrix integral of the hypothesis, an outer
-        # product that _pair_terms does not define
-        cum_du = _running_sum(_RULES["midpoint"](y.values) * np.diff(ts)[:, None])
+        # cumulative integrals of y on its own grid (same rules as the solver),
+        # kept at the anchors only; int y dw is the d x m matrix integral of the
+        # hypothesis, an outer product that _pair_terms does not define
+        cum_du = _running_sum(_RULES["midpoint"](y.values) * np.diff(ts)[:, None])[anchor_idx]
         dwy = np.diff(w_sub.at(ts), axis=0)
-        cum_dw = _running_sum(y.values[:-1][:, :, None] * dwy[:, None, :])
+        cum_dw = _running_sum(y.values[:-1][:, :, None] * dwy[:, None, :])[anchor_idx]
 
     omega_y = ControlFunction.from_p_variation(y_coarse, q)
     omega_w = ControlFunction.from_p_variation(w_on_y, p)
@@ -715,7 +702,7 @@ def gronwall_certificate(
     conclusion_ok = True
     worst_margin = math.inf
     for ii, i in enumerate(anchor_idx):
-        for j in anchor_idx[ii + 1 :]:
+        for jj, j in enumerate(anchor_idx[ii + 1 :], ii + 1):
             s, t = float(ts[i]), float(ts[j])
             A_root = gin.A(s, t) ** (1.0 / q)
             y_s = float(np.linalg.norm(y.values[i]))
@@ -725,8 +712,8 @@ def gronwall_certificate(
                 lhs = float(np.linalg.norm(y.values[j] - y.values[i]))
                 rhs = (
                     A_root
-                    + gin.a1 * float(np.linalg.norm(cum_du[j] - cum_du[i]))
-                    + gin.a2 * float(np.linalg.norm(cum_dw[j] - cum_dw[i]))
+                    + gin.a1 * float(np.linalg.norm(cum_du[jj] - cum_du[ii]))
+                    + gin.a2 * float(np.linalg.norm(cum_dw[jj] - cum_dw[ii]))
                 )
                 base = 2.0 * A0 + y_s
             else:

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from youngflow import SampledPath, analytic_driver, path_from_csv, path_to_csv
+from youngflow import cli
 from youngflow.cli import SUMMARY_COLUMNS, main, run_config, ConfigError
 from youngflow.io import _CSV_BLOCK_ROWS
 
@@ -107,6 +109,34 @@ def test_unknown_scenario_config_exits_2(tmp_path, capsys):
 def test_bad_seeds_config(tmp_path):
     with pytest.raises(ConfigError):
         run_config({"scenario": "zero", "seeds": "all"}, tmp_path / "o")
+
+
+@pytest.mark.parametrize("seeds", ["a,b", "", "0,", "1.5"])
+def test_verify_malformed_seeds_exit_2_naming_the_flag(tmp_path, capsys, seeds):
+    rc = main(["verify", "--seeds", seeds, "--out", str(tmp_path / "v")])
+    assert rc == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+def test_verify_reports_a_failed_gronwall_hypothesis(tmp_path, monkeypatch):
+    # with a2 = 0 the Gronwall hypothesis cannot hold for flow-linear's noise
+    # term; the fBm scenario keeps its own field and certifies
+    scenario = cli.SCENARIOS["flow-linear"]
+
+    def field():
+        base = scenario.make_field()
+        return replace(base, gronwall=replace(base.gronwall, a2=0.0))
+
+    monkeypatch.setattr(cli, "DETERMINISTIC_BUNDLE", ["flow-linear"])
+    monkeypatch.setitem(cli.SCENARIOS, "flow-linear", replace(scenario, field_factory=field))
+    out = tmp_path / "v"
+    assert main(["verify", "--seeds", "0", "--out", str(out)]) == 1
+    header, *rows = (out / "verify_summary.csv").read_text().splitlines()
+    cells = {row.split(",")[0]: dict(zip(header.split(","), row.split(","))) for row in rows}
+    assert sorted(cells) == ["fbm-linear", "flow-linear"]
+    assert cells["flow-linear"]["gronwall_ok"] == "false"
+    assert cells["fbm-linear"]["gronwall_ok"] == "true"
 
 
 def test_run_config_summary_columns(tmp_path):
@@ -243,6 +273,12 @@ def test_flow_check_zero(tmp_path, capsys):
     assert payload["ok"] is True
     assert payload["identity_residual"] == 0.0
     assert (tmp_path / "f" / "flow_check.json").exists()
+
+
+def test_flow_check_without_probes_is_a_library_error(capsys):
+    rc = main(["flow-check", "--scenario", "zero", "--probes", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_path_csv_bytes(tmp_path):

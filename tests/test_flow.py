@@ -79,6 +79,13 @@ def test_flow_axioms_linear(rng):
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
 
 
+def test_flow_axiom_check_rejects_an_empty_probe_set():
+    field, driver, opts = _mult_setup(201)
+    with pytest.raises(ParameterError, match="probe"):
+        flow_axiom_check(field, driver, (0.2, 0.5, 0.8), np.empty((0, 1)),
+                         opts=opts, exponents=EXPS)
+
+
 def test_composition_residual_tracks_picard_tol():
     field, driver, _ = _mult_setup(1001, 1.0)
     probes = [[0.9]]

@@ -249,13 +249,13 @@ def test_pvar_control_rows_keyed_near_the_first_sample():
 
 
 def test_window_cut_to_one_sample_has_no_variation():
-    # a window 2 tol long whose ends both lie within tol of one sample; restrict
-    # cannot build a path from it, while p_variation and the control read 0.0
+    # a window 2 tol long whose ends both lie within tol of one sample cuts to
+    # two samples of the value at its centre; restrict, p_variation and the
+    # control all read 0.0
     path = SampledPath([0.0, 1.0, 2.0], [0.0, 5.0, 1.0])
     s, t = 1.0 - 2e-12, 1.0 + 2e-12
-    assert len(paths._window_samples(path, Interval(s, t))[0]) == 1
-    with pytest.raises(ParameterError):
-        path.restrict((s, t))
+    assert len(paths._window_samples(path, Interval(s, t))[0]) == 2
+    assert p_variation(path.restrict((s, t)), 2.0) == 0.0
     for p in (1.0, 2.0):
         assert p_variation(path, p, (s, t)) == 0.0
         assert ControlFunction.from_p_variation(path, p)(s, t) == 0.0

@@ -117,6 +117,19 @@ def test_warm_start_that_never_converges_raises_solve_error():
     assert err.value.window == (0.0, 1.0)
 
 
+def test_picard_slice_reports_non_convergence_in_failed():
+    # one iteration cannot reach the tolerance: the slice comes back with its
+    # only member marked failed and no residual evaluated
+    field = linear_field()
+    drv = _sine(201, 1.0)
+    ts = drv.times
+    out = _picard_slice(field, ts, drv.at(ts), np.array([[1.0]]),
+                        SolveOptions(picard_max_iters=1), EXPS.q)
+    assert out.failed.tolist() == [True]
+    assert out.iters == 0
+    assert out.residuals.tolist() == [0.0]
+
+
 def test_concatenation_consistency(scenario_run):
     run = scenario_run("time-varying")
     rep = run.report
