@@ -238,6 +238,8 @@ def run_config(cfg: dict, out_dir: Path) -> bool:
     seeds = cfg.get("seeds", [0])
     if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("config key 'seeds': must be a list of integers")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"config key 'seeds': repeated seeds in {seeds}")
     opts = _solve_options(cfg, scenario.opts)
     flow_probe = bool(cfg.get("flow_probe", True))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,6 +380,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_flow_check(args) -> int:
+    if args.probes < 0:
+        raise ConfigError(f"--probes must be >= 0, got {args.probes}")
     name = args.scenario or "flow-linear"
     scenario = SCENARIOS[name]
     run = run_scenario(name, seed=args.seed, certify=False)
@@ -431,6 +435,8 @@ def _cmd_verify(args) -> int:
     seeds = list(range(10)) if args.seeds is None else [
         _as(int, s, "--seeds") for s in args.seeds.split(",")
     ]
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds: repeated seeds in {args.seeds!r}")
     out_dir = Path(args.out or "youngflow-verify")
     out_dir.mkdir(parents=True, exist_ok=True)
     all_ok = True

@@ -158,8 +158,8 @@ def _next_greedy(
     j, pts, V = _budget_row(driver, start, np.ravel(driver.at(start)), j0, stop, lam, mu, p)
 
     def powers(t):
-        # inside the last segment the driver is interpolated from the columns at reads
-        values = np.stack([np.interp(t, times, c) for c in driver._cols], axis=-1)
+        # inside the last segment the driver is interpolated from the views at reads
+        values = np.stack([np.interp(t, driver._xp, c) for c in driver._cols], axis=-1)
         return _endpoint_power(pts, V, values, p)
 
     def kappa(t: float) -> float:

@@ -30,17 +30,18 @@ def _fmt(value) -> str:
 
 
 def path_to_csv(path: SampledPath, destination) -> None:
+    """Write the path as CSV, stacking and formatting one block of
+    _CSV_BLOCK_ROWS rows at a time: no whole-path table or list is built."""
     if path.values.ndim != 2:
         raise DataError("only vector-valued paths serialise to CSV")
     header = "t," + ",".join(f"x{i + 1}" for i in range(path.dimension))
-    data = np.column_stack([path.times, path.values])
-    row = ",".join(["%r"] * data.shape[1]) + "\n"
+    row = ",".join(["%r"] * (path.dimension + 1)) + "\n"
     with Path(destination).open("w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        # block by block: Python lists of every row would outweigh the file text;
         # one %-format per block, and %r is repr
-        for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start : start + _CSV_BLOCK_ROWS]
+        for start in range(0, len(path.times), _CSV_BLOCK_ROWS):
+            sl = slice(start, start + _CSV_BLOCK_ROWS)
+            block = np.column_stack([path.times[sl], path.values[sl]])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 

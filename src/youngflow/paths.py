@@ -86,6 +86,9 @@ class SampledPath:
         Sample values.  A 1-d input is normalised to shape (n, 1).
         The (n, d, m) layout holds matrix-valued paths such as the
         composition g(t, x_t); norms are Frobenius norms in that case.
+
+    The arrays, the caller's included, are frozen; at reads writeable views
+    kept before the freeze (_xp, _fp), since np.interp copies read-only input.
     """
 
     times: np.ndarray
@@ -100,10 +103,12 @@ class SampledPath:
             raise ParameterError("a path needs at least two sample times")
         if len(times) != len(values):
             raise ParameterError("times and values must have equal length")
-        if not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise ParameterError("sample times must be strictly increasing")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise DataError("path contains non-finite entries")
+        object.__setattr__(self, "_xp", times.view())
+        object.__setattr__(self, "_fp", values.view())
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -126,11 +131,12 @@ class SampledPath:
 
     @cached_property
     def _cols(self) -> list:
-        """The contiguous flat value columns np.interp reads; views if scalar."""
-        return [np.ascontiguousarray(c) for c in self._flat_values().T]
+        """The contiguous flat value columns np.interp reads; views of _fp if scalar."""
+        return [np.ascontiguousarray(c) for c in self._fp.reshape(len(self.times), -1).T]
 
     def at(self, t) -> np.ndarray:
-        """Linear interpolation at time(s) t; t must lie in the domain."""
+        """Linear interpolation at time(s) t in the domain, copying no sample;
+        a time within the domain's tolerance outside it reads the end value."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.times[0], self.times[-1]
         span = max(hi - lo, 1.0)
@@ -138,8 +144,8 @@ class SampledPath:
             raise DomainError(
                 f"time(s) outside path domain [{lo}, {hi}]"
             )
-        t_arr = np.clip(t_arr, lo, hi)
-        out = np.stack([np.interp(t_arr, self.times, c) for c in self._cols], axis=-1)
+        cols = [np.interp(t_arr, self._xp, c) for c in self._cols]
+        out = cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=-1)
         out = out.reshape((len(t_arr),) + self.value_shape)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]

@@ -52,6 +52,8 @@ _COARSE_CAP = 512
 _SEWING_CAP = 400
 _GRONWALL_ANCHORS = 10
 _GROWTH_ANCHORS = 6
+# grid steps per block of the Gronwall certificate's integrals and sup norm
+_GRONWALL_BLOCK = 4096
 _SHRINK_FACTOR = 0.5
 
 
@@ -456,10 +458,10 @@ def solve_forward_batch(
 ) -> BatchSolve:
     """Solve the stack of initial states x0, shape (B, d), forward on [t0, T].
 
-    The greedy partition, the grid and the driver on it depend on the
-    window alone, so they are built once for the whole stack; Picard then
-    runs chunk by chunk on (n, B, d) arrays, and every member's values
-    equal those of its own one-state solve bit for bit.  With keep_path
+    The greedy partition and the grid depend on the window alone, so they
+    are built once for the whole stack; Picard runs chunk by chunk on
+    (n, B, d) arrays and the driver read at the chunk's times, and every
+    member's values equal its one-state solve's bit for bit.  With keep_path
     False only the final states are kept (times holds T alone): a
     transport needs no more, and the stack's path takes B times the
     memory of a one-state solve.
@@ -479,7 +481,6 @@ def solve_forward_batch(
     greedy = greedy_sequence(driver, t0, T, lam=exponents.alpha, mu=mu, p=exponents.p)
 
     ts = _build_grid(driver, t0, T, opts)
-    ws = driver.at(ts)
     chunk_idx = _chunk_boundaries(ts, greedy.times)
 
     values = np.empty((len(ts) if keep_path else 1,) + x0.shape)
@@ -488,7 +489,8 @@ def solve_forward_batch(
     current = x0
     for a, b in zip(chunk_idx[:-1], chunk_idx[1:]):
         sl = slice(a, b + 1)
-        vals, its, res, b_ok = _solve_span(field, ts[sl], ws[sl], current, opts, exponents.q)
+        vals, its, res, b_ok = _solve_span(field, ts[sl], driver.at(ts[sl]), current, opts,
+                                           exponents.q)
         if keep_path:
             values[sl] = vals
         iters.append(its)
@@ -642,6 +644,32 @@ def _gronwall_constant(c: float, p: float) -> float:
     return (4.0 ** p) * (c ** p) * _LN2
 
 
+def _anchor_integrals(y: SampledPath, w: SampledPath, anchor_idx: np.ndarray):
+    """int y du and the d x m matrix integral int y dw (an outer product, not
+    _pair_terms) by the solver's rules on y's grid: _running_sum(terms) at the
+    rows anchor_idx.  The terms are built _GRONWALL_BLOCK steps at a time; each
+    block's cumsum starts from the last partial sums before it, prepended as its
+    first row, so it adds left to right as one cumsum does, bit for bit."""
+    ts, x = y.times, y.values
+    sums = [np.zeros((len(anchor_idx),) + x.shape[1:]),
+            np.zeros((len(anchor_idx),) + x.shape[1:] + w.value_shape)]
+    last = None  # no zero row before the first block: 0.0 + -0.0 is 0.0
+    for a in range(0, len(ts) - 1, _GRONWALL_BLOCK):
+        b = min(a + _GRONWALL_BLOCK, len(ts) - 1)
+        dw = np.diff(w.at(ts[a : b + 1]), axis=0)
+        terms = [_RULES["midpoint"](x[a : b + 1]) * np.diff(ts[a : b + 1])[:, None],
+                 x[a:b][:, :, None] * dw[:, None, :]]
+        if last is not None:
+            terms = [np.concatenate([c[None], t]) for c, t in zip(last, terms)]
+        # the running sums at rows a + 1, ..., b
+        part = [np.cumsum(t, axis=0)[-(b - a) :] for t in terms]
+        rows = (anchor_idx > a) & (anchor_idx <= b)
+        for out, c in zip(sums, part):
+            out[rows] = c[anchor_idx[rows] - a - 1]
+        last = [c[-1] for c in part]
+    return sums
+
+
 def gronwall_certificate(
     gin: GronwallInput,
     driver: SampledPath,
@@ -688,12 +716,7 @@ def gronwall_certificate(
     w_on_y = SampledPath(y_coarse.times, w_sub.at(y_coarse.times))
 
     if variant == "increment":
-        # cumulative integrals of y on its own grid (same rules as the solver),
-        # kept at the anchors only; int y dw is the d x m matrix integral of the
-        # hypothesis, an outer product that _pair_terms does not define
-        cum_du = _running_sum(_RULES["midpoint"](y.values) * np.diff(ts)[:, None])[anchor_idx]
-        dwy = np.diff(w_sub.at(ts), axis=0)
-        cum_dw = _running_sum(y.values[:-1][:, :, None] * dwy[:, None, :])[anchor_idx]
+        cum_du, cum_dw = _anchor_integrals(y, w_sub, anchor_idx)
 
     omega_y = ControlFunction.from_p_variation(y_coarse, q)
     omega_w = ControlFunction.from_p_variation(w_on_y, p)
@@ -734,7 +757,8 @@ def gronwall_certificate(
         conclusion_ok, worst_margin = True, math.inf
 
     # sup-norm consequence via the unit-exponent greedy count (increment form)
-    sup_y = float(np.max(np.linalg.norm(y.values, axis=1)))
+    sup_y = max(float(np.max(np.linalg.norm(y.values[a : a + _GRONWALL_BLOCK], axis=1)))
+                for a in range(0, n, _GRONWALL_BLOCK))
     N = 0
     induction_ok = True
     log_sup_rhs = math.inf

@@ -119,6 +119,23 @@ def test_verify_malformed_seeds_exit_2_naming_the_flag(tmp_path, capsys, seeds):
     assert not (tmp_path / "v").exists()
 
 
+def test_verify_repeated_seeds_exit_2_before_any_output(tmp_path, capsys):
+    rc = main(["verify", "--seeds", "0,0", "--out", str(tmp_path / "v")])
+    assert rc == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+def test_config_repeated_seeds_exit_2_naming_the_key(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seeds"):
+        run_config({"scenario": "zero", "seeds": [0, 0]}, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "zero", "seeds": [1, 0, 1]}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert "seeds" in capsys.readouterr().err
+
+
 def test_verify_reports_a_failed_gronwall_hypothesis(tmp_path, monkeypatch):
     # with a2 = 0 the Gronwall hypothesis cannot hold for flow-linear's noise
     # term; the fBm scenario keeps its own field and certifies
@@ -279,6 +296,23 @@ def test_flow_check_without_probes_is_a_library_error(capsys):
     rc = main(["flow-check", "--scenario", "zero", "--probes", "0"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_flow_check_negative_probes_is_a_config_error(capsys):
+    rc = main(["flow-check", "--scenario", "zero", "--probes", "-1"])
+    assert rc == 2
+    assert "--probes" in capsys.readouterr().err
+
+
+def test_path_csv_writes_the_whole_path_stack_block_by_block(tmp_path, monkeypatch):
+    n = 2 * _CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    path = SampledPath(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.standard_normal((n, 2)))
+    dest = tmp_path / "p.csv"
+    path_to_csv(path, dest)
+    data = np.column_stack([path.times, path.values])
+    expected = "t,x1,x2\n" + "".join(",".join(map(repr, r)) + "\n" for r in data.tolist())
+    assert dest.read_bytes() == expected.encode("utf-8")
 
 
 def test_path_csv_bytes(tmp_path):

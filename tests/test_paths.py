@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,25 @@ def test_path_validation():
         SampledPath([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(DataError):
         SampledPath([0.0, 1.0], [0.0, np.nan])
+
+
+def test_at_on_a_long_path_copies_no_samples():
+    n = 400_001
+    times = np.linspace(0.0, 2.0, n)
+    values = np.sin(np.linspace(0.0, 40.0, n))
+    path = SampledPath(times, values)
+    assert not (path.times.flags.writeable or path.values.flags.writeable or times.flags.writeable)
+    tracemalloc.start()
+    try:
+        got = path.at(0.7654321)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    expected = np.interp(0.7654321, times.copy(), values.copy())
+    assert got.shape == (1,) and got[0] == expected
+    # a time within the tolerance outside the domain reads the end value
+    assert path.at([-1e-13, 2.0 + 1e-13]).tolist() == [[values[0]], [values[-1]]]
 
 
 def test_pvar_trivial_cases():

@@ -26,7 +26,10 @@ from youngflow import (
     solve_interval,
 )
 from youngflow.errors import DataError, SolveError
-from youngflow.solver import _chunk_boundaries, _picard_slice, solve_forward_batch
+from youngflow import solver
+from youngflow.paths import thin_indices
+from youngflow.solver import _anchor_integrals, _chunk_boundaries, _picard_slice, solve_forward_batch
+from youngflow.young import _RULES, _running_sum
 
 
 def _sine(n=2001, t1=2.0, amp=1.0, freq=1.0):
@@ -335,6 +338,23 @@ def test_fixed_point_residuals_within_tol(scenario_run):
         rep = scenario_run(name).report
         assert all(r <= 1e-10 for r in rep.fixed_point_residuals)
         assert rep.ball_ok
+
+
+def test_gronwall_anchor_integrals_blockwise_equal_one_cumsum(monkeypatch):
+    monkeypatch.setattr(solver, "_GRONWALL_BLOCK", 7)
+    rng = np.random.default_rng(11)
+    n = 60
+    ts = np.cumsum(rng.uniform(0.01, 0.1, n))
+    y = SampledPath(ts, np.cumsum(rng.standard_normal((n, 2)), axis=0))
+    w_times = np.linspace(ts[0], ts[-1], 45)
+    w = SampledPath(w_times, np.cumsum(rng.standard_normal((45, 3)), axis=0))
+    anchor_idx = np.unique(np.concatenate([thin_indices(n, 10), [6, 7, 8, 14, 15, 57]]))
+    cum_du, cum_dw = _anchor_integrals(y, w, anchor_idx)
+    du = _running_sum(_RULES["midpoint"](y.values) * np.diff(ts)[:, None])[anchor_idx]
+    dwy = np.diff(w.at(ts), axis=0)
+    dw = _running_sum(y.values[:-1][:, :, None] * dwy[:, None, :])[anchor_idx]
+    assert cum_du.shape == du.shape and cum_du.tobytes() == du.tobytes()
+    assert cum_dw.shape == dw.shape and cum_dw.tobytes() == dw.tobytes()
 
 
 def test_gronwall_certificate_trivial_constant():
