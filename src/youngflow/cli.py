@@ -195,9 +195,23 @@ def _scenario_from_config(cfg: dict) -> Scenario:
     )
 
 
-def _run_one_seed(scenario: Scenario, seed: int, opts_override, flow_probe: bool, out_dir: Path):
-    run = run_scenario_object(scenario, seed=seed, opts=opts_override)
-    report = run.report
+# the summary row of a seed whose solve raised SolveError, less its seed
+_ERROR_ROW = {
+    "greedy_interval_count": 0,
+    "count_bound": 0.0,
+    "max_picard_iters": 0,
+    "max_fixed_point_residual": float("inf"),
+    "gronwall_ok": False,
+    "growth_ok": False,
+    "flow_composition_residual": "",
+}
+
+
+def _run_one_seed(scenario: Scenario, seed: int, opts: SolveOptions, out_dir: Path):
+    """Solve one seed and write its artifacts under out_dir/seed_<seed>;
+    returns its summary row and whether every certificate holds."""
+    run = run_scenario_object(scenario, seed=seed, opts=opts)
+    report, exps = run.report, run.exponents
     seed_dir = out_dir / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     yio.path_to_csv(report.solution, seed_dir / "solution.csv")
@@ -205,31 +219,23 @@ def _run_one_seed(scenario: Scenario, seed: int, opts_override, flow_probe: bool
     yio.write_json(report.greedy.to_json(), seed_dir / "greedy.json")
     yio.write_json([c.to_json() for c in report.certificates], seed_dir / "certificates.json")
 
-    exps = run.exponents
     var = p_variation(run.driver, exps.p, (report.t0, report.T))
     bound = counting_bound(report.T - report.t0, var, exps.alpha, report.mu, exps.p_prime)
-    gron = report.certificate("gronwall")
-    grow = report.certificate("growth")
-    all_ok = all(c.ok for c in report.certificates)
-    comp_res = ""
-    if flow_probe:
-        s, u, t = scenario.flow_triple
-        x = np.atleast_1d(scenario.x0)
-        X = lambda a, b, v: cauchy_operator(
-            run.field, run.driver, a, b, v, opts=opts_override or scenario.opts, exponents=exps
-        )
-        comp_res = float(np.linalg.norm(X(u, t, X(s, u, x)) - X(s, t, x)))
-    return {
+    s, u, t = scenario.flow_triple
+    x = np.atleast_1d(scenario.x0)
+    X = lambda a, b, v: cauchy_operator(run.field, run.driver, a, b, v, opts=opts, exponents=exps)
+    gron, grow = report.certificate("gronwall"), report.certificate("growth")
+    row = {
         "seed": seed,
         "greedy_interval_count": report.greedy.n_full(),
         "count_bound": bound,
         "max_picard_iters": report.max_iters,
         "max_fixed_point_residual": report.max_residual,
-        "gronwall_ok": bool(gron.ok) if gron else False,
-        "growth_ok": bool(grow.ok) if grow else False,
-        "flow_composition_residual": comp_res,
-        "_all_certificates_ok": bool(all_ok),
+        "gronwall_ok": bool(gron and gron.ok),
+        "growth_ok": bool(grow and grow.ok),
+        "flow_composition_residual": float(np.linalg.norm(X(u, t, X(s, u, x)) - X(s, t, x))),
     }
+    return row, all(c.ok for c in report.certificates)
 
 
 def run_config(cfg: dict, out_dir: Path) -> bool:
@@ -241,41 +247,30 @@ def run_config(cfg: dict, out_dir: Path) -> bool:
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"config key 'seeds': repeated seeds in {seeds}")
     opts = _solve_options(cfg, scenario.opts)
-    flow_probe = bool(cfg.get("flow_probe", True))
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(seed: int):
+    rows, all_ok = [], True
+    for seed in sorted(seeds):
         try:
-            return _run_one_seed(scenario, seed, opts, flow_probe, out_dir)
+            row, ok = _run_one_seed(scenario, seed, opts, out_dir)
         except SolveError as exc:
-            return {
-                "seed": seed,
-                "greedy_interval_count": 0,
-                "count_bound": 0.0,
-                "max_picard_iters": 0,
-                "max_fixed_point_residual": float("inf"),
-                "gronwall_ok": False,
-                "growth_ok": False,
-                "flow_composition_residual": "",
-                "_all_certificates_ok": False,
-                "_error": str(exc),
-            }
-
-    rows = sorted((one(s) for s in seeds), key=lambda r: r["seed"])
-    failures = []
-    for row in rows:
-        if "_error" in row:
-            failures.append(row)
-            yio.write_json(
-                {"seed": row["seed"], "error": row.pop("_error")},
-                out_dir / f"seed_{row['seed']}_error.json",
-            )
+            row, ok = {"seed": seed, **_ERROR_ROW}, False
+            yio.write_json({"seed": seed, "error": str(exc)}, out_dir / f"seed_{seed}_error.json")
+        rows.append(row)
+        all_ok = all_ok and ok
     yio.write_csv_table(rows, SUMMARY_COLUMNS, out_dir / "summary.csv")
-    return all(r.pop("_all_certificates_ok", False) for r in rows) and not failures
+    return all_ok
 
 
 # ----------------------------------------------------------------------
 # subcommand handlers
+
+
+def _write_out(args, payload, name: str) -> None:
+    """Write payload as JSON to <--out>/name when --out is given."""
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        yio.write_json(payload, out / name)
 
 
 def _cmd_pvar(args) -> int:
@@ -283,13 +278,8 @@ def _cmd_pvar(args) -> int:
     window = _parse_window(args.window) if args.window else None
     value = p_variation(path, args.p, window)
     print(repr(value))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        yio.write_json(
-            {"p": args.p, "value": value, "window": list(window) if window else None},
-            out / "pvar.json",
-        )
+    _write_out(args, {"p": args.p, "value": value, "window": list(window) if window else None},
+               "pvar.json")
     return 0
 
 
@@ -300,20 +290,15 @@ def _cmd_integrate(args) -> int:
     constants = YoungConstants(args.p, args.q if args.q else args.p)
     result = young_integral(integrand, driver, window, constants=constants)
     cert = young_loeve_check(integrand, driver, window, constants=constants)
-    print(repr([float(v) for v in result.value]))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        yio.write_json(
-            {
-                "value": [float(v) for v in result.value],
-                "partition_size": result.partition_size,
-                "defect_bound": result.defect_bound,
-                "converged": bool(result.converged),
-                "certificate": cert.to_json(),
-            },
-            out / "integral.json",
-        )
+    value = [float(v) for v in result.value]
+    print(repr(value))
+    _write_out(args, {
+        "value": value,
+        "partition_size": result.partition_size,
+        "defect_bound": result.defect_bound,
+        "converged": bool(result.converged),
+        "certificate": cert.to_json(),
+    }, "integral.json")
     return 0
 
 
@@ -326,10 +311,7 @@ def _cmd_greedy(args) -> int:
     seq = greedy_sequence(driver, window[0], window[1], args.lam, args.mu, args.p)
     payload = seq.to_json()
     print(json.dumps(payload))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        yio.write_json(payload, out / "greedy.json")
+    _write_out(args, payload, "greedy.json")
     return 0
 
 
@@ -337,24 +319,14 @@ def _cmd_solve(args) -> int:
     if args.config:
         cfg = _load_config(args.config)
         out_dir = Path(args.out or cfg.get("out_dir", "youngflow-out"))
-        ok = run_config(cfg, out_dir)
-        return 0 if ok else 1
+        return 0 if run_config(cfg, out_dir) else 1
     if args.scenario:
-        run = run_scenario(args.scenario, seed=args.seed)
-        report = run.report
+        report = run_scenario(args.scenario, seed=args.seed).report
     else:
         if not (args.input and args.field and args.window and args.x0 is not None):
-            print(
-                "solve needs --config, --scenario, or --input/--field/--window/--x0",
-                file=sys.stderr,
-            )
-            return 2
+            raise ConfigError("solve needs --config, --scenario, or --input/--field/--window/--x0")
         driver = yio.path_from_csv(args.input)
-        factory = BUILTIN_FIELDS.get(args.field)
-        if factory is None:
-            print(f"unknown field {args.field!r}", file=sys.stderr)
-            return 2
-        field = factory()
+        field = BUILTIN_FIELDS[args.field]()
         t0, T = _parse_window(args.window)
         exps = select_exponents(args.p, field.alpha, field.beta, field.delta)
         if args.backward:
@@ -382,26 +354,22 @@ def _cmd_solve(args) -> int:
 def _cmd_flow_check(args) -> int:
     if args.probes < 0:
         raise ConfigError(f"--probes must be >= 0, got {args.probes}")
-    name = args.scenario or "flow-linear"
-    scenario = SCENARIOS[name]
-    run = run_scenario(name, seed=args.seed, certify=False)
+    scenario = SCENARIOS[args.scenario or "flow-linear"]
+    field = scenario.make_field()
     rng = np.random.default_rng(args.seed or 0)
-    probes = rng.uniform(-1.5, 1.5, (args.probes, run.field.dim_d))
+    probes = rng.uniform(-1.5, 1.5, (args.probes, field.dim_d))
     rep = flow_axiom_check(
-        run.field,
-        run.driver,
+        field,
+        scenario.make_driver(args.seed),
         scenario.flow_triple,
         probes,
         tol=args.tol,
         opts=scenario.opts,
-        exponents=run.exponents,
+        exponents=scenario.exponents(),
     )
     payload = rep.to_json()
     print(json.dumps(payload))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        yio.write_json(payload, out / "flow_check.json")
+    _write_out(args, payload, "flow_check.json")
     return 0 if rep.ok else 1
 
 
@@ -439,26 +407,17 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"--seeds: repeated seeds in {args.seeds!r}")
     out_dir = Path(args.out or "youngflow-verify")
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_ok = True
-    combined = []
-    plan = []
-    for name in DETERMINISTIC_BUNDLE:
-        cfg = {"scenario": name, "seeds": [0]}
-        cfg.update(VERIFY_OVERRIDES.get(name, {}))
-        plan.append(cfg)
+    plan = [{"scenario": name, "seeds": [0], **VERIFY_OVERRIDES.get(name, {})}
+            for name in DETERMINISTIC_BUNDLE]
     plan.append({"scenario": "fbm-linear", "seeds": seeds})
     yio.write_json({"runs": plan}, out_dir / "verify_config.json")
+    all_ok = True
+    lines = ["scenario," + ",".join(SUMMARY_COLUMNS)]
     for cfg in plan:
         name = cfg["scenario"]
-        sub = out_dir / name
-        ok = run_config(cfg, sub)
-        all_ok = all_ok and ok
-        text = (sub / "summary.csv").read_text(encoding="utf-8").splitlines()
-        for line in text[1:]:
-            combined.append({"scenario": name, "row": line})
-    lines = ["scenario," + ",".join(SUMMARY_COLUMNS)]
-    for item in combined:
-        lines.append(f"{item['scenario']},{item['row']}")
+        all_ok = run_config(cfg, out_dir / name) and all_ok
+        summary = (out_dir / name / "summary.csv").read_text(encoding="utf-8")
+        lines += [f"{name},{row}" for row in summary.splitlines()[1:]]
     (out_dir / "verify_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"verify: {'ok' if all_ok else 'FAILURES'} -> {out_dir / 'verify_summary.csv'}")
     return 0 if all_ok else 1
@@ -490,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="p-variation analysis, Young integration and Young-equation solving",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
 
     sp = sub.add_parser("pvar", help="p-variation of a CSV path")
     sp.add_argument("--input", required=True)
@@ -499,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_pvar)
-    subparsers.append(sp)
 
     sp = sub.add_parser("integrate", help="Young integral of two CSV paths")
     sp.add_argument("--input", required=True, help="integrand CSV")
@@ -509,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_integrate)
-    subparsers.append(sp)
 
     sp = sub.add_parser("greedy", help="greedy-time sequence of a CSV driver")
     sp.add_argument("--input", required=True)
@@ -519,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_greedy)
-    subparsers.append(sp)
 
     sp = sub.add_parser("solve", help="forward/backward solve (scenario, config, or CSV driver)")
     sp.add_argument("--config", default=None)
@@ -534,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_solve)
-    subparsers.append(sp)
 
     sp = sub.add_parser("flow-check", help="two-parameter flow axiom residuals")
     sp.add_argument("--scenario", default=None, choices=sorted(SCENARIOS))
@@ -543,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_flow_check)
-    subparsers.append(sp)
 
     sp = sub.add_parser("fbm", help="generate a fractional Brownian driver")
     sp.add_argument("--hurst", type=float, required=True)
@@ -552,14 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_fbm)
-    subparsers.append(sp)
 
     sp = sub.add_parser("verify", help="run the bundled certificate suite")
     sp.add_argument("--out", default=None)
     sp.add_argument("--seeds", default=None, help="comma-separated fBm seeds")
     sp.set_defaults(func=_cmd_verify)
-    subparsers.append(sp)
-    for sub_parser in subparsers:
+    for sub_parser in sub.choices.values():
         _ensure_common_flags(sub_parser)
     return parser
 

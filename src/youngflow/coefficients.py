@@ -40,6 +40,9 @@ from .paths import (
 )
 from .young import Certificate, YoungConstants
 
+# slack of the composed-path certificates' comparisons
+_CERT_TOL = 1e-10
+
 
 def _as_const_fn(value: Union[float, Callable[[float], float]]) -> Callable[[float], float]:
     if callable(value):
@@ -483,7 +486,6 @@ def composed_variation_bound(
     x: SampledPath,
     window: WindowLike,
     exponents: ExponentSet,
-    tol: float = 1e-10,
 ) -> Certificate:
     """Certify |||g(., x_.)|||_{q0-var} <= M (1 + |||x|||_{q-var}) on the window."""
     window = as_interval(window) or x.domain
@@ -501,7 +503,7 @@ def composed_variation_bound(
         name="composed_variation",
         lhs=float(lhs),
         rhs=float(rhs),
-        ok=bool(lhs <= rhs + tol and growth_gap <= tol),
+        ok=bool(lhs <= rhs + _CERT_TOL and growth_gap <= _CERT_TOL),
         window=(window.lo, window.hi),
         extra={"M": cons.M, "growth_gap": growth_gap},
     )
@@ -513,9 +515,7 @@ def composed_difference_bound(
     y: SampledPath,
     window: WindowLike,
     exponents: ExponentSet,
-    N: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
-    tol: float = 1e-10,
 ) -> Certificate:
     """Certify the q0-variation bound for g(., x_.) - g(., y_.).
 
@@ -529,8 +529,7 @@ def composed_difference_bound(
     grid = xs.times
     yv = y.at(grid)
     xv = xs.values
-    if N is None:
-        N = float(max(np.max(np.linalg.norm(xv, axis=1)), np.max(np.linalg.norm(yv, axis=1))))
+    N = float(max(np.max(np.linalg.norm(xv, axis=1)), np.max(np.linalg.norm(yv, axis=1))))
     cons = derived_constants(field, window.lo, window.hi, exponents.K0)
     gx_path = SampledPath(grid, field.eval_g(grid, xv))
     gy_path = SampledPath(grid, field.eval_g(grid, yv))
@@ -575,7 +574,7 @@ def composed_difference_bound(
         name="composed_difference",
         lhs=float(lhs),
         rhs=float(rhs),
-        ok=bool(lhs <= rhs + tol and fp_gap <= tol),
+        ok=bool(lhs <= rhs + _CERT_TOL and fp_gap <= _CERT_TOL),
         window=(window.lo, window.hi),
         extra={"M_prime": Mp, "four_point_gap": float(fp_gap), "N": N},
     )

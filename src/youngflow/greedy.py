@@ -129,6 +129,11 @@ class GreedySequence:
         }
 
 
+def _check_budget(lam: float, mu: float, p: float) -> None:
+    if lam <= 0 or mu <= 0 or p < 1:
+        raise ParameterError("greedy parameters need lambda > 0, mu > 0 and p >= 1")
+
+
 def _next_greedy(
     driver: SampledPath,
     start: float,
@@ -138,8 +143,7 @@ def _next_greedy(
     end: Optional[float] = None,
 ):
     """Root of the budget equation from `start`; returns (time, residual, clamped)."""
-    if lam <= 0 or mu <= 0 or p < 1:
-        raise ParameterError("greedy parameters need lambda > 0, mu > 0 and p >= 1")
+    _check_budget(lam, mu, p)
     dom = driver.domain
     if end is None:
         end = dom.hi
@@ -235,21 +239,30 @@ def greedy_sequence(
         raise DomainError("greedy window outside driver domain")
     if start >= end:
         raise ParameterError("greedy sequence needs start < end")
+    _check_budget(lam, mu, p)
+    # the 1-variation of the samples that cover the window bounds the
+    # p-variation from above, so the counting bound on it caps the full
+    # intervals; one step more is the clamped last one, one more is slack
+    i0 = max(int(np.searchsorted(driver.times, start, side="right")) - 1, 0)
+    i1 = int(np.searchsorted(driver.times, end)) + 1
+    var = float(np.linalg.norm(np.diff(driver._flat_values()[i0:i1], axis=0), axis=1).sum())
+    with np.errstate(all="ignore"):  # a bound past float range caps nothing
+        max_steps = counting_bound(end - start, var, lam, mu, np.float64(max(p, 1.0 / lam))) + 2
     span_tol = _TIME_TOL * max(1.0, abs(start) + abs(end))
     times = [float(start)]
     residuals = []
     clamped = False
-    guard = 0
     t = float(start)
     while t < end - span_tol:
+        if len(residuals) >= max_steps:
+            raise ParameterError(
+                f"greedy sequence took {len(residuals)} steps, past its counting bound"
+            )
         nxt, res, was_clamped = _next_greedy(driver, t, lam, mu, p, end=end)
         times.append(float(nxt))
         residuals.append(float(res))
         clamped = was_clamped
         t = float(nxt)
-        guard += 1
-        if guard > 10_000_000:
-            raise ParameterError("greedy sequence did not terminate")
     if abs(times[-1] - end) <= span_tol:
         times[-1] = float(end)
     return GreedySequence(

@@ -166,7 +166,9 @@ class SampledPath:
 
 def thin_indices(n: int, cap: int, keep: Sequence[int] = ()) -> np.ndarray:
     """At most cap evenly spaced indices into range(n), both ends included, plus keep."""
-    idx = np.linspace(0, n - 1, min(n, cap)).astype(int)
+    idx = np.linspace(0, n - 1, min(n, cap)).astype(int)  # sorted and unique already
+    if len(keep) == 0:
+        return idx
     return np.unique(np.concatenate([idx, np.asarray(keep, dtype=int)]))
 
 
@@ -592,7 +594,6 @@ def dominated_variation_bound(
     p: float,
     controls: Sequence[Tuple[float, ControlFunction]],
     window: WindowLike = None,
-    tol: float = 1e-10,
     max_anchors: int = 32,
 ) -> bool:
     """Check |||x|||_{p-var,[s,t]} <= sum_j C_j w_j(s,t)^{1/p} on sampled windows.
@@ -607,6 +608,6 @@ def dominated_variation_bound(
     for s, t in itertools.combinations(ts.tolist(), 2):
         lhs = omega(s, t) ** (1.0 / p)
         rhs = sum(c * w(s, t) ** (1.0 / p) for c, w in controls)
-        if lhs > rhs + tol:
+        if lhs > rhs + 1e-10:
             return False
     return True

@@ -55,6 +55,8 @@ _GROWTH_ANCHORS = 6
 # grid steps per block of the Gronwall certificate's integrals and sup norm
 _GRONWALL_BLOCK = 4096
 _SHRINK_FACTOR = 0.5
+# slack of the Gronwall hypothesis and of its doubling recursion
+_GRONWALL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,6 @@ def apply_F_certificate(
     x: SampledPath,
     exponents: ExponentSet,
     window: WindowLike = None,
-    tol: float = 1e-10,
 ) -> Certificate:
     """Certify |||F(x)|||_q <= M(K+2)(1+||x||_q)((t1-t0)^alpha + |||w|||_p)."""
     sub = x.restrict(window)
@@ -201,7 +202,7 @@ def apply_F_certificate(
         name="solution_map_bound",
         lhs=float(lhs),
         rhs=float(rhs),
-        ok=bool(lhs <= rhs + tol),
+        ok=bool(lhs <= rhs + 1e-10),
         window=(t0, t1),
         extra={"M": cons.M, "K": exponents.K0, "theta": float(theta)},
     )
@@ -675,7 +676,6 @@ def gronwall_certificate(
     driver: SampledPath,
     p: float,
     q: float,
-    tol: float = 1e-8,
     variant: str = "increment",
 ) -> Certificate:
     """Check the Gronwall-type conclusion with C = 4^p c^p ln 2.
@@ -751,7 +751,7 @@ def gronwall_certificate(
             worst_margin = min(worst_margin, log_rhs - _log_safe(var_y))
             if _log_safe(var_y) > log_rhs + 1e-12:
                 conclusion_ok = False
-    hypothesis_ok = hyp_gap <= tol
+    hypothesis_ok = hyp_gap <= _GRONWALL_TOL
     if not hypothesis_ok:
         # the conclusion is claimed only under its hypothesis
         conclusion_ok, worst_margin = True, math.inf
@@ -769,7 +769,7 @@ def gronwall_certificate(
         z_prev = 2.0 * A0 + float(np.linalg.norm(y.at(seq.times[0])))
         for t_next in seq.times[1:]:
             z_next = 2.0 * A0 + float(np.linalg.norm(y.at(float(t_next))))
-            if z_next > 2.0 * z_prev + tol:
+            if z_next > 2.0 * z_prev + _GRONWALL_TOL:
                 induction_ok = False
             z_prev = z_next
     if variant == "increment":

@@ -195,6 +195,22 @@ def test_run_config_solve_error_row(tmp_path):
     assert error["seed"] == 0 and error["error"]
 
 
+def test_error_row_template_plus_seed_names_the_summary_columns():
+    assert ["seed", *cli._ERROR_ROW] == SUMMARY_COLUMNS
+
+
+def test_run_config_writes_every_solve_error_in_seed_order(tmp_path):
+    out = tmp_path / "fail"
+    ok = run_config({"scenario": "linear-sine", "seeds": [1, 0],
+                     "solve": {"picard_max_iters": 1}}, out)
+    assert ok is False
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    for seed in (0, 1):
+        error = json.loads((out / f"seed_{seed}_error.json").read_text())
+        assert error["seed"] == seed and error["error"]
+
+
 def test_run_config_custom_field_and_driver(tmp_path):
     cfg = {
         "name": "custom",
@@ -290,6 +306,15 @@ def test_flow_check_zero(tmp_path, capsys):
     assert payload["ok"] is True
     assert payload["identity_residual"] == 0.0
     assert (tmp_path / "f" / "flow_check.json").exists()
+
+
+def test_flow_check_solves_only_its_transports(monkeypatch, capsys):
+    def whole_solve(*args, **kwargs):
+        raise AssertionError("flow-check ran a scenario's forward solve")
+
+    monkeypatch.setattr("youngflow.scenarios.solve_forward", whole_solve)
+    assert main(["flow-check", "--scenario", "zero", "--probes", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_flow_check_without_probes_is_a_library_error(capsys):

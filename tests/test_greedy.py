@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from youngflow import (
     p_variation_bruteforce,
 )
 from conftest import turning_walks
+from youngflow import greedy
+from youngflow.greedy import counting_bound
 from youngflow.solver import SolveOptions, _build_grid, _chunk_boundaries
 
 
@@ -86,6 +89,23 @@ def test_greedy_rejects_parameters_outside_its_range(lam, mu, p):
     drv = fbm_sample(FbmSpec(hurst=0.75, horizon=1.0, samples=129, seed=0))
     with pytest.raises(ParameterError):
         greedy_sequence(drv, 0.0, 1.0, lam=lam, mu=mu, p=p)
+
+
+def test_greedy_sequence_gives_up_at_its_counting_bound(monkeypatch):
+    # a step that barely moves stands for a wrong budget: the sequence stops
+    # after the counting bound on the unit ramp's 1-variation, plus two steps
+    lam, mu, p = 0.75, 0.5, 1.5
+    cap = math.ceil(counting_bound(1.0, 1.0, lam, mu, max(p, 1.0 / lam))) + 2
+    calls = []
+
+    def crawl(driver, start, lam, mu, p, end=None):
+        calls.append(start)
+        assert len(calls) <= cap, "greedy_sequence stepped past its counting bound"
+        return start + 1e-9, 0.0, False
+
+    monkeypatch.setattr(greedy, "_next_greedy", crawl)
+    with pytest.raises(ParameterError, match="counting bound"):
+        greedy_sequence(_linear_driver(), 0.0, 1.0, lam, mu, p)
 
 
 def test_count_bound_closed_form():

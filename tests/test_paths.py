@@ -406,6 +406,17 @@ def test_pvar_norm_includes_initial_value():
     assert p_variation_norm(path, 1.5) == pytest.approx(4.0, abs=1e-14)
 
 
+def test_thin_indices_without_keep_match_their_unique_sorted_reference():
+    # the cast linspace is sorted and unique already, so thin_indices skips
+    # np.unique when nothing is kept: same values and dtype as through it
+    caps = (1, 2, 3, 5, 25, 32, 400, 512, 699, 4097, 65537, 400_001, 10**9)
+    for n in [*range(700), 2049, 10_001, 65_537, 250_001, 400_001]:
+        for cap in caps:
+            got = paths.thin_indices(n, cap)
+            want = np.unique(np.linspace(0, n - 1, min(n, cap)).astype(int))
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, cap)
+
+
 def test_restrict_interpolates_endpoints():
     path = SampledPath([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
     sub = path.restrict((0.5, 1.5))
