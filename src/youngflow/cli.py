@@ -189,7 +189,6 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         t0=t0,
         T=T,
         x0=x0,
-        opts=SolveOptions(),
         flow_triple=(t0 + 0.15 * span, t0 + 0.5 * span, t0 + 0.85 * span),
         exponent_params=exponent_params,
     )
@@ -392,13 +391,6 @@ def _cmd_fbm(args) -> int:
     return 0
 
 
-VERIFY_OVERRIDES = {
-    "linear-sine": {"solve": {"oversample": 40}},
-    "bounded-smooth": {"solve": {"oversample": 40}},
-    "time-varying": {"solve": {"oversample": 40}},
-}
-
-
 def _cmd_verify(args) -> int:
     seeds = list(range(10)) if args.seeds is None else [
         _as(int, s, "--seeds") for s in args.seeds.split(",")
@@ -407,8 +399,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"--seeds: repeated seeds in {args.seeds!r}")
     out_dir = Path(args.out or "youngflow-verify")
     out_dir.mkdir(parents=True, exist_ok=True)
-    plan = [{"scenario": name, "seeds": [0], **VERIFY_OVERRIDES.get(name, {})}
-            for name in DETERMINISTIC_BUNDLE]
+    plan = [{"scenario": name, "seeds": [0]} for name in DETERMINISTIC_BUNDLE]
     plan.append({"scenario": "fbm-linear", "seeds": seeds})
     yio.write_json({"runs": plan}, out_dir / "verify_config.json")
     all_ok = True

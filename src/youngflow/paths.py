@@ -167,7 +167,7 @@ class SampledPath:
 def thin_indices(n: int, cap: int, keep: Sequence[int] = ()) -> np.ndarray:
     """At most cap evenly spaced indices into range(n), both ends included, plus keep."""
     idx = np.linspace(0, n - 1, min(n, cap)).astype(int)  # sorted and unique already
-    if len(keep) == 0:
+    if len(keep) == 0 or cap >= n:  # idx is every index when cap >= n
         return idx
     return np.unique(np.concatenate([idx, np.asarray(keep, dtype=int)]))
 

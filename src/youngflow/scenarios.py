@@ -44,7 +44,7 @@ class Scenario:
     t0: float
     T: float
     x0: float
-    opts: SolveOptions
+    opts: SolveOptions = SolveOptions()
     closed_form: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     flow_triple: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     include_in_flow: bool = False
@@ -88,7 +88,6 @@ def _scenarios() -> Dict[str, Scenario]:
         t0=0.0,
         T=1.0,
         x0=0.7,
-        opts=SolveOptions(),
         closed_form=lambda ts, x0: np.full((len(ts), 1), x0),
         flow_triple=(0.2, 0.5, 0.8),
         include_in_flow=True,
@@ -101,7 +100,6 @@ def _scenarios() -> Dict[str, Scenario]:
         t0=0.0,
         T=2.0,
         x0=1.0,
-        opts=SolveOptions(),
         closed_form=lambda ts, x0: (x0 * np.exp(-(ts - ts[0])))[:, None],
         flow_triple=(0.3, 1.0, 1.7),
     )
@@ -113,7 +111,6 @@ def _scenarios() -> Dict[str, Scenario]:
         t0=0.0,
         T=2.0,
         x0=1.0,
-        opts=SolveOptions(oversample=350),
         closed_form=lambda ts, x0: (x0 * np.exp(np.sin(ts) - np.sin(ts[0])))[:, None],
         flow_triple=(0.3, 1.0, 1.7),
     )
@@ -125,7 +122,6 @@ def _scenarios() -> Dict[str, Scenario]:
         t0=0.0,
         T=1.5,
         x0=0.4,
-        opts=SolveOptions(oversample=120),
         flow_triple=(0.2, 0.7, 1.3),
     )
     out["time-varying"] = Scenario(
@@ -136,7 +132,6 @@ def _scenarios() -> Dict[str, Scenario]:
         t0=0.0,
         T=1.2,
         x0=0.8,
-        opts=SolveOptions(oversample=120),
         flow_triple=(0.15, 0.6, 1.05),
     )
     out["flow-linear"] = Scenario(
@@ -147,7 +142,6 @@ def _scenarios() -> Dict[str, Scenario]:
         t0=0.0,
         T=2.0,
         x0=1.0,
-        opts=SolveOptions(oversample=16),
         flow_triple=(0.25, 0.9, 1.6),
         include_in_flow=True,
     )
@@ -161,7 +155,6 @@ def _scenarios() -> Dict[str, Scenario]:
         t0=0.0,
         T=1.0,
         x0=1.0,
-        opts=SolveOptions(oversample=4),
         flow_triple=(0.2, 0.5, 0.85),
     )
     return out

@@ -4,8 +4,8 @@ The solution map on an interval anchored at t0 is
 
     F(x)_t = x_{t0} + int_{t0}^t f(s, x_s) ds + int_{t0}^t g(s, x_s) dw_s
 
-(trapezoid rule for the drift, left-rule Riemann-Stieltjes sum for the
-noise term).  On any interval with (t1-t0)^alpha + |||w|||_{p-var} <= mu*
+(the trapezoid rule, young's midpoint rule, for both terms: against the clock
+and against w).  On any interval with (t1-t0)^alpha + |||w|||_{p-var} <= mu*
 and mu* = 1/(2 M (K+2)) the map sends the ball ||x||_{q-var} <= 2|x_{t0}|+1
 into itself, and Picard iteration from the constant path converges; if it
 does not converge within the iteration budget the interval is shrunk and
@@ -151,16 +151,20 @@ def _solution_map_parts(
 
     x has shape (n, B, d); ts and dw are the grid's times and driver steps,
     each repeated B-fold (np.repeat), which the caller builds once per B.
-    The drift is young's midpoint rule against the clock (the trapezoid
-    rule), the noise its left rule against w.  f and g are evaluated over one
-    flattened (n*B, d) axis, so every member's values are those of its own
-    (n, d) evaluation.
+    Both parts take young's midpoint rule, the trapezoid rule: the drift
+    against the clock, the noise against w, which is second order in the
+    step on the driver's piecewise-linear interpolant.  f and g are evaluated
+    over one flattened (n*B, d) axis, so every member's values are those of
+    its own (n, d) evaluation.
     """
     n, B, d = x.shape
-    f_vals = field.eval_f(ts, x.reshape(n * B, d)).reshape(n, B, d)
+    flat = x.reshape(n * B, d)
+    f_vals = field.eval_f(ts, flat).reshape(n, B, d)
     drift = _running_sum(_RULES["midpoint"](f_vals) * dt[:, None, None])
-    g_vals = field.eval_g(ts[:-B], x[:-1].reshape((n - 1) * B, d))
-    young = _running_sum(_pair_terms(g_vals, dw).reshape(n - 1, B, d))
+    g_vals = field.eval_g(ts, flat)
+    shape = g_vals.shape[1:]
+    g_mid = _RULES["midpoint"](g_vals.reshape((n, B) + shape)).reshape(((n - 1) * B,) + shape)
+    young = _running_sum(_pair_terms(g_mid, dw).reshape(n - 1, B, d))
     return drift, young
 
 
@@ -647,10 +651,11 @@ def _gronwall_constant(c: float, p: float) -> float:
 
 def _anchor_integrals(y: SampledPath, w: SampledPath, anchor_idx: np.ndarray):
     """int y du and the d x m matrix integral int y dw (an outer product, not
-    _pair_terms) by the solver's rules on y's grid: _running_sum(terms) at the
-    rows anchor_idx.  The terms are built _GRONWALL_BLOCK steps at a time; each
-    block's cumsum starts from the last partial sums before it, prepended as its
-    first row, so it adds left to right as one cumsum does, bit for bit."""
+    _pair_terms) by the solver's rule, the midpoint rule for both, on y's
+    grid: _running_sum(terms) at the rows anchor_idx.  The terms are built
+    _GRONWALL_BLOCK steps at a time; each block's cumsum starts from the last
+    partial sums before it, prepended as its first row, so it adds left to
+    right as one cumsum does, bit for bit."""
     ts, x = y.times, y.values
     sums = [np.zeros((len(anchor_idx),) + x.shape[1:]),
             np.zeros((len(anchor_idx),) + x.shape[1:] + w.value_shape)]
@@ -658,8 +663,8 @@ def _anchor_integrals(y: SampledPath, w: SampledPath, anchor_idx: np.ndarray):
     for a in range(0, len(ts) - 1, _GRONWALL_BLOCK):
         b = min(a + _GRONWALL_BLOCK, len(ts) - 1)
         dw = np.diff(w.at(ts[a : b + 1]), axis=0)
-        terms = [_RULES["midpoint"](x[a : b + 1]) * np.diff(ts[a : b + 1])[:, None],
-                 x[a:b][:, :, None] * dw[:, None, :]]
+        mid = _RULES["midpoint"](x[a : b + 1])
+        terms = [mid * np.diff(ts[a : b + 1])[:, None], mid[:, :, None] * dw[:, None, :]]
         if last is not None:
             terms = [np.concatenate([c[None], t]) for c, t in zip(last, terms)]
         # the running sums at rows a + 1, ..., b

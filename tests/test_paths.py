@@ -408,13 +408,19 @@ def test_pvar_norm_includes_initial_value():
 
 def test_thin_indices_without_keep_match_their_unique_sorted_reference():
     # the cast linspace is sorted and unique already, so thin_indices skips
-    # np.unique when nothing is kept: same values and dtype as through it
+    # np.unique when nothing is kept: same values and dtype as through it;
+    # when cap >= n it is every index, so a kept one adds nothing either
     caps = (1, 2, 3, 5, 25, 32, 400, 512, 699, 4097, 65537, 400_001, 10**9)
     for n in [*range(700), 2049, 10_001, 65_537, 250_001, 400_001]:
         for cap in caps:
             got = paths.thin_indices(n, cap)
             want = np.unique(np.linspace(0, n - 1, min(n, cap)).astype(int))
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, cap)
+            if cap == 10**9 and n > 0:  # cap >= n for every n here
+                keep = [n - 1, n // 3, 0, n // 3]
+                got = paths.thin_indices(n, cap, keep)
+                want = np.unique(np.concatenate([want, keep]))
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, cap, keep)
 
 
 def test_restrict_interpolates_endpoints():

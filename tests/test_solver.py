@@ -112,12 +112,38 @@ def test_warm_start_reaches_same_fixed_point():
 def test_warm_start_that_never_converges_raises_solve_error():
     field = _mult_field()
     drv = analytic_driver("sine", {"amp": 50.0}, np.linspace(0.0, 1.0, 201))
-    opts = SolveOptions(picard_max_iters=3)
-    solve_interval(field, drv, 0.0, [1.0], 1.0, opts, EXPS)  # the cold start shrinks
+    solve_interval(field, drv, 0.0, [1.0], 1.0, SolveOptions(), EXPS)  # the cold start shrinks
     warm_path = euler_solve(field, drv, 0.0, [1.0], 1.0, drv.times)
     with pytest.raises(SolveError) as err:
-        solve_interval(field, drv, 0.0, [1.0], 1.0, opts, EXPS, warm_start=warm_path)
+        solve_interval(field, drv, 0.0, [1.0], 1.0, SolveOptions(picard_max_iters=3), EXPS,
+                       warm_start=warm_path)
     assert err.value.window == (0.0, 1.0)
+
+
+def test_shrinking_to_a_two_point_slice_that_never_converges_raises_solve_error():
+    # the trapezoid step is implicit: on a two-point slice with |g_x dw| ~ 0.25
+    # Picard contracts by about 0.125 per iteration, so 3 iterations cannot
+    # reach the tolerance and shrinking stops at the first grid step
+    field = _mult_field()
+    drv = analytic_driver("sine", {"amp": 50.0}, np.linspace(0.0, 1.0, 201))
+    with pytest.raises(SolveError) as err:
+        solve_interval(field, drv, 0.0, [1.0], 1.0, SolveOptions(picard_max_iters=3), EXPS)
+    assert err.value.window == (0.0, 0.005)
+
+
+def test_solution_map_is_second_order_in_the_step():
+    # along the driver's piecewise-linear interpolant dx = x dw is solved by
+    # x0 exp(w_t - w_0) exactly, so the error is the quadrature's alone, and
+    # halving the step quarters it
+    field = _mult_field()
+    drv = analytic_driver("sine", {"amp": 1.0}, np.linspace(0.0, 2.0, 201))
+    errors = []
+    for k in (1, 2, 4):
+        sol = solve_forward(field, drv, 0.0, [1.0], 2.0, opts=SolveOptions(oversample=k),
+                            exponents=EXPS, certify=False).solution
+        exact = np.exp(drv.at(sol.times)[:, 0] - drv.values[0, 0])
+        errors.append(np.max(np.abs(sol.values[:, 0] - exact)))
+    assert errors[0] / errors[1] >= 3.5 and errors[1] / errors[2] >= 3.5, errors
 
 
 def test_picard_slice_reports_non_convergence_in_failed():
@@ -352,7 +378,7 @@ def test_gronwall_anchor_integrals_blockwise_equal_one_cumsum(monkeypatch):
     cum_du, cum_dw = _anchor_integrals(y, w, anchor_idx)
     du = _running_sum(_RULES["midpoint"](y.values) * np.diff(ts)[:, None])[anchor_idx]
     dwy = np.diff(w.at(ts), axis=0)
-    dw = _running_sum(y.values[:-1][:, :, None] * dwy[:, None, :])[anchor_idx]
+    dw = _running_sum(_RULES["midpoint"](y.values)[:, :, None] * dwy[:, None, :])[anchor_idx]
     assert cum_du.shape == du.shape and cum_du.tobytes() == du.tobytes()
     assert cum_dw.shape == dw.shape and cum_dw.tobytes() == dw.tobytes()
 

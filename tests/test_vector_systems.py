@@ -155,8 +155,8 @@ def test_two_channel_additive_exact():
 
 @pytest.mark.parametrize("case", ["scalar-linear", "rotation", "two-channel"])
 def test_solution_map_is_the_young_sum(case):
-    """The drift and noise parts of F are young's midpoint and left-rule
-    running sums, bit for bit."""
+    """The drift and noise parts of F are young's midpoint-rule running sums
+    against the clock and against w, bit for bit."""
     ts = np.linspace(0.0, 1.0, 401)
     if case == "scalar-linear":
         field, w, x0 = linear_field(), SampledPath(ts, 0.5 * np.sin(3 * ts)), [0.7]
@@ -167,7 +167,7 @@ def test_solution_map_is_the_young_sum(case):
         field, x0 = _additive_two_channel_field(), [0.2]
     x = solve_forward(field, w, 0.0, x0, 1.0, exponents=EXPS, certify=False).solution
     fx = apply_F(field, w, x)
-    noise = partial_sums_path(composed_path(field, x), w)
+    noise = partial_sums_path(composed_path(field, x), w, rule="midpoint")
     clock = SampledPath(x.times, x.times)
     drift = partial_sums_path(SampledPath(x.times, field.eval_f(x.times, x.values)), clock,
                               rule="midpoint")
