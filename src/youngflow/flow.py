@@ -18,11 +18,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .coefficients import CoefficientField, ExponentSet, derived_constants
-from .errors import ParameterError
-from .paths import (_TIME_TOL, SampledPath, WindowLike, as_interval, p_variation,
-                    p_variation_norm, subsample)
-from .solver import (_COARSE_CAP, _SEWING_CAP, SolveOptions, _gronwall_constant,
-                     reversed_problem, solve_forward_batch)
+from .errors import ParameterError, PreconditionError
+from .paths import _TIME_TOL, SampledPath, WindowLike, as_interval, p_variation, p_variation_norm
+from .solver import SolveOptions, _gronwall_constant, reversed_problem, solve_forward_batch
 from .young import Certificate
 
 
@@ -155,11 +153,11 @@ def difference_growth_log_constant(
     C_z = 4^p c_z^p ln 2.  Returns log of that factor (it can overflow).
     """
     window = as_interval(window)
-    w_c = subsample(driver.restrict(window), _COARSE_CAP)
     cons = derived_constants(field, window.lo, window.hi, exponents.K0)
     c_z = cons.M_prime(N0) * (exponents.K0 + 1.0) * (2.0 + 2.0 * N0 ** exponents.delta)
     C_z = _gronwall_constant(c_z, exponents.p)
-    theta = (window.hi - window.lo) ** exponents.p + p_variation(w_c, exponents.p) ** exponents.p
+    theta = (window.hi - window.lo) ** exponents.p + p_variation(driver, exponents.p, window,
+                                                                 power=True)
     return float(np.logaddexp(0.0, C_z * theta))
 
 
@@ -189,15 +187,15 @@ def non_intersection_check(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     x0p = np.atleast_1d(np.asarray(x0_prime, dtype=float))
     if np.allclose(x0, x0p):
-        raise ValueError("non_intersection_check needs distinct initial states")
+        raise PreconditionError("non_intersection_check needs distinct initial states")
     both = solve_forward_batch(field, driver, window.lo, np.stack([x0, x0p]), window.hi,
                                opts, exponents)
     sep = np.linalg.norm(both.values[:, 0] - both.values[:, 1], axis=1)
     min_sep = float(np.min(sep))
     argmin_t = float(both.times[int(np.argmin(sep))])
 
-    N0 = max(p_variation_norm(subsample(SampledPath(both.times, both.values[:, b]), _SEWING_CAP),
-                              exponents.q) for b in (0, 1))
+    N0 = max(p_variation_norm(SampledPath(both.times, both.values[:, b]), exponents.q)
+             for b in (0, 1))
     log_C = difference_growth_log_constant(field, driver, exponents, window, N0)
     log_floor = math.log(float(np.linalg.norm(x0 - x0p))) - log_C
     floor = math.exp(max(log_floor, -700.0))

@@ -130,7 +130,7 @@ class GreedySequence:
 
 
 def _check_budget(lam: float, mu: float, p: float) -> None:
-    if lam <= 0 or mu <= 0 or p < 1:
+    if not (lam > 0 and mu > 0 and p >= 1):  # NaN fails; mu = inf is a legal budget
         raise ParameterError("greedy parameters need lambda > 0, mu > 0 and p >= 1")
 
 

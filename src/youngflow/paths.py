@@ -16,9 +16,9 @@ lists every step's candidates, one numpy call rounds all the block's legs
 |x_i - x_j|^p (_leg_powers, the one place a leg is rounded), and each step
 in order takes its max of V_i + leg, in numpy or in Python floats, which
 round alike.  So V is bit-equal to the one-step-at-a-time DP.
-ControlFunction.from_p_variation runs the DP once per left end s, over
-[s, path end], and reads each window [s, t] off that row with one last DP
-step from the cut's sample count and end value.
+ControlFunction.from_p_variation runs the DP once per path, p and left end
+s, over [s, path end], and reads each window [s, t] off that row with one
+last DP step from the cut's sample count and end value.
 """
 
 from __future__ import annotations
@@ -134,6 +134,12 @@ class SampledPath:
         """The contiguous flat value columns np.interp reads; views of _fp if scalar."""
         return [np.ascontiguousarray(c) for c in self._fp.reshape(len(self.times), -1).T]
 
+    @cached_property
+    def _dp_rows(self) -> dict:
+        """ControlFunction.from_p_variation's DP rows of this path, by p and
+        left end; arrays only, so every control of the path shares them."""
+        return {}
+
     def at(self, t) -> np.ndarray:
         """Linear interpolation at time(s) t in the domain, copying no sample;
         a time within the domain's tolerance outside it reads the end value."""
@@ -164,18 +170,10 @@ class SampledPath:
         return SampledPath((a + b) - self.times[::-1], self.values[::-1])
 
 
-def thin_indices(n: int, cap: int, keep: Sequence[int] = ()) -> np.ndarray:
-    """At most cap evenly spaced indices into range(n), both ends included, plus keep."""
-    idx = np.linspace(0, n - 1, min(n, cap)).astype(int)  # sorted and unique already
-    if len(keep) == 0 or cap >= n:  # idx is every index when cap >= n
-        return idx
-    return np.unique(np.concatenate([idx, np.asarray(keep, dtype=int)]))
-
-
-def subsample(path: SampledPath, cap: int, keep: Sequence[int] = ()) -> SampledPath:
-    """The path on the samples thin_indices(len(path.times), cap, keep)."""
-    idx = thin_indices(len(path.times), cap, keep)
-    return SampledPath(path.times[idx], path.values[idx])
+def thin_indices(n: int, cap: int) -> np.ndarray:
+    """At most cap evenly spaced indices into range(n), both ends included,
+    sorted and unique."""
+    return np.linspace(0, n - 1, min(n, cap)).astype(int)
 
 
 def _covers(path: SampledPath, window: Interval) -> bool:
@@ -541,7 +539,9 @@ class ControlFunction:
         """The control (s, t) -> |||path|||^p_{p-var,[s,t]}, bit-equal to
         p_variation(path, p, (s, t), power=True).
 
-        The row of s, the DP over the samples of [s, path end], runs once.
+        The row of s, the DP over the samples of [s, path end], runs once
+        per path and p: the rows live on the path (SampledPath._dp_rows), so
+        every control of it shares them for the path's lifetime.
         The window's samples, cut by _window_samples as p_variation cuts
         them, are the row's up to the last before t, then a sample or a point
         on the row's next segment.  So the window's DP keeps no point the
@@ -550,7 +550,7 @@ class ControlFunction:
         sample count and end value.  A window that covers the path, a
         two-sample cut and p = 1 take p_variation's own branch.
         """
-        rows = {}
+        rows = path._dp_rows.setdefault(p, {})
 
         def ev(s, t):
             if t - s <= _TIME_TOL:

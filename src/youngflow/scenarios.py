@@ -31,6 +31,7 @@ from .coefficients import (
     time_varying_field,
 )
 from .drivers import FbmSpec, analytic_driver, fbm_sample
+from .errors import ParameterError
 from .paths import SampledPath
 from .solver import SolveOptions, SolveReport, solve_forward
 
@@ -208,7 +209,7 @@ def run_scenario(
 def closed_form_error(run: ScenarioRun) -> float:
     """Max deviation of the solved path from the scenario's closed form."""
     if run.scenario.closed_form is None:
-        raise ValueError(f"scenario {run.scenario.name!r} has no closed form")
+        raise ParameterError(f"scenario {run.scenario.name!r} has no closed form")
     ts = run.report.solution.times
     target = run.scenario.closed_form(ts, run.scenario.x0)
     return float(np.max(np.abs(run.report.solution.values - target)))

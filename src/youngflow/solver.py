@@ -41,15 +41,12 @@ from .paths import (
     merge_times,
     p_variation,
     p_variation_norm,
-    subsample,
     thin_indices,
 )
 from .young import _RULES, Certificate, YoungConstants, _pair_terms, _running_sum, young_loeve_check
 
 _LN2 = math.log(2.0)
-# certificate sampling: points kept per path, and the anchors that pair up windows
-_COARSE_CAP = 512
-_SEWING_CAP = 400
+# the anchors that pair up the certificates' windows
 _GRONWALL_ANCHORS = 10
 _GROWTH_ANCHORS = 6
 # grid steps per block of the Gronwall certificate's integrals and sup norm
@@ -74,10 +71,13 @@ class SolveOptions:
     oversample: int = 1
 
     def __post_init__(self):
-        if self.picard_tol <= 0 or self.picard_max_iters < 1:
-            raise ParameterError("invalid Picard tolerances")
-        if self.oversample < 1 or int(self.oversample) != self.oversample:
-            raise ParameterError("oversample must be a positive integer")
+        # not (...) comparisons, which NaN fails; a count is finite before int()
+        if not self.picard_tol > 0:
+            raise ParameterError("picard_tol must be positive")
+        for name in ("picard_max_iters", "oversample"):
+            v = getattr(self, name)
+            if not (v >= 1 and math.isfinite(v) and int(v) == v):
+                raise ParameterError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -716,15 +716,13 @@ def gronwall_certificate(
     ts = y.times
     n = len(ts)
     anchor_idx = thin_indices(n, _GRONWALL_ANCHORS)
-    y_coarse = subsample(y, _COARSE_CAP, keep=anchor_idx)
     w_sub = driver.restrict((window.lo, window.hi))
-    w_on_y = SampledPath(y_coarse.times, w_sub.at(y_coarse.times))
 
     if variant == "increment":
         cum_du, cum_dw = _anchor_integrals(y, w_sub, anchor_idx)
 
-    omega_y = ControlFunction.from_p_variation(y_coarse, q)
-    omega_w = ControlFunction.from_p_variation(w_on_y, p)
+    omega_y = ControlFunction.from_p_variation(y, q)
+    omega_w = ControlFunction.from_p_variation(w_sub, p)
     hyp_gap = -math.inf
     hyp_pair = None
     conclusion_ok = True
@@ -827,7 +825,6 @@ def build_gronwall_input(
     exps = report.exponents
     p, q = exps.p, exps.q
     y = report.solution
-    w_coarse = subsample(driver.restrict((report.t0, report.T)), _COARSE_CAP)
     horizon = report.T - report.t0
 
     if gd.mode == "linear":
@@ -836,12 +833,12 @@ def build_gronwall_input(
         psi_eff = gd.noise_inhom + Kq * gd.noise_inhom_lip * horizon
         a1, a2 = gd.a1, gd.a2
     else:
-        var_x = p_variation(subsample(y, _COARSE_CAP), q)
+        var_x = p_variation(y, q)
         phi = gd.f_bound
         psi_eff = gd.g_bound + exps.K0 * report.constants.M * (1.0 + var_x)
         a1 = a2 = 0.0
 
-    omega_w = ControlFunction.from_p_variation(w_coarse, p)
+    omega_w = ControlFunction.from_p_variation(driver.restrict((report.t0, report.T)), p)
 
     def A_eval(s, t, _phi=phi, _psi=psi_eff, _q=q, _p=p):
         if t - s <= 0:
@@ -888,9 +885,8 @@ def growth_certificate(
     C2 = _LN2 * (4.0 * c_star) ** p_prime
     log_C1 = _LN2 + C2 * (report.T - report.t0) ** (p_prime * alpha)
 
-    omega_y = ControlFunction.from_p_variation(subsample(report.solution, _COARSE_CAP), q)
-    omega_w = ControlFunction.from_p_variation(
-        subsample(driver.restrict((report.t0, report.T)), _COARSE_CAP), p)
+    omega_y = ControlFunction.from_p_variation(report.solution, q)
+    omega_w = ControlFunction.from_p_variation(driver.restrict((report.t0, report.T)), p)
     x0n = float(np.linalg.norm(report.x0))
 
     ends = np.linspace(report.t0, report.T, _GROWTH_ANCHORS + 1)[1:]
@@ -941,16 +937,17 @@ def standard_certificates(
     field: CoefficientField,
     driver: SampledPath,
 ) -> List[Certificate]:
-    """Gronwall, growth and sewing certificates for a finished solve."""
+    """Gronwall, growth and sewing certificates for a finished solve.
+
+    Each reads the computed solution and the driver on its own samples in
+    [t0, T], one path object, so the certificates share its DP rows."""
     certs = []
     exps = report.exponents
+    driver = driver.restrict((report.t0, report.T))
     if field.gronwall is not None:
         gin = build_gronwall_input(field, report, driver)
         certs.append(gronwall_certificate(gin, driver, exps.p, exps.q))
     certs.append(growth_certificate(report, field, driver))
-
-    y_c = subsample(report.solution, _SEWING_CAP)
-    comp = composed_path(field, y_c)
-    w_on = SampledPath(y_c.times, driver.at(y_c.times))
-    certs.append(young_loeve_check(comp, w_on, constants=exps.young0))
+    comp = composed_path(field, report.solution)
+    certs.append(young_loeve_check(comp, driver, constants=exps.young0))
     return certs

@@ -273,6 +273,17 @@ def test_malformed_config_value_exits_2_naming_its_key(tmp_path, capsys, key, pa
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("solve", [{"oversample": math.inf}, {"oversample": math.nan},
+                                   {"picard_tol": math.nan}, {"picard_max_iters": 2.5}])
+def test_non_finite_or_fractional_solve_option_exits_1(tmp_path, capsys, solve):
+    # Python's json reads and writes Infinity and NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_CUSTOM, "solve": solve}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_run_config_reproducible(tmp_path):
     cfg = {"scenario": "fbm-linear", "seeds": [0, 1], "solve": {"oversample": 2}}
     run_config(cfg, tmp_path / "r1")

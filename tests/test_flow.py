@@ -13,7 +13,7 @@ from youngflow import (
     non_intersection_check,
     select_exponents,
 )
-from youngflow.errors import ParameterError
+from youngflow.errors import ParameterError, PreconditionError
 from test_vector_systems import _rotation_field, _sine_driver
 
 EXPS = select_exponents(4.0 / 3.0, 0.75, 0.75, 1.0)
@@ -147,7 +147,7 @@ def test_non_intersection_reports_a_violated_floor(monkeypatch):
 
 def test_non_intersection_requires_distinct_points():
     field, driver, opts = _mult_setup(501)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         non_intersection_check(field, driver, 0.0, [1.0], [1.0], (0.0, 1.0),
                                opts=opts, exponents=EXPS)
 

@@ -91,6 +91,20 @@ def test_greedy_rejects_parameters_outside_its_range(lam, mu, p):
         greedy_sequence(drv, 0.0, 1.0, lam=lam, mu=mu, p=p)
 
 
+@pytest.mark.parametrize("lam, mu, p", [(math.nan, 0.5, 1.5), (0.75, math.nan, 1.5),
+                                        (0.75, 0.5, math.nan)])
+def test_greedy_rejects_nan_parameters_before_any_step(monkeypatch, lam, mu, p):
+    # every comparison with NaN is false, so a NaN parameter slips past a
+    # `mu <= 0` rejection; its step cap is NaN too and the sequence would
+    # crawl on for ever
+    def step(*args, **kwargs):
+        raise AssertionError("greedy_sequence stepped with a NaN parameter")
+
+    monkeypatch.setattr(greedy, "_next_greedy", step)
+    with pytest.raises(ParameterError):
+        greedy_sequence(_linear_driver(), 0.0, 1.0, lam, mu, p)
+
+
 def test_greedy_sequence_gives_up_at_its_counting_bound(monkeypatch):
     # a step that barely moves stands for a wrong budget: the sequence stops
     # after the counting bound on the unit ramp's 1-variation, plus two steps

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -255,6 +257,40 @@ def test_pvar_control_is_bit_equal_to_windowed_pvar(case, p):
         assert ctrl(s, t) == p_variation(path, p, (s, t), power=True), (s, t)
 
 
+def test_controls_of_one_path_share_its_dp_rows(monkeypatch):
+    # two controls of one path and one p run the DP row of each left end
+    # once between them, read values bit-equal to the windowed p-variation,
+    # and hold no reference that keeps the path alive
+    rng = np.random.default_rng(7)
+    path = random_path(rng, 400)
+    p = 2.5
+    ts = path.times
+    lefts = [float(ts[i]) for i in (0, 17, 150, 301)]
+    windows = [(s, t) for s in lefts for t in (float(ts[-1]) - 1e-3, float(ts[390]), s + 0.2)
+               if t - s > 0.05]
+    want = [p_variation(path, p, w, power=True) for w in windows]
+    rows_run = []
+    real = paths._powers
+
+    def counted(flat, p):
+        rows_run.append(len(flat))
+        return real(flat, p)
+
+    monkeypatch.setattr(paths, "_powers", counted)
+    a = ControlFunction.from_p_variation(path, p)
+    b = ControlFunction.from_p_variation(path, p)
+    got = [c(s, t) for s, t in windows for c in (a, b)]
+    assert len(rows_run) == len(lefts)
+    assert got == [v for v in want for _ in (a, b)]
+    ref = weakref.ref(path)
+    gc.disable()
+    try:
+        del path, a, b
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_pvar_control_rows_keyed_near_the_first_sample():
     # a row keyed by s within tol after the first sample starts at the
     # interpolated value at s, as the window cut does; the whole-path rule of
@@ -407,20 +443,14 @@ def test_pvar_norm_includes_initial_value():
 
 
 def test_thin_indices_without_keep_match_their_unique_sorted_reference():
-    # the cast linspace is sorted and unique already, so thin_indices skips
-    # np.unique when nothing is kept: same values and dtype as through it;
-    # when cap >= n it is every index, so a kept one adds nothing either
+    # the cast linspace is sorted and unique already, so thin_indices needs
+    # no np.unique: same values and dtype as through it
     caps = (1, 2, 3, 5, 25, 32, 400, 512, 699, 4097, 65537, 400_001, 10**9)
     for n in [*range(700), 2049, 10_001, 65_537, 250_001, 400_001]:
         for cap in caps:
             got = paths.thin_indices(n, cap)
             want = np.unique(np.linspace(0, n - 1, min(n, cap)).astype(int))
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, cap)
-            if cap == 10**9 and n > 0:  # cap >= n for every n here
-                keep = [n - 1, n // 3, 0, n // 3]
-                got = paths.thin_indices(n, cap, keep)
-                want = np.unique(np.concatenate([want, keep]))
-                assert got.dtype == want.dtype and np.array_equal(got, want), (n, cap, keep)
 
 
 def test_restrict_interpolates_endpoints():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -478,6 +479,30 @@ def test_growth_certificate_reports_violation():
     assert rep.certificate("growth").ok
 
 
+def test_certificates_read_the_computed_path(scenario_run):
+    # growth and the sewing check read the solution as computed and the
+    # driver on its own samples, not paths thinned to a few hundred points
+    from youngflow import composed_path, p_variation
+
+    run = scenario_run("fbm-linear", 0)
+    rep, exps = run.report, run.exponents
+    sol, window = rep.solution, (rep.t0, rep.T)
+    growth = rep.certificate("growth")
+    x0n = float(np.linalg.norm(rep.x0))
+    assert growth.extra["rows"][-1]["lhs"] == x0n + p_variation(sol, exps.q)
+    bound = (exps.young0.K * p_variation(composed_path(run.field, sol), exps.q0)
+             * p_variation(run.driver, exps.p, window))
+    assert rep.certificate("young_loeve").extra["bound"] == bound
+
+
+def test_closed_form_error_needs_a_closed_form(scenario_run):
+    from youngflow.errors import ParameterError
+    from youngflow.scenarios import closed_form_error
+
+    with pytest.raises(ParameterError, match="no closed form"):
+        closed_form_error(scenario_run("fbm-linear", 0))
+
+
 def test_growth_certificate_monotone_rows(scenario_run):
     run = scenario_run("flow-linear")
     cert = run.report.certificate("growth")
@@ -566,6 +591,14 @@ def test_solve_options_validation():
         SolveOptions(oversample=0)
     with pytest.raises(ParameterError):
         SolveOptions(picard_tol=-1.0)
+    # every comparison with NaN is false, so a `v < 1` rejection lets it in;
+    # int() of NaN or inf raises its own error
+    for key in ("oversample", "picard_max_iters"):
+        for value in (math.inf, math.nan, 2.5):
+            with pytest.raises(ParameterError):
+                SolveOptions(**{key: value})
+    with pytest.raises(ParameterError):
+        SolveOptions(picard_tol=math.nan)
 
 
 def test_misspelled_gronwall_mode_is_rejected():
