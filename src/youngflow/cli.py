@@ -79,6 +79,17 @@ def _as(kind, value, key: str):
         raise ConfigError(f"config key {key!r}: expected a number, got {value!r}") from exc
 
 
+def _as_count(value, key: str) -> int:
+    """value, or the integer a string spells, as a non-negative integer, or a
+    ConfigError naming the key: a bool, a fraction or a negative is none."""
+    if isinstance(value, str):
+        value = _as(int, value, key)
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 0:
+        raise ConfigError(f"config key {key!r}: expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _solve_options(cfg: dict, base: SolveOptions) -> SolveOptions:
     solve_cfg = cfg.get("solve", {})
     if not isinstance(solve_cfg, dict):
@@ -134,7 +145,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
     kind = driver_cfg.get("kind")
     if kind == "fbm":
         hurst = _as(float, driver_cfg.get("hurst", 0.75), "driver.hurst")
-        samples = _as(int, driver_cfg.get("samples", 1025), "driver.samples")
+        samples = _as_count(driver_cfg.get("samples", 1025), "driver.samples")
         horizon = _as(float, driver_cfg.get("horizon", T), "driver.horizon")
         if horizon < T:
             raise ConfigError("config key 'driver.horizon': must cover the window")
@@ -143,7 +154,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
             return fbm_sample(FbmSpec(hurst=_h, horizon=_hor, samples=_n,
                                       seed=0 if seed is None else seed))
     elif kind in ("linear", "sine", "power", "brownian_like"):
-        n = _as(int, driver_cfg.get("n", 1001), "driver.n")
+        n = _as_count(driver_cfg.get("n", 1001), "driver.n")
         dparams = driver_cfg.get("params", {})
         if not isinstance(dparams, dict):
             raise ConfigError("config key 'driver.params': must be an object")
@@ -241,8 +252,9 @@ def run_config(cfg: dict, out_dir: Path) -> bool:
     """Execute one experiment config over its seeds; returns all-certificates-ok."""
     scenario = _scenario_from_config(cfg)
     seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("config key 'seeds': must be a list of integers")
+    # type, not isinstance: a bool is an int
+    if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds):
+        raise ConfigError("config key 'seeds': must be a list of non-negative integers")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"config key 'seeds': repeated seeds in {seeds}")
     opts = _solve_options(cfg, scenario.opts)
@@ -393,7 +405,7 @@ def _cmd_fbm(args) -> int:
 
 def _cmd_verify(args) -> int:
     seeds = list(range(10)) if args.seeds is None else [
-        _as(int, s, "--seeds") for s in args.seeds.split(",")
+        _as_count(s, "--seeds") for s in args.seeds.split(",")
     ]
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"--seeds: repeated seeds in {args.seeds!r}")

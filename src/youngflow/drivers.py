@@ -40,6 +40,8 @@ class FbmSpec:
             raise ParameterError("samples must be an integer")
         if self.samples < 2:
             raise ParameterError("need at least two samples")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def dt(self) -> float:
@@ -120,7 +122,10 @@ def analytic_driver(kind: str, params: dict, grid) -> SampledPath:
             raise ParameterError("power driver needs nonnegative times")
         values = scale * grid ** k
     elif kind == "brownian_like":
-        rng = np.random.default_rng(int(params.get("seed", 0)))
+        seed = int(params.get("seed", 0))
+        if seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {seed}")
+        rng = np.random.default_rng(seed)
         scale = float(params.get("scale", 1.0))
         steps = rng.standard_normal(len(grid) - 1) * np.sqrt(np.diff(grid))
         values = scale * np.concatenate([[0.0], np.cumsum(steps)])

@@ -38,10 +38,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, GreedyExhausted, ParameterError
-from .paths import SampledPath, WindowLike, _endpoint_power, _powers, as_interval, p_variation
+from .paths import _TIME_TOL, SampledPath, WindowLike, _endpoint_power, _powers, as_interval, p_variation
 
 _RESIDUAL_TOL = 1e-8
-_TIME_TOL = 1e-12
 _MAX_BISECT = 200
 # vertices in the first DP row of a greedy step; the row doubles until the
 # budget is spent
@@ -114,9 +113,9 @@ class GreedySequence:
     def n_intervals(self) -> int:
         return len(self.times) - 1
 
-    def n_full(self, tol: float = _RESIDUAL_TOL) -> int:
-        """Number of intervals that satisfy the defining equation exactly."""
-        return int(np.sum(np.abs(self.residuals) <= tol))
+    def n_full(self) -> int:
+        """Number of intervals that satisfy the defining equation, up to _RESIDUAL_TOL."""
+        return int(np.sum(np.abs(self.residuals) <= _RESIDUAL_TOL))
 
     def to_json(self) -> dict:
         return {

@@ -46,14 +46,22 @@ def path_to_csv(path: SampledPath, destination) -> None:
 
 
 def path_from_csv(source) -> SampledPath:
+    """Read a path CSV; a malformed row is a DataError naming its line."""
     text = Path(source).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("t,"):
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("t,"):
         raise DataError(f"{source}: expected header t,x1,...,xd")
-    rows = [ln.split(",") for ln in lines[1:]]
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.shape[1] < 2:
-        raise DataError(f"{source}: need at least one value column")
+    width = lines[0][1].count(",") + 1
+    rows = []
+    for no, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != width:
+            raise DataError(f"{source}: line {no}: expected {width} columns, got {len(cells)}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise DataError(f"{source}: line {no}: {exc}") from exc
+    data = np.array(rows).reshape(len(rows), width)
     return SampledPath(data[:, 0], data[:, 1:])
 
 

@@ -60,8 +60,8 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, t: float, tol: float = _TIME_TOL) -> bool:
-        return self.lo - tol <= t <= self.hi + tol
+    def contains(self, t: float) -> bool:
+        return self.lo - _TIME_TOL <= t <= self.hi + _TIME_TOL
 
 
 WindowLike = Union[Interval, Tuple[float, float], None]
@@ -220,11 +220,12 @@ def _window_samples(path: SampledPath, window: Interval):
     return np.array([a, a + max(tol, 1e-300)]), np.stack([v, v])
 
 
-def merge_times(*time_arrays, tol: float = _TIME_TOL) -> np.ndarray:
-    """Sorted union of sample times, merging points closer than tol."""
+def merge_times(*time_arrays) -> np.ndarray:
+    """Sorted union of sample times, merging points closer than _TIME_TOL
+    times the largest time's magnitude (at least 1)."""
     allt = np.sort(np.concatenate([np.asarray(t, float) for t in time_arrays]))
     scale = max(abs(allt[0]), abs(allt[-1]), 1.0)
-    keep = np.concatenate([[True], np.diff(allt) > tol * scale])
+    keep = np.concatenate([[True], np.diff(allt) > _TIME_TOL * scale])
     return allt[keep]
 
 
@@ -402,10 +403,10 @@ def p_variation(
         If True return the p-th power (the control value) instead of the root.
     """
     window = as_interval(window)
-    if window is not None and not _covers(path, window):
-        values = _window_samples(path, window)[1]
-        return _variation(values.reshape(len(values), -1), p, power)
-    return _variation(path._flat_values(), p, power)
+    if window is None:
+        return _variation(path._flat_values(), p, power)
+    values = _window_samples(path, window)[1]
+    return _variation(values.reshape(len(values), -1), p, power)
 
 
 def p_variation_norm(path: SampledPath, p: float, window: WindowLike = None) -> float:
@@ -453,17 +454,18 @@ def holder_norm(path: SampledPath, alpha: float, window: WindowLike = None) -> f
     return best
 
 
-def concatenate(first: SampledPath, second: SampledPath, tol: float = 1e-12) -> SampledPath:
-    """Join two paths sharing their junction time and value."""
+def concatenate(first: SampledPath, second: SampledPath) -> SampledPath:
+    """Join two paths sharing their junction time and value, up to _TIME_TOL
+    relative to the junction's magnitude (at least 1)."""
     t_gap = abs(first.times[-1] - second.times[0])
-    if t_gap > tol * max(1.0, abs(first.times[-1])):
+    if t_gap > _TIME_TOL * max(1.0, abs(first.times[-1])):
         raise JoinError(
             f"junction times differ: {first.times[-1]} vs {second.times[0]}"
         )
     if first.value_shape != second.value_shape:
         raise JoinError("paths have different value shapes")
     v_gap = np.max(np.abs(first.values[-1] - second.values[0]))
-    if v_gap > tol * max(1.0, float(np.max(np.abs(first.values[-1])))):
+    if v_gap > _TIME_TOL * max(1.0, float(np.max(np.abs(first.values[-1])))):
         raise JoinError(f"junction values differ by {v_gap}")
     times = np.concatenate([first.times, second.times[1:]])
     values = np.concatenate([first.values, second.values[1:]])
@@ -547,18 +549,16 @@ class ControlFunction:
         on the row's next segment.  So the window's DP keeps no point the
         row's does not, with equal powers, and its last step is one exact max
         over the row's kept points before t, which reads only the cut's
-        sample count and end value.  A window that covers the path, a
-        two-sample cut and p = 1 take p_variation's own branch.
+        sample count and end value.  A two-sample cut and p = 1 take
+        p_variation's own branch; every other window, one that covers the
+        path included, is one step off its row.
         """
         rows = path._dp_rows.setdefault(p, {})
 
         def ev(s, t):
             if t - s <= _TIME_TOL:
                 return 0.0
-            window = Interval(s, t)
-            if _covers(path, window):
-                return _variation(path._flat_values(), p, power=True)
-            values = _window_samples(path, window)[1]
+            values = _window_samples(path, Interval(s, t))[1]
             flat = values.reshape(len(values), -1)
             if p == 1.0 or len(flat) <= 2:
                 return _variation(flat, p, power=True)

@@ -48,7 +48,6 @@ class Scenario:
     opts: SolveOptions = SolveOptions()
     closed_form: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     flow_triple: Tuple[float, float, float] = (0.0, 0.0, 0.0)
-    include_in_flow: bool = False
     exponent_params: Optional[Tuple[float, float, float, float]] = None
 
     def make_field(self) -> CoefficientField:
@@ -91,7 +90,6 @@ def _scenarios() -> Dict[str, Scenario]:
         x0=0.7,
         closed_form=lambda ts, x0: np.full((len(ts), 1), x0),
         flow_triple=(0.2, 0.5, 0.8),
-        include_in_flow=True,
     )
     out["pure-drift"] = Scenario(
         name="pure-drift",
@@ -144,7 +142,6 @@ def _scenarios() -> Dict[str, Scenario]:
         T=2.0,
         x0=1.0,
         flow_triple=(0.25, 0.9, 1.6),
-        include_in_flow=True,
     )
     out["fbm-linear"] = Scenario(
         name="fbm-linear",
@@ -172,7 +169,7 @@ DETERMINISTIC_BUNDLE = [
     "flow-linear",
 ]
 
-FLOW_BUNDLE = [name for name in DETERMINISTIC_BUNDLE if SCENARIOS[name].include_in_flow]
+FLOW_BUNDLE = ["zero", "flow-linear"]
 
 
 def run_scenario_object(

@@ -111,12 +111,33 @@ def test_bad_seeds_config(tmp_path):
         run_config({"scenario": "zero", "seeds": "all"}, tmp_path / "o")
 
 
-@pytest.mark.parametrize("seeds", ["a,b", "", "0,", "1.5"])
+@pytest.mark.parametrize("seeds", ["a,b", "", "0,", "1.5", "-1", "0,-2"])
 def test_verify_malformed_seeds_exit_2_naming_the_flag(tmp_path, capsys, seeds):
     rc = main(["verify", "--seeds", seeds, "--out", str(tmp_path / "v")])
     assert rc == 2
     assert "--seeds" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("seeds", [[-1], [True], [1, False]])
+def test_config_negative_or_boolean_seeds_exit_2_naming_the_key(tmp_path, capsys, seeds):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "fbm-linear", "seeds": seeds}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'seeds'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("row, message", [("0.5,abc", "could not convert"),
+                                          ("0.5", "expected 2 columns, got 1")])
+def test_pvar_malformed_csv_row_exits_1_naming_its_line(tmp_path, capsys, row, message):
+    src = tmp_path / "f.csv"
+    src.write_text(f"t,x1\n0.0,1.0\n\n{row}\n1.0,2.0\n")
+    assert main(["pvar", "--input", str(src), "--p", "1.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "f.csv: line 4: " in err and message in err
 
 
 def test_verify_repeated_seeds_exit_2_before_any_output(tmp_path, capsys):
@@ -254,6 +275,11 @@ _CUSTOM = {
         ("x0", {"x0": "abc"}),
         ("x0", {"x0": [1.0, None]}),
         ("driver.samples", {"driver": {"kind": "fbm", "samples": "many"}}),
+        ("driver.samples", {"driver": {"kind": "fbm", "samples": 65.9}}),
+        ("driver.samples", {"driver": {"kind": "fbm", "samples": True}}),
+        ("driver.n", {"driver": {"kind": "sine", "n": 200.5}}),
+        ("driver.n", {"driver": {"kind": "sine", "n": False}}),
+        ("driver.n", {"driver": {"kind": "sine", "n": -3}}),
         ("driver.hurst", {"driver": {"kind": "fbm", "hurst": [0.7]}}),
         ("solve.oversample", {"solve": {"oversample": "4"}}),
         ("p", {"p": "abc"}),

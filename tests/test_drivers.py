@@ -30,6 +30,13 @@ def test_spec_rejects_non_integer_samples(samples):
         FbmSpec(hurst=0.75, horizon=1.0, samples=samples, seed=0)
 
 
+def test_negative_seed_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="seed"):
+        FbmSpec(hurst=0.75, horizon=1.0, samples=64, seed=-1)
+    with pytest.raises(ParameterError, match="seed"):
+        analytic_driver("brownian_like", {"seed": -1}, np.linspace(0.0, 1.0, 11))
+
+
 def test_seed_determinism():
     a = fbm_sample(FbmSpec(hurst=0.7, horizon=2.0, samples=257, seed=123))
     b = fbm_sample(FbmSpec(hurst=0.7, horizon=2.0, samples=257, seed=123))

@@ -244,30 +244,58 @@ def paths_with_windows(draw):
             windows.append((s, min(s + draw(st.floats(0.0, 1.0)) * tol, last)))
     s = windows[0][0]
     windows.append((s, max(s, end())))
+    # a window that covers the path, each end within tol inside or outside it
+    windows.append((float(times[0] + draw(st.floats(-0.9, 0.9)) * tol),
+                    float(times[-1] + draw(st.floats(-0.9, 0.9)) * tol)))
     return SampledPath(times, values), windows
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=paths_with_windows(), p=st.floats(1.0, 3.0))
+@given(case=paths_with_windows(), p=st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 3.0))
 def test_pvar_control_is_bit_equal_to_windowed_pvar(case, p):
     # one DP row per left end, then one DP step per window
     path, windows = case
     ctrl = ControlFunction.from_p_variation(path, p)
     for s, t in windows:
         assert ctrl(s, t) == p_variation(path, p, (s, t), power=True), (s, t)
+    # the covering window, if its ends lie on or outside the path's, reads the whole path
+    s, t = windows[-1]
+    if s <= path.times[0] and t >= path.times[-1]:
+        assert ctrl(s, t) == p_variation(path, p, power=True), (s, t)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 1.7, 2.5])
+def test_pvar_control_covering_windows_read_the_whole_path(dim, p):
+    # a window on the domain, or with ends within tol outside it, is bit-equal
+    # to the whole path's p-variation; one beyond tol is outside the domain
+    rng = np.random.default_rng(23)
+    times = np.linspace(0.0, 300.0, 241)
+    path = SampledPath(times, np.cumsum(rng.standard_normal((241, dim)), axis=0))
+    tol = 1e-12 * 300.0
+    whole = p_variation(path, p, power=True)
+    ctrl = ControlFunction.from_p_variation(path, p)
+    for s, t in [(0.0, 300.0), (-0.5 * tol, 300.0), (0.0, 300.0 + 0.9 * tol),
+                 (-0.9 * tol, 300.0 + 0.5 * tol)]:
+        assert ctrl(s, t) == whole, (s, t)
+        assert p_variation(path, p, (s, t), power=True) == whole, (s, t)
+    for s, t in [(-2.0 * tol, 300.0), (0.0, 300.0 + 2.0 * tol)]:
+        with pytest.raises(DomainError):
+            ctrl(s, t)
 
 
 def test_controls_of_one_path_share_its_dp_rows(monkeypatch):
     # two controls of one path and one p run the DP row of each left end
-    # once between them, read values bit-equal to the windowed p-variation,
-    # and hold no reference that keeps the path alive
+    # once between them (the window that covers the path reads the first
+    # row too), read values bit-equal to the windowed p-variation, and hold
+    # no reference that keeps the path alive
     rng = np.random.default_rng(7)
     path = random_path(rng, 400)
     p = 2.5
     ts = path.times
     lefts = [float(ts[i]) for i in (0, 17, 150, 301)]
-    windows = [(s, t) for s in lefts for t in (float(ts[-1]) - 1e-3, float(ts[390]), s + 0.2)
-               if t - s > 0.05]
+    ends = (float(ts[-1]) - 1e-3, float(ts[390]), float(ts[-1]))
+    windows = [(s, t) for s in lefts for t in ends + (s + 0.2,) if t - s > 0.05]
     want = [p_variation(path, p, w, power=True) for w in windows]
     rows_run = []
     real = paths._powers

@@ -27,7 +27,6 @@ from youngflow import (
     solve_interval,
 )
 from youngflow.errors import DataError, SolveError
-from youngflow import solver
 from youngflow.paths import thin_indices
 from youngflow.solver import _anchor_integrals, _chunk_boundaries, _picard_slice, solve_forward_batch
 from youngflow.young import _RULES, _running_sum
@@ -367,8 +366,7 @@ def test_fixed_point_residuals_within_tol(scenario_run):
         assert rep.ball_ok
 
 
-def test_gronwall_anchor_integrals_blockwise_equal_one_cumsum(monkeypatch):
-    monkeypatch.setattr(solver, "_GRONWALL_BLOCK", 7)
+def test_gronwall_anchor_integrals_blockwise_equal_one_cumsum():
     rng = np.random.default_rng(11)
     n = 60
     ts = np.cumsum(rng.uniform(0.01, 0.1, n))
@@ -409,6 +407,19 @@ def test_gronwall_certificate_reports_violation():
     # the conclusion is not claimed under a failed hypothesis
     assert cert.extra["conclusion_ok"] is True
     assert cert.extra["log_margin"] == 0.0
+
+
+def test_gronwall_induction_fails_where_the_path_more_than_doubles():
+    # a constant driver's greedy steps at c = 1 are 0.5 long: y grows from 1
+    # to 10 over the first and fails the doubling recursion; growth to 1.9 passes
+    ts = np.linspace(0.0, 1.0, 101)
+    drv = analytic_driver("linear", {"slope": 0.0}, ts)
+    for top, doubles in ((10.0, True), (1.9, False)):
+        y = SampledPath(ts, np.minimum(1.0 + 2.0 * (top - 1.0) * ts, top))
+        gin = GronwallInput(y=y, A=ControlFunction.zero(), a1=1.0, a2=0.0)
+        cert = gronwall_certificate(gin, drv, 1.5, 1.8)
+        assert cert.extra["greedy_count"] == 2
+        assert cert.extra["induction_ok"] is not doubles
 
 
 def test_gronwall_variation_variant(scenario_run):
