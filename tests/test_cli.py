@@ -275,11 +275,6 @@ _CUSTOM = {
         ("x0", {"x0": "abc"}),
         ("x0", {"x0": [1.0, None]}),
         ("driver.samples", {"driver": {"kind": "fbm", "samples": "many"}}),
-        ("driver.samples", {"driver": {"kind": "fbm", "samples": 65.9}}),
-        ("driver.samples", {"driver": {"kind": "fbm", "samples": True}}),
-        ("driver.n", {"driver": {"kind": "sine", "n": 200.5}}),
-        ("driver.n", {"driver": {"kind": "sine", "n": False}}),
-        ("driver.n", {"driver": {"kind": "sine", "n": -3}}),
         ("driver.hurst", {"driver": {"kind": "fbm", "hurst": [0.7]}}),
         ("solve.oversample", {"solve": {"oversample": "4"}}),
         ("p", {"p": "abc"}),
@@ -288,6 +283,11 @@ _CUSTOM = {
         ("exponents.alpha", {"exponents": {"p": 1.5, "alpha": "x", "beta": 0.75, "delta": 1.0}}),
         ("driver.params.amp", {"driver": {"kind": "sine", "params": {"amp": "x"}}}),
         ("driver.params", {"driver": {"kind": "sine", "params": "amp"}}),
+        ("driver.samples", {"driver": {"kind": "fbm", "samples": 65.9}}),
+        ("driver.samples", {"driver": {"kind": "fbm", "samples": True}}),
+        ("driver.n", {"driver": {"kind": "sine", "n": 200.5}}),
+        ("driver.n", {"driver": {"kind": "sine", "n": False}}),
+        ("driver.n", {"driver": {"kind": "sine", "n": -3}}),
     ],
 )
 def test_malformed_config_value_exits_2_naming_its_key(tmp_path, capsys, key, patch):
