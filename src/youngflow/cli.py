@@ -158,7 +158,8 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         dparams = driver_cfg.get("params", {})
         if not isinstance(dparams, dict):
             raise ConfigError("config key 'driver.params': must be an object")
-        dparams = {k: _as(float, v, f"driver.params.{k}") for k, v in dparams.items()}
+        dparams = {k: _as_count(v, f"driver.params.{k}") if k == "seed"
+                   else _as(float, v, f"driver.params.{k}") for k, v in dparams.items()}
 
         def make_driver(seed, _k=kind, _p=dparams, _n=n, _a=t0, _b=T):
             params = dict(_p)

@@ -122,7 +122,10 @@ def analytic_driver(kind: str, params: dict, grid) -> SampledPath:
             raise ParameterError("power driver needs nonnegative times")
         values = scale * grid ** k
     elif kind == "brownian_like":
-        seed = int(params.get("seed", 0))
+        seed = params.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Real) or not float(seed).is_integer():
+            raise ParameterError(f"seed must be an integer, got {seed!r}")
+        seed = int(seed)
         if seed < 0:
             raise ParameterError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)

@@ -20,18 +20,24 @@ vertices and doubles until the budget is spent.  A scalar driver's row
 keeps the start, the turning points and its last vertex, so a vertex
 inside a monotone run has as its DP step the max over the kept points up
 to the run's start; the run where the budget crosses mu takes that step
-for all its vertices in one stacked call.  Bisection evaluates the 2^L - 1
-midpoints of the next L = _BISECT_LEVELS levels, made by the same
-0.5 * (a + b) as the one-step loop, as one (midpoints x kept) array and
-replays the decisions in Python; the midpoints are interpolated from the
-driver's value columns, the ones SampledPath.at reads.  Every budget is
-computed in Python floats, and elementwise numpy -, abs, ** and + round
-the same way at any array shape while max is exact, so each power equals
-its one-step value.
+for all its vertices in one stacked call.
+
+Bisection predicts, replays and verifies.  Regula falsi guesses the root
+in Python floats on the segment's affine driver; the one-step bisection,
+with its 0.5 * (a + b) midpoints and its stop, is replayed on the guess;
+the midpoints visited and the segment's end, where a step may snap, are
+interpolated from the driver's value columns (the ones SampledPath.at
+reads) and evaluated as one (times x kept) array; and each decision is
+checked with the one-step expression (t - tau)^lambda + power^(1/p) < mu.
+The replay restarts from the first decision the check overturns.
+Elementwise numpy -, abs, ** and + round the same way at any array shape
+while max is exact, so each power equals its one-step value and every
+decision is the one-step loop's: a wrong guess costs batches, never a bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,8 +51,8 @@ _MAX_BISECT = 200
 # vertices in the first DP row of a greedy step; the row doubles until the
 # budget is spent
 _FIRST_WINDOW = 64
-# bisection levels whose midpoints are evaluated together
-_BISECT_LEVELS = 6
+# regula falsi steps of a root guess
+_MAX_PREDICT = 64
 
 
 def _first_spent(times, powers, t0, lam, mu, p) -> int:
@@ -133,6 +139,37 @@ def _check_budget(lam: float, mu: float, p: float) -> None:
         raise ParameterError("greedy parameters need lambda > 0, mu > 0 and p >= 1")
 
 
+def _predict_root(g, a, b, tol):
+    """A root of g in [a, b] by regula falsi with the Illinois rule (Dowell
+    and Jarratt, BIT 11, 1971), safeguarded by bisection: the right end of a
+    bracket no wider than tol, or a point the next step cannot move; a if
+    g(a) >= 0, b if g(b) < 0."""
+    fa, fb = g(a), g(b)
+    if fa >= 0:
+        return a
+    side = 0
+    for _ in range(_MAX_PREDICT):
+        if fb < 0 or b - a <= tol:
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        if not a <= c <= b:  # an infinite g(b) gives nan: bisect
+            c = 0.5 * (a + b)
+        if c == a or c == b:
+            return c
+        fc = g(c)
+        if fc < 0:
+            a, fa = c, fc
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return b
+
+
 def _next_greedy(
     driver: SampledPath,
     start: float,
@@ -140,8 +177,11 @@ def _next_greedy(
     mu: float,
     p: float,
     end: Optional[float] = None,
+    w_start: Optional[np.ndarray] = None,
 ):
-    """Root of the budget equation from `start`; returns (time, residual, clamped)."""
+    """Root of the budget equation from `start`, whose flat driver value is
+    w_start (read from the driver when None); returns (time, residual,
+    clamped, flat driver value at time)."""
     _check_budget(lam, mu, p)
     dom = driver.domain
     if end is None:
@@ -155,56 +195,71 @@ def _next_greedy(
     # SampledPath.at has a tighter tolerance than span_tol: read the start in-domain
     start = max(start, dom.lo)
 
-    times = driver.times
+    times, flat = driver.times, driver._flat_values()
     j0 = int(np.searchsorted(times, start, side="right"))
     stop = int(np.searchsorted(times, end, side="left"))
-    j, pts, V = _budget_row(driver, start, np.ravel(driver.at(start)), j0, stop, lam, mu, p)
+    w0 = np.ravel(driver.at(start)) if w_start is None else w_start
+    j, pts, V = _budget_row(driver, start, w0, j0, stop, lam, mu, p)
 
-    def powers(t):
-        # inside the last segment the driver is interpolated from the views at reads
-        values = np.stack([np.interp(t, driver._xp, c) for c in driver._cols], axis=-1)
-        return _endpoint_power(pts, V, values, p)
-
-    def kappa(t: float) -> float:
-        return (t - start) ** lam + powers(t) ** (1.0 / p)
+    def batch(ts):
+        # the driver at the times ts, interpolated from the views at reads,
+        # and each time's budget by the one-step expression
+        cols = [np.interp(ts, driver._xp, c) for c in driver._cols]
+        values = cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=-1)
+        powers = _endpoint_power(pts, V, values, p).tolist()
+        return values, [(t - start) ** lam + q ** (1.0 / p) for t, q in zip(ts, powers)]
 
     if j < stop:
         tb = float(times[j])
     else:
-        kb = kappa(end)
+        values, (kb,) = batch([end])
         if kb < mu:
-            return end, kb - mu, True
+            return end, kb - mu, True, values[0]
         tb = end
-    lo, hi = (float(times[j - 1]) if j > j0 else start), tb
-    # bisection, _BISECT_LEVELS levels per batch: the midpoints of every
-    # branch below [lo, hi], made by the same 0.5 * (a + b) as one step at a
-    # time, are evaluated at once and the decisions replayed on them
-    size = 2 ** _BISECT_LEVELS
-    steps = 0
-    while steps < _MAX_BISECT and hi - lo > span_tol:
-        mids = [lo] * size + [hi]
-        width = size
-        while width > 1:
-            half = width // 2
-            for i in range(half, size, width):
-                mids[i] = 0.5 * (mids[i - half] + mids[i + half])
-            width = half
-        mid_powers = powers(np.array(mids)).tolist()
-        i_lo, i_hi = 0, size
-        for _ in range(_BISECT_LEVELS):
-            if steps == _MAX_BISECT or hi - lo <= span_tol:
-                break
-            i_mid = (i_lo + i_hi) // 2
-            mid = mids[i_mid]
-            if (mid - start) ** lam + mid_powers[i_mid] ** (1.0 / p) < mu:
-                lo, i_lo = mid, i_mid
-            else:
-                hi, i_hi = mid, i_mid
+    # bisection of [lo, tb]: replay it on a guessed root, evaluate every
+    # midpoint visited in one batch, keep the decisions the exact budget
+    # confirms and replay again from the first it overturns
+    t_a, dt, w_a = float(times[j - 1]), float(times[j] - times[j - 1]), flat[j - 1].tolist()
+    slope = [(y - x) / dt for x, y in zip(w_a, flat[j].tolist())]
+    xs, vs = pts.tolist(), V.tolist()
+
+    def g(t):
+        # kappa(t) - mu in Python floats on the segment's affine driver: a guess
+        w = [x + (t - t_a) * d for x, d in zip(w_a, slope)]
+        try:
+            power = max([v + math.dist(w, x) ** p for x, v in zip(xs, vs)])
+        except OverflowError:  # a leg power past float range, inf in numpy
+            return math.inf
+        return (t - start) ** lam + power ** (1.0 / p) - mu
+
+    lo, hi, steps = (t_a if j > j0 else start), tb, 0
+    while True:
+        # a guess far closer than span_tol leaves the last midpoints on its right side
+        r = _predict_root(g, lo, hi, span_tol / 1024)
+        mids, a, b = [], lo, hi
+        while steps + len(mids) < _MAX_BISECT and b - a > span_tol:
+            mids.append(0.5 * (a + b))
+            a, b = (mids[-1], b) if mids[-1] < r else (a, mids[-1])
+        # the first batch also holds tb, where a step near it snaps
+        values, kappas = batch(mids if steps else mids + [tb])
+        if not steps:
+            at_tb = at_hi = (values[-1], kappas[-1])
+        for i, mid in enumerate(mids):
+            below = kappas[i] < mu
             steps += 1
-    t_star = hi
-    if j < len(times) and abs(t_star - times[j]) <= span_tol:
-        t_star = float(min(times[j], end))
-    return t_star, kappa(t_star) - mu, False
+            if below:
+                lo = mid
+            else:
+                hi, at_hi = mid, (values[i], kappas[i])
+            if below != (mid < r):
+                break
+        else:
+            break
+        if steps == _MAX_BISECT or hi - lo <= span_tol:
+            break
+    # tb is min(times[j], end)
+    t_star, (value, kappa) = (tb, at_tb) if abs(hi - times[j]) <= span_tol else (hi, at_hi)
+    return t_star, kappa - mu, False, value
 
 
 def next_greedy_time(
@@ -220,8 +275,7 @@ def next_greedy_time(
     Returns the (possibly capped) domain end when the budget is never
     exhausted there; raises GreedyExhausted when start is already at the end.
     """
-    t, _, _ = _next_greedy(driver, start, lam, mu, p, end=end)
-    return t
+    return _next_greedy(driver, start, lam, mu, p, end=end)[0]
 
 
 def greedy_sequence(
@@ -251,13 +305,13 @@ def greedy_sequence(
     times = [float(start)]
     residuals = []
     clamped = False
-    t = float(start)
+    t, w = float(start), None
     while t < end - span_tol:
         if len(residuals) >= max_steps:
             raise ParameterError(
                 f"greedy sequence took {len(residuals)} steps, past its counting bound"
             )
-        nxt, res, was_clamped = _next_greedy(driver, t, lam, mu, p, end=end)
+        nxt, res, was_clamped, w = _next_greedy(driver, t, lam, mu, p, end=end, w_start=w)
         times.append(float(nxt))
         residuals.append(float(res))
         clamped = was_clamped

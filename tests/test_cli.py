@@ -288,6 +288,8 @@ _CUSTOM = {
         ("driver.n", {"driver": {"kind": "sine", "n": 200.5}}),
         ("driver.n", {"driver": {"kind": "sine", "n": False}}),
         ("driver.n", {"driver": {"kind": "sine", "n": -3}}),
+        ("driver.params.seed", {"driver": {"kind": "brownian_like", "params": {"seed": 1.5}}}),
+        ("driver.params.seed", {"driver": {"kind": "brownian_like", "params": {"seed": -0.5}}}),
     ],
 )
 def test_malformed_config_value_exits_2_naming_its_key(tmp_path, capsys, key, patch):

@@ -37,6 +37,13 @@ def test_negative_seed_is_a_parameter_error():
         analytic_driver("brownian_like", {"seed": -1}, np.linspace(0.0, 1.0, 11))
 
 
+@pytest.mark.parametrize("seed", [1.5, -0.5, True, "1"])
+def test_brownian_like_rejects_a_seed_that_is_no_integer(seed):
+    # int() would truncate 1.5 to seed 1's path
+    with pytest.raises(ParameterError, match="seed"):
+        analytic_driver("brownian_like", {"seed": seed}, np.linspace(0.0, 1.0, 11))
+
+
 def test_seed_determinism():
     a = fbm_sample(FbmSpec(hurst=0.7, horizon=2.0, samples=257, seed=123))
     b = fbm_sample(FbmSpec(hurst=0.7, horizon=2.0, samples=257, seed=123))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -20,7 +21,9 @@ from youngflow import (
 )
 from conftest import turning_walks
 from youngflow import greedy
+from youngflow.coefficients import derived_constants
 from youngflow.greedy import counting_bound
+from youngflow.scenarios import SCENARIOS
 from youngflow.solver import SolveOptions, _build_grid, _chunk_boundaries
 
 
@@ -112,10 +115,10 @@ def test_greedy_sequence_gives_up_at_its_counting_bound(monkeypatch):
     cap = math.ceil(counting_bound(1.0, 1.0, lam, mu, max(p, 1.0 / lam))) + 2
     calls = []
 
-    def crawl(driver, start, lam, mu, p, end=None):
+    def crawl(driver, start, lam, mu, p, end=None, w_start=None):
         calls.append(start)
         assert len(calls) <= cap, "greedy_sequence stepped past its counting bound"
-        return start + 1e-9, 0.0, False
+        return start + 1e-9, 0.0, False, None
 
     monkeypatch.setattr(greedy, "_next_greedy", crawl)
     with pytest.raises(ParameterError, match="counting bound"):
@@ -408,3 +411,74 @@ def test_greedy_is_byte_equal_to_the_per_step_reference(driver, start, end, lam,
     assert seq.times.tobytes() == times.tobytes()
     assert seq.residuals.tobytes() == residuals.tobytes()
     assert seq.clamped == clamped
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    driver=_walk_drivers(),
+    start=st.sampled_from([0.0, 0.013, 0.25]),
+    end=st.sampled_from([1.0, 0.8]),
+    lam=st.floats(0.5, 1.0),
+    mu=st.floats(0.1, 2.0),
+    p=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
+    guess=st.sampled_from(["left end", "alternating ends"]),
+)
+def test_greedy_overturns_a_wrong_root_guess(driver, start, end, lam, mu, p, guess):
+    # a guess that is always the segment's left end, or that alternates its
+    # ends, gets many bisection decisions wrong; the exact check must
+    # overturn each of them, so the sequence keeps every bit
+    turns = itertools.count()
+
+    def wrong_root(g, a, b, tol):
+        return a if guess == "left end" or next(turns) % 2 else b
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(greedy, "_predict_root", wrong_root)
+        seq = greedy_sequence(driver, start, end, lam=lam, mu=mu, p=p)
+    times, residuals, clamped = _reference_greedy(driver, start, end, lam, mu, p)
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.residuals.tobytes() == residuals.tobytes()
+    assert seq.clamped == clamped
+
+
+def test_greedy_guess_survives_leg_powers_past_float_range():
+    # numpy rounds a leg power past float range to inf, Python's float ** raises
+    driver = SampledPath(np.linspace(0.0, 1.0, 50), 30.0 * np.sin(np.linspace(0.0, 9.0, 50)))
+    with np.errstate(over="ignore"):
+        seq = greedy_sequence(driver, 0.0, 1.0, lam=0.7, mu=0.5, p=1500.0)
+        times, residuals, clamped = _reference_greedy(driver, 0.0, 1.0, 0.7, 0.5, 1500.0)
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.residuals.tobytes() == residuals.tobytes()
+
+
+@pytest.mark.parametrize("name", ["linear-sine", "fbm-linear"])
+def test_greedy_makes_one_bisection_batch_per_step(monkeypatch, name):
+    # every DP step outside a budget row is a step's end-value batch, made
+    # when the row reaches the window's end, or a bisection batch; a root
+    # guess that the exact check confirms makes one bisection batch a step
+    scenario = SCENARIOS[name]
+    driver, exponents = scenario.make_driver(0), scenario.exponents()
+    mu = derived_constants(scenario.make_field(), scenario.t0, scenario.T, exponents.K0).mu_star
+    real_row, real_power = greedy._budget_row, greedy._endpoint_power
+    in_row, ends, batches = [False], [], []
+
+    def row(driver, t0, w0, j0, stop, *rest):
+        in_row[0] = True
+        try:
+            j, pts, V = real_row(driver, t0, w0, j0, stop, *rest)
+        finally:
+            in_row[0] = False
+        ends.append(j == stop)
+        return j, pts, V
+
+    def power(pts, V, value, p):
+        if not in_row[0]:
+            batches.append(len(value))
+        return real_power(pts, V, value, p)
+
+    monkeypatch.setattr(greedy, "_budget_row", row)
+    monkeypatch.setattr(greedy, "_endpoint_power", power)
+    seq = greedy_sequence(driver, scenario.t0, scenario.T, exponents.alpha, mu, exponents.p)
+    steps = seq.n_intervals
+    assert len(ends) == steps > 10
+    assert len(batches) - sum(ends) <= steps
