@@ -24,6 +24,16 @@ from .errors import DataError, ParameterError
 from .paths import SampledPath
 
 
+def _seed(seed) -> int:
+    """seed as a non-negative int: a bool, a fraction or a string is no seed,
+    while an integral float such as 2.0 is seed 2."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Real) or not float(seed).is_integer():
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class FbmSpec:
     hurst: float
@@ -40,8 +50,7 @@ class FbmSpec:
             raise ParameterError("samples must be an integer")
         if self.samples < 2:
             raise ParameterError("need at least two samples")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     @property
     def dt(self) -> float:
@@ -122,13 +131,7 @@ def analytic_driver(kind: str, params: dict, grid) -> SampledPath:
             raise ParameterError("power driver needs nonnegative times")
         values = scale * grid ** k
     elif kind == "brownian_like":
-        seed = params.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Real) or not float(seed).is_integer():
-            raise ParameterError(f"seed must be an integer, got {seed!r}")
-        seed = int(seed)
-        if seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {seed}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(params.get("seed", 0)))
         scale = float(params.get("scale", 1.0))
         steps = rng.standard_normal(len(grid) - 1) * np.sqrt(np.diff(grid))
         values = scale * np.concatenate([[0.0], np.cumsum(steps)])

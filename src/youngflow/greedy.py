@@ -26,9 +26,10 @@ Bisection predicts, replays and verifies.  Regula falsi guesses the root
 in Python floats on the segment's affine driver; the one-step bisection,
 with its 0.5 * (a + b) midpoints and its stop, is replayed on the guess;
 the midpoints visited and the segment's end, where a step may snap, are
-interpolated from the driver's value columns (the ones SampledPath.at
-reads) and evaluated as one (times x kept) array; and each decision is
-checked with the one-step expression (t - tau)^lambda + power^(1/p) < mu.
+read through SampledPath._interp, as SampledPath.at reads them, and
+evaluated as one (times x kept) array; and each decision is checked with
+the one-step expression (t - tau)^lambda + power^(1/p) < mu, where a term
+past float range reads inf, as in numpy.
 The replay restarts from the first decision the check overturns.
 Elementwise numpy -, abs, ** and + round the same way at any array shape
 while max is exact, so each power equals its one-step value and every
@@ -57,9 +58,13 @@ _MAX_PREDICT = 64
 
 def _first_spent(times, powers, t0, lam, mu, p) -> int:
     """Index of the first (time, power) whose budget (t - t0)^lam +
-    power^(1/p), in Python floats, reaches mu; len(times) when none does."""
+    power^(1/p), in Python floats, reaches mu; len(times) when none does.
+    A term past float range is inf, as in numpy, so its budget is spent."""
     for i, (t, power) in enumerate(zip(times, powers)):
-        if not (t - t0) ** lam + power ** (1.0 / p) < mu:
+        try:
+            if not (t - t0) ** lam + power ** (1.0 / p) < mu:
+                return i
+        except OverflowError:
             return i
     return len(times)
 
@@ -202,12 +207,17 @@ def _next_greedy(
     j, pts, V = _budget_row(driver, start, w0, j0, stop, lam, mu, p)
 
     def batch(ts):
-        # the driver at the times ts, interpolated from the views at reads,
-        # and each time's budget by the one-step expression
-        cols = [np.interp(ts, driver._xp, c) for c in driver._cols]
-        values = cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=-1)
+        # the driver at the times ts, read as at reads it, and each time's
+        # budget by the one-step expression
+        values = driver._interp(ts)
         powers = _endpoint_power(pts, V, values, p).tolist()
-        return values, [(t - start) ** lam + q ** (1.0 / p) for t, q in zip(ts, powers)]
+        kappas = [math.inf] * len(powers)  # a term past float range stays inf
+        for i, (t, q) in enumerate(zip(ts, powers)):
+            try:
+                kappas[i] = (t - start) ** lam + q ** (1.0 / p)
+            except OverflowError:
+                pass
+        return values, kappas
 
     if j < stop:
         tb = float(times[j])
@@ -228,9 +238,9 @@ def _next_greedy(
         w = [x + (t - t_a) * d for x, d in zip(w_a, slope)]
         try:
             power = max([v + math.dist(w, x) ** p for x, v in zip(xs, vs)])
-        except OverflowError:  # a leg power past float range, inf in numpy
+            return (t - start) ** lam + power ** (1.0 / p) - mu
+        except OverflowError:  # a leg power or time term past float range, inf in numpy
             return math.inf
-        return (t - start) ** lam + power ** (1.0 / p) - mu
 
     lo, hi, steps = (t_a if j > j0 else start), tb, 0
     while True:

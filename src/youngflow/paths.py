@@ -1,21 +1,23 @@
 """Sampled paths, discrete p-variation and Hoelder norms, control functions.
 
 A path is stored as samples (t_i, x_i) and read as its piecewise linear
-interpolant: SampledPath.at interpolates from value columns built once, and
-_window_samples is the one cut of a window [s, t], which restrict,
-p_variation and the control read.  Variation-type quantities are computed
-over partitions drawn from the sample points; for p >= 1 interior points
-of a linear segment never increase the supremum, so this is the exact
-p-variation of the interpolant.  For the same reason a scalar path loses
-nothing when it is reduced to its endpoints and strict turning points
-before the p-variation DP (Butkus & Norvaisa, Lith. Math. J. 58, 2018),
-and each DP step then scans only the suffix extrema that can still win;
-vector paths run the DP over every earlier sample.  The scalar DP runs in
-blocks of a few hundred steps: a Python walk of the suffix-extremum stacks
-lists every step's candidates, one numpy call rounds all the block's legs
-|x_i - x_j|^p (_leg_powers, the one place a leg is rounded), and each step
-in order takes its max of V_i + leg, in numpy or in Python floats, which
-round alike.  So V is bit-equal to the one-step-at-a-time DP.
+interpolant: SampledPath._interp interpolates from value columns built once
+for at and greedy's bisection, and _window_samples is the one cut of a
+window [s, t] (an end within the time tolerance of the domain's end keeps
+that end's sample), which restrict, p_variation and the control read.
+Variation-type quantities are computed over partitions drawn from the
+sample points; for p >= 1 interior points of a linear segment never
+increase the supremum, so this is the exact p-variation of the interpolant.
+For the same reason a scalar path loses nothing when it is reduced to its
+endpoints and strict turning points before the p-variation DP (Butkus &
+Norvaisa, Lith. Math. J. 58, 2018), and each DP step then scans only the
+suffix extrema that can still win; vector paths run the DP over every
+earlier sample.  The scalar DP runs in blocks of a few hundred steps: a
+Python walk of the suffix-extremum stacks lists every step's candidates,
+one numpy call rounds all the block's legs |x_i - x_j|^p (_leg_powers, the
+one place a leg is rounded), and each step in order takes its max of
+V_i + leg, in numpy or in Python floats, which round alike.  So V is
+bit-equal to the one-step-at-a-time DP.
 ControlFunction.from_p_variation runs the DP once per path, p and left end
 s, over [s, path end], and reads each window [s, t] off that row with one
 last DP step from the cut's sample count and end value.
@@ -87,8 +89,8 @@ class SampledPath:
         The (n, d, m) layout holds matrix-valued paths such as the
         composition g(t, x_t); norms are Frobenius norms in that case.
 
-    The arrays, the caller's included, are frozen; at reads writeable views
-    kept before the freeze (_xp, _fp), since np.interp copies read-only input.
+    The arrays, the caller's included, are frozen; _interp reads writeable
+    views kept before the freeze (_xp, _fp), since np.interp copies read-only input.
     """
 
     times: np.ndarray
@@ -150,19 +152,20 @@ class SampledPath:
             raise DomainError(
                 f"time(s) outside path domain [{lo}, {hi}]"
             )
-        cols = [np.interp(t_arr, self._xp, c) for c in self._cols]
-        out = cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=-1)
-        out = out.reshape((len(t_arr),) + self.value_shape)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+        out = self._interp(t_arr).reshape((len(t_arr),) + self.value_shape)
+        return out[0] if np.ndim(t) == 0 else out
+
+    def _interp(self, t) -> np.ndarray:
+        """The flat values at the times t, shape (len(t), k), interpolated
+        from the views np.interp reads; t is not checked against the domain."""
+        cols = [np.interp(t, self._xp, c) for c in self._cols]
+        return cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=-1)
 
     def restrict(self, window: WindowLike) -> "SampledPath":
-        """Restriction to a window, interpolating the endpoints if needed."""
-        window = as_interval(window)
-        if window is None or _covers(self, window):
-            return self
-        return SampledPath(*_window_samples(self, window))
+        """The window's cut (_window_samples) as a path; the path itself for
+        no window or one that covers the domain up to the time tolerance."""
+        times, values = _window_samples(self, as_interval(window) or self.domain)
+        return self if times is self.times else SampledPath(times, values)
 
     def reversed_clock(self) -> "SampledPath":
         """The path u -> x(a + b - u) on the same window [a, b]."""
@@ -176,25 +179,13 @@ def thin_indices(n: int, cap: int) -> np.ndarray:
     return np.linspace(0, n - 1, min(n, cap)).astype(int)
 
 
-def _covers(path: SampledPath, window: Interval) -> bool:
-    """Whether window covers the path's domain up to its time tolerance, so
-    that restrict returns the path itself."""
-    lo, hi = path.times[0], path.times[-1]
-    tol = _TIME_TOL * max(hi - lo, 1.0)
-    if window.lo <= lo + tol and window.hi >= hi - tol:
-        if window.lo < lo - tol or window.hi > hi + tol:
-            raise DomainError(
-                f"window [{window.lo}, {window.hi}] outside path domain [{lo}, {hi}]"
-            )
-        return True
-    return False
-
-
 def _window_samples(path: SampledPath, window: Interval):
     """The samples (times, values) of the window cut out of the path by its
     time tolerance tol: the window, clamped to the domain, is [a, b]; the
     samples strictly inside it by more than tol are kept, and a or b is added,
-    its value interpolated, unless a kept sample lies within tol of it.  A
+    its value interpolated, unless a kept sample lies within tol of it.  An
+    end within tol of the domain's end keeps that end's sample instead, so a
+    window covering the domain up to tol cuts to the path's own arrays.  A
     window no longer than tol, or one that this cut leaves with fewer than
     two samples, gives two samples of the value at its centre."""
     lo, hi = path.times[0], path.times[-1]
@@ -203,11 +194,14 @@ def _window_samples(path: SampledPath, window: Interval):
         raise DomainError(
             f"window [{window.lo}, {window.hi}] outside path domain [{lo}, {hi}]"
         )
+    first, last = window.lo <= lo + tol, window.hi >= hi - tol
+    if first and last:
+        return path.times, path.values
     a = min(max(window.lo, lo), hi)
     b = min(max(window.hi, lo), hi)
     if b - a > tol:
-        i0 = int(np.searchsorted(path.times, a + tol))
-        i1 = int(np.searchsorted(path.times, b - tol, side="right"))
+        i0 = 0 if first else int(np.searchsorted(path.times, a + tol))
+        i1 = len(path.times) if last else int(np.searchsorted(path.times, b - tol, side="right"))
         head = bool(i0 >= len(path.times) or abs(path.times[i0] - a) > tol)
         tail = bool(i1 == 0 or abs(path.times[i1 - 1] - b) > tol)
         ends = [a] * head + [b] * tail
@@ -392,7 +386,7 @@ def p_variation(
     Dynamic programme over sample points: V[j] = max_{i<j} V[i] + |x_j - x_i|^p,
     which realises the supremum over all sub-partitions; a scalar path runs
     it over its turning points in blocks (see _scalar_powers), a vector path
-    over every sample.  The window's values come from _window_samples.
+    over every sample.  _window_samples cuts the window, or the domain.
 
     Parameters
     ----------
@@ -402,10 +396,7 @@ def p_variation(
     power : bool
         If True return the p-th power (the control value) instead of the root.
     """
-    window = as_interval(window)
-    if window is None:
-        return _variation(path._flat_values(), p, power)
-    values = _window_samples(path, window)[1]
+    values = _window_samples(path, as_interval(window) or path.domain)[1]
     return _variation(values.reshape(len(values), -1), p, power)
 
 
@@ -499,7 +490,6 @@ def metric_d(
 
 def difference_pvar_norm(w1: SampledPath, w2: SampledPath, p: float, window: WindowLike) -> float:
     """Full p-variation norm of w1 - w2 on a window (union grid)."""
-    window = as_interval(window)
     grid = merge_times(
         w1.restrict(window).times, w2.restrict(window).times
     )
@@ -556,8 +546,6 @@ class ControlFunction:
         rows = path._dp_rows.setdefault(p, {})
 
         def ev(s, t):
-            if t - s <= _TIME_TOL:
-                return 0.0
             values = _window_samples(path, Interval(s, t))[1]
             flat = values.reshape(len(values), -1)
             if p == 1.0 or len(flat) <= 2:

@@ -817,8 +817,6 @@ def build_gronwall_input(
     omega_w = ControlFunction.from_p_variation(driver.restrict((report.t0, report.T)), p)
 
     def A_eval(s, t, _phi=phi, _psi=psi_eff, _q=q, _p=p):
-        if t - s <= 0:
-            return 0.0
         var_w = omega_w(s, t) ** (1.0 / _p)
         return 2.0 ** (_q - 1.0) * (
             (_phi * (t - s)) ** _q + (_psi * var_w) ** _q

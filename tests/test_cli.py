@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ def test_solve_csv_driver_roundtrip(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["final_time"] == pytest.approx(1.0)
+
+
+def test_solve_csv_driver_backward(tmp_path, capsys):
+    drv = tmp_path / "drv.csv"
+    path_to_csv(analytic_driver("sine", {"amp": 0.4}, np.linspace(0, 1, 801)), drv)
+    rc = main(["solve", "--input", str(drv), "--field", "linear", "--x0", "1.0",
+               "--window", "0,1", "--p", "1.4", "--backward", "--out", str(tmp_path / "s")])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert report["direction"] == "backward"
+    # the terminal value x0 sits at the window's end, in the original time order
+    assert out["final_time"] == 1.0 and out["final_value"] == [1.0]
+    assert path_from_csv(tmp_path / "s" / "solution.csv").values[0, 0] != 1.0
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -290,6 +305,13 @@ _CUSTOM = {
         ("driver.n", {"driver": {"kind": "sine", "n": -3}}),
         ("driver.params.seed", {"driver": {"kind": "brownian_like", "params": {"seed": 1.5}}}),
         ("driver.params.seed", {"driver": {"kind": "brownian_like", "params": {"seed": -0.5}}}),
+        ("driver.horizon", {"driver": {"kind": "fbm", "samples": 65, "horizon": 0.5}}),
+        ("solve", {"solve": [4]}),
+        ("solve", {"solve": {"oversample": 4, "warp": 1}}),
+        ("field.params", {"field": {"name": "linear", "params": {"warp": 1.0}}}),
+        ("window", {"window": [1.0, 0.0]}),
+        ("exponents", {"exponents": "manual"}),
+        ("exponents", {"exponents": {"p": 2.5, "alpha": 0.75, "beta": 0.75, "delta": 1.0}}),
     ],
 )
 def test_malformed_config_value_exits_2_naming_its_key(tmp_path, capsys, key, patch):
@@ -299,6 +321,62 @@ def test_malformed_config_value_exits_2_naming_its_key(tmp_path, capsys, key, pa
     assert rc == 2
     assert f"config key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["pvar", "--p", "1.5", "--window", "0;1"], None, "--window"),
+        (["solve", "--config"], None, "missing.json"),
+        (["solve", "--config"], "[1, 2]", "top level must be a JSON object"),
+        (["solve", "--config"], json.dumps({"field": {"name": "linear"}}), "'field' and 'driver'"),
+        (["solve", "--field", "linear", "--x0", "1.0"], None, "solve needs"),
+    ],
+)
+def test_malformed_input_exits_2_with_a_config_error(linear_csv, tmp_path, capsys, argv, text, message):
+    if argv[0] == "pvar":
+        argv = argv + ["--input", str(linear_csv)]
+    elif argv[-1] == "--config":
+        cfg = tmp_path / ("missing.json" if text is None else "cfg.json")
+        if text is not None:
+            cfg.write_text(text)
+        argv = argv + [str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def _readme_custom_config():
+    """The custom experiment of README's CLI section, with its fBm driver."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```json")[1:] if '"my-experiment"' in b)
+    cfg = json.loads(block.split("```")[0])
+    assert cfg["driver"]["kind"] == "fbm"
+    return cfg
+
+
+def test_readme_custom_config_runs_through_run_config(tmp_path):
+    cfg = _readme_custom_config()
+    assert run_config(cfg, tmp_path / "r")
+    header, *rows = (tmp_path / "r" / "summary.csv").read_text().splitlines()
+    assert header == ",".join(SUMMARY_COLUMNS)
+    assert [row.split(",")[0] for row in rows] == [str(s) for s in cfg["seeds"]]
+    scenario = cli._scenario_from_config(cfg)
+    driver = scenario.make_driver(1)
+    assert len(driver.times) == cfg["driver"]["samples"] and driver.times[-1] == cfg["window"][1]
+
+
+def test_brownian_like_config_draws_one_path_per_seed(tmp_path):
+    # a driver seed left out of the config is the run's seed; one given is kept
+    cfg = {**_CUSTOM, "driver": {"kind": "brownian_like", "n": 201}, "seeds": [0, 1]}
+    assert run_config(cfg, tmp_path / "b")
+    solutions = [(tmp_path / "b" / f"seed_{s}" / "solution.csv").read_bytes() for s in (0, 1)]
+    assert solutions[0] != solutions[1]
+    drivers = [cli._scenario_from_config(cfg).make_driver(s) for s in (0, 1)]
+    assert drivers[0].values.tobytes() != drivers[1].values.tobytes()
+    fixed = cli._scenario_from_config({**cfg, "driver": {**cfg["driver"], "params": {"seed": 4}}})
+    assert fixed.make_driver(0).values.tobytes() == fixed.make_driver(1).values.tobytes()
 
 
 @pytest.mark.parametrize("solve", [{"oversample": math.inf}, {"oversample": math.nan},

@@ -44,6 +44,21 @@ def test_brownian_like_rejects_a_seed_that_is_no_integer(seed):
         analytic_driver("brownian_like", {"seed": seed}, np.linspace(0.0, 1.0, 11))
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3"])
+def test_fbm_spec_rejects_a_seed_that_is_no_integer(seed):
+    # True drew seed 1's path; 1.5 and "3" ended in numpy's or the comparison's TypeError
+    with pytest.raises(ParameterError, match="seed"):
+        FbmSpec(hurst=0.75, horizon=1.0, samples=64, seed=seed)
+
+
+def test_fbm_spec_reads_an_integral_float_seed_as_its_integer():
+    # as analytic_driver does; numpy's default_rng refuses the float 2.0
+    spec = FbmSpec(hurst=0.75, horizon=1.0, samples=64, seed=2.0)
+    assert type(spec.seed) is int and spec.seed == 2
+    want = fbm_sample(FbmSpec(hurst=0.75, horizon=1.0, samples=64, seed=2))
+    assert fbm_sample(spec).values.tobytes() == want.values.tobytes()
+
+
 def test_seed_determinism():
     a = fbm_sample(FbmSpec(hurst=0.7, horizon=2.0, samples=257, seed=123))
     b = fbm_sample(FbmSpec(hurst=0.7, horizon=2.0, samples=257, seed=123))

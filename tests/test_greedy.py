@@ -307,8 +307,9 @@ def _reference_greedy(driver, start, end, lam, mu, p):
             return float(np.maximum.reduce(np.array(V) + d ** p))
 
         def kappa(t):
+            # numpy's float64 ** reads a time term past float range as inf
             value = np.array([np.interp(t, times, c) for c in flat.T])
-            return (t - t0) ** lam + power(value) ** (1.0 / p)
+            return (np.float64(t) - t0) ** lam + power(value) ** (1.0 / p)
 
         def drop_unturned(c):
             # the last kept vertex, if it does not turn on the way to c
@@ -449,6 +450,20 @@ def test_greedy_guess_survives_leg_powers_past_float_range():
         times, residuals, clamped = _reference_greedy(driver, 0.0, 1.0, 0.7, 0.5, 1500.0)
     assert seq.times.tobytes() == times.tobytes()
     assert seq.residuals.tobytes() == residuals.tobytes()
+
+
+@pytest.mark.parametrize("samples", [201, 51])
+def test_greedy_time_terms_past_float_range_spend_the_budget(samples):
+    # (t - t0)^300 is past float range for t - t0 above about 10.6, which a
+    # driver step of 5 or 20 and its turning points at 175 pass: Python's
+    # float ** raises there, numpy reads inf, and the budget is spent
+    driver = analytic_driver("sine", {}, np.linspace(0.0, 1000.0, samples))
+    seq = greedy_sequence(driver, 0.0, 1000.0, lam=300.0, mu=0.5, p=1.5)
+    with np.errstate(over="ignore"):
+        times, residuals, clamped = _reference_greedy(driver, 0.0, 1000.0, 300.0, 0.5, 1.5)
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.residuals.tobytes() == residuals.tobytes()
+    assert seq.clamped == clamped
 
 
 @pytest.mark.parametrize("name", ["linear-sine", "fbm-linear"])

@@ -205,14 +205,21 @@ def test_pvar_power_is_control(rng):
 @st.composite
 def paths_with_windows(draw):
     """A path, n <= 200, over a span of 1 or 300: a Gaussian walk, an integer
-    walk with plateaus, a sine plus 1e-3 noise or a 2-d walk; and windows
-    whose ends lie on samples, between them or within the path's time
-    tolerance of one, with degenerate windows and a left end revisited."""
+    walk with plateaus, a sine plus 1e-3 noise or a 2-d walk, some with a
+    sample within the path's time tolerance of its first or last; and
+    windows whose ends lie on samples, between them or within tol of one,
+    with degenerate windows and a left end revisited."""
     kind = draw(st.sampled_from(["gauss", "integer", "sine", "planar"]))
     n = draw(st.integers(3, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     span = draw(st.sampled_from([1.0, 300.0]))
     times = np.sort(rng.uniform(0.0, span, n)) + np.arange(n) * 1e-6 * span
+    tol = 1e-12 * max(times[-1] - times[0], 1.0)
+    near = draw(st.sampled_from(["none", "none", "first", "last", "both"]))
+    if near in ("first", "both"):
+        times[1] = times[0] + draw(st.floats(0.05, 0.95)) * tol
+    if near in ("last", "both") and n > 3:
+        times[-2] = times[-1] - draw(st.floats(0.05, 0.95)) * tol
     if kind == "gauss":
         values = np.cumsum(rng.standard_normal(n))
     elif kind == "integer":
@@ -221,7 +228,6 @@ def paths_with_windows(draw):
         values = np.sin(6.0 * times / times[-1]) + 1e-3 * rng.standard_normal(n)
     else:
         values = np.cumsum(rng.standard_normal((n, 2)), axis=0)
-    tol = 1e-12 * max(times[-1] - times[0], 1.0)
     last = times[-1] + 0.5 * tol
 
     def end():
@@ -253,15 +259,17 @@ def paths_with_windows(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=paths_with_windows(), p=st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 3.0))
 def test_pvar_control_is_bit_equal_to_windowed_pvar(case, p):
-    # one DP row per left end, then one DP step per window
+    # one DP row per left end, then one DP step per window; restrict cuts
+    # every window as p_variation does
     path, windows = case
     ctrl = ControlFunction.from_p_variation(path, p)
     for s, t in windows:
         assert ctrl(s, t) == p_variation(path, p, (s, t), power=True), (s, t)
-    # the covering window, if its ends lie on or outside the path's, reads the whole path
+        assert p_variation(path.restrict((s, t)), p) == p_variation(path, p, (s, t)), (s, t)
+    # the covering window reads the whole path, its samples within tol of the ends included
     s, t = windows[-1]
-    if s <= path.times[0] and t >= path.times[-1]:
-        assert ctrl(s, t) == p_variation(path, p, power=True), (s, t)
+    assert path.restrict((s, t)) is path
+    assert ctrl(s, t) == p_variation(path, p, power=True), (s, t)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -320,9 +328,8 @@ def test_controls_of_one_path_share_its_dp_rows(monkeypatch):
 
 
 def test_pvar_control_rows_keyed_near_the_first_sample():
-    # a row keyed by s within tol after the first sample starts at the
-    # interpolated value at s, as the window cut does; the whole-path rule of
-    # restrict would start it at the first sample
+    # a row keyed by s within tol after the first sample starts at the first
+    # sample, as the window cut and restrict do, so it reads the windows of 0.0
     times = np.linspace(0.0, 300.0, 11)
     path = SampledPath(times, [0.0, 3.0, 1.0, 4.0, -2.0, 2.0, 2.0, 5.0, -1.0, 0.0, 3.0])
     tol = 1e-12 * 300.0
@@ -331,6 +338,24 @@ def test_pvar_control_rows_keyed_near_the_first_sample():
         for s in (0.5 * tol, 0.9 * tol):
             for t in (150.0, 151.3, 299.0):
                 assert ctrl(s, t) == p_variation(path, p, (s, t), power=True), (p, s, t)
+                assert ctrl(s, t) == ctrl(0.0, t), (p, s, t)
+
+
+def test_samples_within_tol_of_the_domain_ends_stay_in_its_windows():
+    # the sample at 1e-13 lies within tol of the first: a window that starts
+    # within tol of the domain's start keeps both, so (0, 1) reads the whole
+    # path, 5^2 + 4^2 + 2^2 = 45, not the 3^2 of its first and last samples
+    path = SampledPath([0.0, 1e-13, 0.5, 1.0], [0.0, 5.0, 1.0, 3.0])
+    ctrl = ControlFunction.from_p_variation(path, 2.0)
+    for s, t in [(0.0, 1.0), (0.5e-12, 1.0), (-0.5e-12, 1.0 + 0.5e-12)]:
+        assert path.restrict((s, t)) is path
+        assert p_variation(path, 2.0, (s, t), power=True) == 45.0
+        assert ctrl(s, t) == 45.0
+    assert p_variation(path, 2.0, power=True) == 45.0
+    # a window no longer than tol reads 0.0 in the domain and is refused outside it
+    assert ctrl(0.5, 0.5) == ctrl(1.0, 1.0) == 0.0
+    with pytest.raises(DomainError):
+        ctrl(1.5, 1.5)
 
 
 def test_window_cut_to_one_sample_has_no_variation():
