@@ -18,6 +18,12 @@ one numpy call rounds all the block's legs |x_i - x_j|^p (_leg_powers, the
 one place a leg is rounded), and each step in order takes its max of
 V_i + leg, in numpy or in Python floats, which round alike.  So V is
 bit-equal to the one-step-at-a-time DP.
+p_variation, whose DP needs only the final power, first drops the
+turning-point pairs (i, i+1) with L1^p + L2^p + L3^p <= |y_{i+2} - y_{i-1}|^p,
+which no optimal partition needs (_prune_pairs: the lemma, its proof, the
+passes and their stop rule, and what is proven in floating point); on a
+Brownian path three in four turning points go.  The DP rows (_powers, which
+greedy and the control read) keep every turning point.
 ControlFunction.from_p_variation runs the DP once per path, p and left end
 s, over [s, path end], and reads each window [s, t] off that row with one
 last DP step from the cut's sample count and end value.
@@ -352,6 +358,95 @@ def _scalar_powers(x: np.ndarray, p: float) -> np.ndarray:
     return V
 
 
+# _prune_pairs stops after a pass that removes fewer than this share of the points
+_PRUNE_SHARE = 1 / 16
+
+
+def _prune_pairs(y: np.ndarray, p: float) -> np.ndarray:
+    """The strictly alternating turning-point values y, p > 1, without the
+    oscillation pairs that no optimal partition needs: the DP over the values
+    kept ends at the same power as the DP over y.
+
+    Lemma.  Let (i, i+1) be an interior pair of y_0..y_m (1 <= i, i+1 <= m-1)
+    with legs L1 = |y_i - y_{i-1}|, L2 = |y_{i+1} - y_i|, L3 = |y_{i+2} - y_{i+1}|
+    and E = |y_{i+2} - y_{i-1}| = |L1 - L2 + L3|.  If
+    L1^p + L2^p + L3^p <= E^p, then L2 < min(L1, L3) and some optimal
+    partition contains neither i nor i+1.
+    Proof.  If L2 >= L1, then E = |L3 - (L2 - L1)| <= max(L3, L2), so E^p is
+    below the sum; likewise if L2 >= L3.  So E = L1 - L2 + L3, and after a
+    sign flip y_{i-1} < y_{i+1} < y_i < y_{i+2}.  Inserting a point that lies
+    outside the range of its two neighbours never lowers a partition's sum,
+    as one of its two new legs is at least the old leg.
+    - A partition holding i but not i+1, with successor r: if y_r >= y_{i+1},
+      insert i+1 (below y_i and y_r); else insert i+2 (above y_i > y_r) and
+      then i+1 (below y_i and y_{i+2}).
+    - Holding i+1 but not i, with predecessor l: if y_l <= y_i, insert i
+      (above y_{i+1} and y_l); else insert i-1 (below y_{i+1} < y_l), then i.
+    - Holding both, with neighbours l and r: insert i-1 if y_l > y_{i-1} and
+      i+2 if y_r < y_{i+2}.  The new neighbours give A = y_i - y_l >= L1 and
+      C = y_r - y_{i+1} >= L3, and dropping the pair trades A^p + L2^p + C^p
+      for (A + C - L2)^p.  f(A, C) = (A + C - L2)^p - A^p - L2^p - C^p has
+      df/dA = p((A + C - L2)^{p-1} - A^{p-1}) >= 0 as C > L2, and likewise
+      df/dC >= 0 as A > L2, so f(A, C) >= f(L1, L3) >= 0.
+    After the drop y_{i-1} and y_{i+2} are adjacent and still alternate.
+
+    Passes.  A numpy pass tests every interior pair at once and removes every
+    pair that qualifies.  Two qualifying pairs never share a point (pair i+1
+    would need L3 < L2).  Two that are 2 apart share a leg: dropping one
+    lengthens an outer leg of the other, to L1 - L2 + L3 >= L3, and f is
+    nondecreasing in both outer legs, so taken one at a time each still
+    qualifies when its turn comes.  The passes stop when no pair qualifies,
+    or after a pass that removes fewer than _PRUNE_SHARE of the points,
+    which bounds the work at O(m / _PRUNE_SHARE) on a path whose removals
+    cascade.  The three work arrays are allocated once per call; a pass
+    allocates only its mask and the values it keeps.
+
+    Floating point.  A pair qualifies when the computed
+    E^p - (L1^p + L2^p + L3^p) is at least
+    slack = 8 (p + 8) eps U + 64 tiny, with eps = 2^-52, tiny the least
+    subnormal and U = R^{p-1} TV (R the range of y, TV its total variation),
+    which bounds every partition's sum, as each leg |D|^p <= R^{p-1} |D|.
+    The insertions above only lengthen legs, so they hold in floating point
+    when subtraction, pow and + round monotonically.  If moreover pow is
+    within 4 ulps and p < 10^6, each leg power is off by a relative
+    (p + 8) eps / 2 at most, and the slack covers those errors twice: once in
+    the test, so the lemma's hypothesis holds for the exact legs of the
+    stored doubles, and once in the trade, whose three roundings of
+    fl(fl(fl(T + A^p) + L2^p) + C^p) then stay below the one of
+    fl(T + (A + C - L2)^p) for every prefix sum T, since T + (A + C - L2)^p
+    <= U.  So the DP's final power over the kept values is the same double
+    as over y.  Pow's accuracy is assumed, not checked.
+    """
+    n = len(y)
+    if n < 4:
+        return y
+    powers, spans, gaps = np.empty((3, n))
+    with np.errstate(over="ignore"):
+        legs = np.abs(np.subtract(y[1:], y[:-1], out=powers[: n - 1]), out=powers[: n - 1])
+        bound = np.ptp(y) ** (p - 1) * legs.sum()
+        if not 4 * bound < np.inf:
+            # no headroom: a leg power, a sum of three or a DP power may overflow
+            return y
+    slack = 8 * (p + 8) * np.finfo(float).eps * bound + 64 * np.finfo(float).smallest_subnormal
+    while n >= 4:
+        # the leg powers, then per pair (i, i+1), at entry i - 1, E^p and the
+        # gap E^p - (L1^p + L2^p + L3^p)
+        P, E, G = powers[: n - 1], spans[: n - 3], gaps[: n - 3]
+        np.power(np.abs(np.subtract(y[1:], y[:-1], out=P), out=P), p, out=P)
+        np.power(np.abs(np.subtract(y[3:], y[:-3], out=E), out=E), p, out=E)
+        np.subtract(E, np.add(np.add(P[:-2], P[1:-1], out=G), P[2:], out=G), out=G)
+        drop = np.flatnonzero(G >= slack) + 1
+        if not len(drop):
+            break
+        keep = np.ones(n, dtype=bool)
+        keep[drop] = keep[drop + 1] = False
+        y = y[keep]
+        if 2 * len(drop) < _PRUNE_SHARE * n:
+            break
+        n = len(y)
+    return y
+
+
 def _powers(flat: np.ndarray, p: float) -> Tuple[np.ndarray, np.ndarray]:
     """The p-variation DP over flat, shape (n, k), p >= 1: the indices it keeps
     (a scalar path's ends and turning points, or every sample) and their powers."""
@@ -367,11 +462,33 @@ def _powers(flat: np.ndarray, p: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _variation(flat: np.ndarray, p: float, power: bool = False) -> float:
-    """p-variation of the samples flat, shape (n, k), p >= 1: the DP kernel."""
+    """p-variation of the samples flat, shape (n, k), p >= 1: the DP kernel
+    behind p_variation, with or without power.
+
+    A scalar path with p > 1 runs the DP over its turning points after
+    _prune_pairs has dropped the interior pairs (i, i+1) whose legs satisfy
+    L1^p + L2^p + L3^p <= |y_{i+2} - y_{i-1}|^p by a slack: some optimal
+    partition avoids them (the lemma and its proof are in _prune_pairs).
+    Each numpy pass drops every qualifying pair at once; the passes stop
+    when none qualifies or after one that drops under _PRUNE_SHARE of the
+    points.
+    Proven in floating point, given monotone subtraction, + and pow and a
+    pow within 4 ulps: the final power is the same double as the DP's over
+    every turning point.  Not proven: that it equals the plain DP over
+    every sample, since the turning-point reduction is exact only in real
+    arithmetic; the tests find equality at p >= 1.5, and at p = 1 + 2^-52
+    the two can differ in the last bit.  The rows (_powers, greedy's budget
+    rows and the control's rows) need every turning point's power, so they
+    run the DP without the pre-pass.
+    """
     if p == 1.0:
         # triangle inequality: the full partition is maximal
         return float(np.sum(np.linalg.norm(np.diff(flat, axis=0), axis=1)))
-    V = _powers(flat, p)[1]
+    if flat.shape[1] == 1 and p > 1:
+        y = _prune_pairs(flat[_turning_indices(flat[:, 0]), 0], p)
+        V = _scalar_powers(y[:, None], p)
+    else:
+        V = _powers(flat, p)[1]
     return float(V[-1]) if power else float(V[-1] ** (1.0 / p))
 
 
@@ -385,8 +502,9 @@ def p_variation(
 
     Dynamic programme over sample points: V[j] = max_{i<j} V[i] + |x_j - x_i|^p,
     which realises the supremum over all sub-partitions; a scalar path runs
-    it over its turning points in blocks (see _scalar_powers), a vector path
-    over every sample.  _window_samples cuts the window, or the domain.
+    it over the turning points that _prune_pairs keeps, in blocks (see
+    _variation and _scalar_powers), a vector path over every sample.
+    _window_samples cuts the window, or the domain.
 
     Parameters
     ----------
@@ -541,7 +659,9 @@ class ControlFunction:
         over the row's kept points before t, which reads only the cut's
         sample count and end value.  A two-sample cut and p = 1 take
         p_variation's own branch; every other window, one that covers the
-        path included, is one step off its row.
+        path included, is one step off its row.  p_variation's pair
+        pre-pass keeps the final power (see _variation); the rows run
+        without it.
         """
         rows = path._dp_rows.setdefault(p, {})
 

@@ -165,6 +165,99 @@ def test_long_scalar_pvar_is_bit_equal_to_the_plain_dp(kind):
         assert np.array_equal(V, _plain_dp(flat, p)[kept])
 
 
+@st.composite
+def scalar_walks(draw, max_n):
+    """Values of Gaussian, integer (ties), drifting and offset scalar walks."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "integer", "drift", "offset"]))
+    if kind == "integer":
+        return np.cumsum(rng.integers(-2, 3, n)).astype(float)
+    walk = np.cumsum(rng.standard_normal(n) + (0.3 if kind == "drift" else 0.0))
+    return 1e3 + 1e-3 * walk if kind == "offset" else walk
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=scalar_walks(max_n=400), p=st.floats(1.0, 4.0))
+def test_pvar_with_pair_pruning_is_bit_equal_to_the_unpruned_dp(values, p):
+    # fails when the power test of paths._prune_pairs is reversed, or when it
+    # may remove an end point.  The reference is the DP over every turning
+    # point, which the pre-pass is proven against: at p = 1 + 2^-52 the DP
+    # over every sample can differ from it in the last bit
+    path = SampledPath(np.arange(len(values), dtype=float), values)
+    flat = path._flat_values()
+    expected = _plain_pvar(flat, p) ** p if p == 1.0 else paths._powers(flat, p)[1][-1]
+    assert p_variation(path, p, power=True) == expected
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer", "fbm", "drift"])
+def test_long_scalar_pvar_with_pair_pruning_is_bit_equal_to_the_plain_dp(kind):
+    path = _long_scalar_path(kind)
+    for p in (1.5, 2.5):
+        assert p_variation(path, p, power=True) == _plain_dp(path._flat_values(), p)[-1]
+
+
+def test_pair_pruning_keeps_the_ends_and_the_alternation():
+    # fails when the power test may remove an end point
+    rng = np.random.default_rng(20261019)
+    pruned = 0
+    for _ in range(50):
+        flat = random_path(rng, int(rng.integers(4, 300)))._flat_values()
+        y = flat[paths._turning_indices(flat[:, 0]), 0]
+        kept = paths._prune_pairs(y, 2.5)
+        assert kept[0] == y[0] and kept[-1] == y[-1]
+        legs = np.diff(kept)
+        assert np.all(legs[1:] * legs[:-1] < 0)
+        pruned += len(kept) < len(y)
+    assert pruned >= 40
+
+
+def _ulp_pair_path(rng, p, near):
+    """0 -> 1, then legs L, rho L, L, with L^p 0.4-0.8 ulps of the running
+    sum 1 when near, and 100-3000 ulps otherwise."""
+    gain = rng.uniform(0.4, 0.8) if near else 10.0 ** rng.uniform(2.0, 3.5)
+    L = (float(gain) * np.spacing(1.0)) ** (1.0 / p)
+    rho = float(rng.uniform(0.02, 0.3))
+    return np.array([0.0, 1.0, 1.0 - L, 1.0 - L + rho * L, 1.0 - 2 * L + rho * L])
+
+
+def test_pair_pruning_is_bit_equal_to_the_plain_dp_at_ulp_scale_legs():
+    # a pair whose trade gains less than the rounding of three additions
+    # could win the plain DP by rounding alone; the slack's U term keeps such
+    # pairs (fails when the slack is relative to the pair's own legs only)
+    rng = np.random.default_rng(20261020)
+    pruned = 0
+    for k in range(400):
+        p = float(rng.choice([1.5, 2.0, 2.5]))
+        values = _ulp_pair_path(rng, p, k % 2)
+        pruned += len(paths._prune_pairs(values, p)) < len(values)
+        path = SampledPath(np.arange(5.0), values)
+        assert p_variation(path, p, power=True) == _plain_dp(path._flat_values(), p)[-1]
+    assert pruned >= 100
+
+
+def test_pair_pruning_of_a_cascade_ends_by_the_stop_rule():
+    # legs 4^8, ..., 4, 1, 4, ..., 4^8 from a centre, then 30 equal legs: each
+    # removal makes the next pair outward qualify, one pair per pass; fails
+    # when the passes run until no pair qualifies
+    legs = np.concatenate([4.0 ** np.arange(8, 0, -1), [1.0], 4.0 ** np.arange(1, 9), np.full(30, 0.5)])
+    values = np.concatenate([[0.0], np.cumsum(legs * (-1.0) ** np.arange(len(legs)))])
+    once = paths._prune_pairs(values, 2.0)
+    assert len(once) == len(values) - 2
+    assert len(paths._prune_pairs(once, 2.0)) == len(once) - 2
+    path = SampledPath(np.arange(len(values), dtype=float), values)
+    assert p_variation(path, 2.0, power=True) == _plain_dp(path._flat_values(), 2.0)[-1]
+
+
+def test_pair_pruning_leaves_a_path_without_headroom_whole():
+    # legs 3, 1, 3, ...: every other pair qualifies; scaled by 4e153, the
+    # bound R^{p-1} TV and E^p = (5 * 4e153)^2 overflow, L1^p does not
+    values = np.concatenate([[0.0], np.cumsum(np.tile([3.0, -1.0], 500))])
+    assert len(paths._prune_pairs(values, 2.0)) < len(values)
+    values = 4e153 * values
+    assert paths._prune_pairs(values, 2.0) is values
+
+
 def test_pvar_constant_two_point_and_final_plateau():
     const = SampledPath([0.0, 1.0], [2.5, 2.5])
     plateau = SampledPath(np.arange(7.0), [0.0, 2.0, -1.0, 1.5, 0.5, 0.5, 0.5])
