@@ -101,12 +101,14 @@ class CoefficientField:
             raise ParameterError("alpha must lie in [1/2, 1)")
 
     def eval_f(self, ts, xs) -> np.ndarray:
-        out = np.asarray(self.f(np.asarray(ts, float), np.asarray(xs, float)), float)
-        return out.reshape(len(np.atleast_1d(ts)), self.dim_d)
+        ts = np.asarray(ts, float)
+        out = np.asarray(self.f(ts, np.asarray(xs, float)), float)
+        return out.reshape(ts.size, self.dim_d)
 
     def eval_g(self, ts, xs) -> np.ndarray:
-        out = np.asarray(self.g(np.asarray(ts, float), np.asarray(xs, float)), float)
-        return out.reshape(len(np.atleast_1d(ts)), self.dim_d, self.dim_m)
+        ts = np.asarray(ts, float)
+        out = np.asarray(self.g(ts, np.asarray(xs, float)), float)
+        return out.reshape(ts.size, self.dim_d, self.dim_m)
 
     def eval_g_x(self, ts, xs) -> np.ndarray:
         out = np.asarray(self.g_x(np.asarray(ts, float), np.asarray(xs, float)), float)

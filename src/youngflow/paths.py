@@ -296,12 +296,14 @@ def _scalar_powers(x: np.ndarray, p: float) -> np.ndarray:
        in numpy for a long step, in Python floats through a memoryview of V
        for a short one.  Every candidate precedes its step, so its power is
        final when the step runs.
-    This is bit-equal to the one-step-at-a-time DP, and so to the plain DP:
+    This is bit-equal to the one-step-at-a-time DP over every turning point:
     the candidates are the same, numpy's pow rounds an element the same way
     at any array length or stride, and Python's float + and max are the IEEE
     operations of numpy's add and maximum.reduce (x is finite, so no NaN
-    arises, and no power is -0.0).  The cost is O(m c) for c candidates per
-    step, with one leg call per block.
+    arises, and no power is -0.0).  Equality with the plain DP over every
+    sample is only tested (it holds at p >= 1.5; near p = 1 the two can
+    differ in the last bit).  The cost is O(m c) for c candidates per step,
+    with one leg call per block.
     """
     xs = x[:, 0].tolist()
     m = len(xs)

@@ -14,6 +14,10 @@ certificates (sewing estimate, Gronwall-type self-bound, growth bound)
 are evaluated on the result.  A stack of initial states is solved on one
 greedy partition and grid (solve_forward_batch); each member stops and
 shrinks on its own, so it equals its one-state solve bit for bit.
+
+One kernel, _solution_map, evaluates F for apply_F and for every Picard
+iteration, bit-equal to young's separate midpoint-rule sums; a solve reads
+the driver once, on its whole grid, and slices that read per chunk.
 """
 
 from __future__ import annotations
@@ -138,32 +142,50 @@ class SolveReport:
 # the solution map
 
 
-def _solution_map_parts(
-    field: CoefficientField,
-    ts: np.ndarray,
-    dt: np.ndarray,
-    dw: np.ndarray,
-    x: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Drift and Young parts of F(x) - x_{t0} on a grid for a stack of paths.
-
-    x has shape (n, B, d); ts and dw are the grid's times and driver steps,
-    each repeated B-fold (np.repeat), which the caller builds once per B.
-    Both parts take young's midpoint rule, the trapezoid rule: the drift
-    against the clock, the noise against w, which is second order in the
-    step on the driver's piecewise-linear interpolant.  f and g are evaluated
-    over one flattened (n*B, d) axis, so every member's values are those of
-    its own (n, d) evaluation.
+def _solution_map(field: CoefficientField, ts: np.ndarray, ws: np.ndarray):
+    """F on the grid ts, with the driver read there as ws: a function of a
+    stack x (n, b, d) that returns the running sums S (n, 2, b, d), the
+    drift part S[:, 0] and the noise part S[:, 1], so F(x) = x_{t0} +
+    S[:, 0] + S[:, 1].  Both take young's midpoint rule, against the clock
+    and against w.  f and g are evaluated over one flattened (n*b, d) axis;
+    for m = 1 they sit side by side in one buffer and a step's two terms are
+    one midpoint times the stacked [dt, dw] (for m > 1 the noise term is
+    _pair_terms).  One np.add.accumulate from S's zero row sums both, so a
+    zero noise sum reads +0.0, as einsum's terms sum.  The buffers are kept
+    per live count b; S is overwritten by the next call with that b.
     """
-    n, B, d = x.shape
-    flat = x.reshape(n * B, d)
-    f_vals = field.eval_f(ts, flat).reshape(n, B, d)
-    drift = _running_sum(_RULES["midpoint"](f_vals) * dt[:, None, None])
-    g_vals = field.eval_g(ts, flat)
-    shape = g_vals.shape[1:]
-    g_mid = _RULES["midpoint"](g_vals.reshape((n, B) + shape)).reshape(((n - 1) * B,) + shape)
-    young = _running_sum(_pair_terms(g_mid, dw).reshape(n - 1, B, d))
-    return drift, young
+    n, d, m = len(ts), field.dim_d, field.dim_m
+    dw = ws[1:] - ws[:-1]
+    coef = np.zeros((n - 1, 2, 1, 1))
+    coef[:, 0, 0, 0] = ts[1:] - ts[:-1]
+    if m == 1:
+        coef[:, 1, 0, 0] = dw[:, 0]
+    buffers = {}
+
+    def sums(x: np.ndarray) -> np.ndarray:
+        b = x.shape[1]
+        if b not in buffers:
+            buffers[b] = (np.repeat(ts, b), np.repeat(dw, b, axis=0) if m > 1 else None,
+                          np.zeros((n, 2, b, d)), np.zeros((n, 2, b, d)))
+        ts_b, dw_b, vals, S = buffers[b]
+        flat = x.reshape(n * b, d)
+        vals[:, 0] = field.eval_f(ts_b, flat).reshape(n, b, d)
+        g_vals = field.eval_g(ts_b, flat)
+        if m == 1:
+            vals[:, 1] = g_vals.reshape(n, b, d)
+        terms = S[1:]
+        np.add(vals[:-1], vals[1:], out=terms)
+        terms *= 0.5
+        # as einsum's noise products, inf * 0 and overflow do not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms *= coef
+        if m > 1:
+            g_vals = g_vals.reshape(n, b, d, m)
+            g_mid = (0.5 * (g_vals[:-1] + g_vals[1:])).reshape((n - 1) * b, d, m)
+            terms[:, 1] = _pair_terms(g_mid, dw_b).reshape(n - 1, b, d)
+        return np.add.accumulate(S, axis=0, out=S)
+
+    return sums
 
 
 def apply_F(
@@ -175,14 +197,9 @@ def apply_F(
     """Evaluate the solution map on x's grid, anchored at the window start."""
     sub = x.restrict(window)
     ts = sub.times
-    dw = np.diff(driver.at(ts), axis=0)
-    drift, young = _solution_map_parts(field, ts, np.diff(ts), dw, sub.values[:, None, :])
-    drift, young = drift[:, 0], young[:, 0]
-    return FApplication(
-        path=SampledPath(ts, sub.values[0][None, :] + drift + young),
-        drift_part=SampledPath(ts, drift),
-        young_part=SampledPath(ts, young),
-    )
+    S = _solution_map(field, ts, driver.at(ts))(sub.values[:, None, :])[:, :, 0]
+    return FApplication(SampledPath(ts, sub.values[0] + S[:, 0] + S[:, 1]),
+                        SampledPath(ts, S[:, 0]), SampledPath(ts, S[:, 1]))
 
 
 def apply_F_certificate(
@@ -248,10 +265,11 @@ def _picard_slice(
     if q < 1:
         raise ParameterError(f"the ball norm needs q >= 1, got {q}")
     n, B = len(ts), len(x0)
-    dt = np.diff(ts)
-    dw = np.diff(ws, axis=0)
+    d = x0.shape[1]
     x = np.repeat(x0[None], n, axis=0) if x_init is None else np.array(x_init, dtype=float)
-    x0_norm = [float(np.linalg.norm(v)) for v in x0]
+    # np.linalg.norm of a one-entry vector is the square root of its dot product
+    x0_norm = ([math.sqrt(v * v) for v in x0[:, 0].tolist()] if d == 1
+               else [float(np.linalg.norm(v)) for v in x0])
     scale = [max(1.0, v) for v in x0_norm]
     floor = [max(64.0 * np.finfo(float).eps * v, 1e-5 * opts.picard_tol) for v in scale]
     ball_cap = [2.0 * v + 1.0 for v in x0_norm]
@@ -261,23 +279,21 @@ def _picard_slice(
     member_iters = [0] * B
     prev_change = [math.inf] * B
     max_total = opts.picard_max_iters + 40
+    sums = _solution_map(field, ts, ws)
 
-    repeated = (1, ts, dw)  # ts and dw repeated for the live count
-
-    def apply_f(x, members):
-        nonlocal repeated
-        b = len(members)
-        if repeated[0] != b:
-            repeated = (b, np.repeat(ts, b), np.repeat(dw, b, axis=0))
-        drift, young = _solution_map_parts(field, repeated[1], dt, repeated[2], x)
-        return (x0 if len(members) == B else x0[members])[None] + drift + young
+    def apply_f(x, x0s):
+        S = sums(x)
+        return x0s + S[:, 0] + S[:, 1]
 
     live = list(range(B))  # the members still iterating, all at the same count
     iters = 0
     while live and iters < max_total:
         xl = x if len(live) == B else x[:, live]
-        fx = apply_f(xl, live)
-        changes = np.abs(fx - xl).max(axis=(0, 2)).tolist() if n > 1 else [0.0] * len(live)
+        fx = apply_f(xl, x0 if len(live) == B else x0[live])
+        changes = np.maximum.reduce(np.abs(fx - xl), axis=(0, 2)).tolist()
+        # a non-finite entry of fx makes its member's change non-finite
+        if not math.isfinite(sum(changes)) and not np.isfinite(fx).all():
+            raise DataError("Picard iterate contains non-finite entries")
         if len(live) == B:
             x = fx
         else:
@@ -286,11 +302,10 @@ def _picard_slice(
         # the ball screen for the whole stack, on every grid point: the
         # 1-variation bounds the q-variation from above (q >= 1), as row sums
         # of a contiguous (members, steps) array, each the np.sum of that
-        # member's step norms
-        if not np.isfinite(fx).all():
-            raise DataError("Picard iterate contains non-finite entries")
-        steps = np.linalg.norm(np.diff(fx, axis=0), axis=2)
-        var1 = np.ascontiguousarray(steps.T).sum(axis=1).tolist()
+        # member's step norms (for d = 1 the norm is abs)
+        steps = fx[1:] - fx[:-1]
+        steps = np.abs(steps[:, :, 0]) if d == 1 else np.linalg.norm(steps, axis=2)
+        var1 = np.add.reduce(np.ascontiguousarray(steps.T), axis=1).tolist()
         still = []
         for j, b in enumerate(live):
             # the DP runs only when that bound, with a rounding margin, does not
@@ -318,7 +333,7 @@ def _picard_slice(
     residuals = np.zeros(B)
     if done:
         xd = x if len(done) == B else x[:, done]
-        residuals[done] = np.abs(apply_f(xd, done) - xd).max(axis=(0, 2))
+        residuals[done] = np.abs(apply_f(xd, x0[done]) - xd).max(axis=(0, 2))
     unconverged = np.ones(B, dtype=bool)
     unconverged[done] = False
     return _Slice(x, sum(member_iters[b] for b in done), residuals, np.array(ball_ok),
@@ -485,6 +500,7 @@ def solve_forward_batch(
 
     ts = _build_grid(driver, t0, T, opts)
     chunk_idx = _chunk_boundaries(ts, greedy.times)
+    ws = driver.at(ts)
 
     values = np.empty((len(ts) if keep_path else 1,) + x0.shape)
     iters, residuals = [], []
@@ -492,8 +508,7 @@ def solve_forward_batch(
     current = x0
     for a, b in zip(chunk_idx[:-1], chunk_idx[1:]):
         sl = slice(a, b + 1)
-        vals, its, res, b_ok = _solve_span(field, ts[sl], driver.at(ts[sl]), current, opts,
-                                           exponents.q)
+        vals, its, res, b_ok = _solve_span(field, ts[sl], ws[sl], current, opts, exponents.q)
         if keep_path:
             values[sl] = vals
         iters.append(its)

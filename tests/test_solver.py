@@ -1,11 +1,14 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from youngflow import (
     DETERMINISTIC_BUNDLE,
+    CoefficientField,
     ControlFunction,
     GronwallData,
     GronwallInput,
@@ -19,6 +22,7 @@ from youngflow import (
     gronwall_certificate,
     growth_certificate,
     linear_field,
+    path_to_csv,
     run_scenario,
     scalar_field,
     select_exponents,
@@ -26,10 +30,11 @@ from youngflow import (
     solve_forward,
     solve_interval,
 )
+from test_vector_systems import _rotation_field
 from youngflow.errors import DataError, SolveError
-from youngflow.paths import thin_indices
+from youngflow.paths import _variation, thin_indices
 from youngflow.solver import _anchor_integrals, _chunk_boundaries, _picard_slice, solve_forward_batch
-from youngflow.young import _RULES, _running_sum
+from youngflow.young import _RULES, _pair_terms, _running_sum
 
 
 def _sine(n=2001, t1=2.0, amp=1.0, freq=1.0):
@@ -641,3 +646,184 @@ def test_solve_report_build_gronwall_requires_structure():
     with pytest.raises(ParameterError):
         build_gronwall_input(field, rep, drv)
 
+
+# ----------------------------------------------------------------------
+# the fused Picard kernel against the per-iteration loop it replaced
+
+
+def _reference_solution_map_parts(field, ts, dt, dw, x):
+    """Drift and Young parts of F(x) - x_{t0} for the stack x (n, B, d), with ts
+    and dw repeated B-fold: f and g each through young's midpoint rule, the
+    noise through _pair_terms (einsum), each part its own np.cumsum."""
+    n, B, d = x.shape
+    flat = x.reshape(n * B, d)
+    f_vals = field.eval_f(ts, flat).reshape(n, B, d)
+    drift = _running_sum(_RULES["midpoint"](f_vals) * dt[:, None, None])
+    g_vals = field.eval_g(ts, flat)
+    shape = g_vals.shape[1:]
+    g_mid = _RULES["midpoint"](g_vals.reshape((n, B) + shape)).reshape(((n - 1) * B,) + shape)
+    young = _running_sum(_pair_terms(g_mid, dw).reshape(n - 1, B, d))
+    return drift, young
+
+
+def _reference_picard_slice(field, ts, ws, x0, opts, q):
+    """The per-iteration Picard loop of _picard_slice before the fused kernel:
+    (values, iters, residuals, ball_ok, member_iters, failed)."""
+    n, B = len(ts), len(x0)
+    dt = np.diff(ts)
+    dw = np.diff(ws, axis=0)
+    x = np.repeat(x0[None], n, axis=0)
+    x0_norm = [float(np.linalg.norm(v)) for v in x0]
+    scale = [max(1.0, v) for v in x0_norm]
+    floor = [max(64.0 * np.finfo(float).eps * v, 1e-5 * opts.picard_tol) for v in scale]
+    ball_cap = [2.0 * v + 1.0 for v in x0_norm]
+    ball_ok, reached_tol, failed = [True] * B, [False] * B, [False] * B
+    member_iters, prev_change = [0] * B, [math.inf] * B
+
+    def apply_f(x, members):
+        b = len(members)
+        drift, young = _reference_solution_map_parts(field, np.repeat(ts, b), dt,
+                                                     np.repeat(dw, b, axis=0), x)
+        return x0[members][None] + drift + young
+
+    live, iters = list(range(B)), 0
+    while live and iters < opts.picard_max_iters + 40:
+        xl = x[:, live]
+        fx = apply_f(xl, live)
+        changes = np.abs(fx - xl).max(axis=(0, 2)).tolist()
+        x[:, live] = fx
+        iters += 1
+        if not np.isfinite(fx).all():
+            raise DataError("Picard iterate contains non-finite entries")
+        steps = np.linalg.norm(np.diff(fx, axis=0), axis=2)
+        var1 = np.ascontiguousarray(steps.T).sum(axis=1).tolist()
+        still = []
+        for j, b in enumerate(live):
+            if (x0_norm[b] + var1[j]) * (1.0 + 1e-12) > ball_cap[b] + 1e-9:
+                if x0_norm[b] + _variation(fx[:, j], q) > ball_cap[b] + 1e-9:
+                    ball_ok[b] = False
+            change = changes[j]
+            member_iters[b] = iters
+            if change > 1e8 * scale[b]:
+                failed[b] = True
+            elif change <= floor[b]:
+                reached_tol[b] = True
+            elif change < opts.picard_tol:
+                reached_tol[b] = True
+                if not change >= 0.9999 * prev_change[b]:
+                    still.append(b)
+            elif iters >= opts.picard_max_iters:
+                failed[b] = True
+            else:
+                still.append(b)
+            prev_change[b] = change
+        live = still
+    done = [b for b in range(B) if reached_tol[b] and not failed[b]]
+    residuals = np.zeros(B)
+    if done:
+        residuals[done] = np.abs(apply_f(x[:, done], done) - x[:, done]).max(axis=(0, 2))
+    unconverged = np.ones(B, dtype=bool)
+    unconverged[done] = False
+    return (x, sum(member_iters[b] for b in done), residuals, np.array(ball_ok),
+            np.array(member_iters), unconverged)
+
+
+def _two_channel_field():
+    """dx = -0.4 x dt + 0.5 x dw1 + 0.3 sin(x) dw2: a state-dependent m = 2 noise."""
+    return CoefficientField(
+        f=lambda ts, xs: -0.4 * xs,
+        g=lambda ts, xs: np.stack([0.5 * xs, 0.3 * np.sin(xs)], axis=2),
+        g_x=lambda ts, xs: np.stack([np.full_like(xs, 0.5), 0.3 * np.cos(xs)], axis=2)[..., None],
+        dim_d=1, dim_m=2, L_g=0.5, M_N=lambda N: 0.3, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=lambda N: 0.4, a=0.4,
+        b=lambda ts: np.zeros_like(np.asarray(ts, float)), b_norm=lambda t0, t1: 0.0,
+        alpha=0.75, name="two-channel-multiplicative",
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["scalar", "scalar-stack", "rotation", "two-channel"]),
+    n=st.integers(2, 60),
+    span=st.floats(0.02, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+    max_iters=st.sampled_from([2, 6, 50]),
+)
+def test_picard_slice_is_bit_equal_to_the_per_iteration_loop(case, n, span, seed, max_iters):
+    # mutations this fails on: a running sum without its zero row, each
+    # partial sum one row early (kept in place, it loses only the sign of
+    # zero, which the zero-field test below catches); dt and dw swapped in
+    # the coefficient stack; a buffer cache keyed by slice only, not by live
+    # count (the stack case, whose members stop at different iterations)
+    rng = np.random.default_rng(seed)
+    m = 2 if case == "two-channel" else 1
+    ts = np.linspace(0.0, span, n)
+    ws = 0.5 * np.cumsum(rng.standard_normal((n, m)), axis=0) * math.sqrt(span / n)
+    if case == "rotation":
+        field, x0 = _rotation_field(rng.uniform(0.2, 2.0)), rng.uniform(-2.0, 2.0, (1, 2))
+    elif case == "two-channel":
+        field, x0 = _two_channel_field(), rng.uniform(-2.0, 2.0, (1, 1))
+    else:
+        field = linear_field(*rng.uniform(-1.5, 1.5, 4))
+        x0 = (rng.uniform(-2.0, 2.0, (1, 1)) if case == "scalar"
+              else np.array([[1e-6], [-0.01], [0.7], [-25.0]]))
+    opts = SolveOptions(picard_max_iters=max_iters)
+    got = _picard_slice(field, ts, ws, x0, opts, EXPS.q)
+    want = _reference_picard_slice(field, ts, ws, x0, opts, EXPS.q)
+    assert got.iters == want[1]
+    for name, ref in zip(("values", "residuals", "ball_ok", "member_iters", "failed"),
+                         (want[0], want[2], want[3], want[4], want[5])):
+        value = getattr(got, name)
+        assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
+
+
+def test_stack_members_stop_at_different_iterations_bit_equal_to_the_loop():
+    # the stack case of the property above on a slice where every member
+    # converges: they stop after 5, 7, 8 and 8 iterations, so the kernel
+    # runs at live counts 4, 3 and 2
+    field, drv = linear_field(-0.5, 0.0, 0.4, 0.0), _sine(41, 0.4)
+    x0 = np.array([[1e-6], [-0.01], [0.7], [-25.0]])
+    got = _picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
+    want = _reference_picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
+    assert want[4].tolist() == [5, 7, 8, 8] and not want[5].any()
+    assert got.values.tobytes() == want[0].tobytes()
+    assert got.member_iters.tolist() == want[4].tolist()
+    assert got.residuals.tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("keeps_sign", [False, True])
+def test_zero_field_from_negative_zero_prints_positive_zero(tmp_path, keeps_sign):
+    # einsum sums the noise term from +0.0 where a product keeps -0.0; with f
+    # and g = 0 * x, both -0.0 at x = -0.0, the path is x0 + drift + noise,
+    # which the noise sum's +0.0 makes +0.0 on every row, as solution.csv shows
+    zero = lambda t, x: 0.0 * x
+    field = (linear_field(0.0, 0.0, 0.0, 0.0) if not keeps_sign else scalar_field(
+        f=zero, g=zero, g_x=zero, L_g=0.0, M_N=0.0, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=0.0, a=0.0, name="signed-zero"))
+    rep = solve_forward(field, _sine(201, 1.0), 0.0, [-0.0], 1.0, exponents=EXPS, certify=False)
+    assert not np.signbit(rep.solution.values).any()
+    path_to_csv(rep.solution, tmp_path / "solution.csv")
+    rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
+    assert rows and all("-" not in row.split(",")[1] for row in rows)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("part", ["drift", "noise"])
+def test_non_finite_iterate_raises_data_error_without_a_warning(bad, part):
+    # every grid point's f or g is non-finite from 10, so the iterate's steps
+    # are inf - inf or nan there; the check comes before any such difference.
+    # The driver is flat on [0, 0.5], where the noise term is inf * 0, which
+    # einsum once computed without a warning
+    zero = lambda t, x: np.zeros_like(x)
+    blow_up = lambda t, x: np.where(x > 5.0, bad, 0.0)
+    field = scalar_field(
+        f=blow_up if part == "drift" else zero, g=blow_up if part == "noise" else zero,
+        g_x=zero, L_g=0.0, M_N=0.0, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=0.0, a=0.0, name="blow-up",
+    )
+    ts = np.linspace(0.0, 1.0, 201)
+    drv = SampledPath(ts, np.maximum(ts - 0.5, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite"):
+            solve_forward(field, drv, 0.0, [10.0], 1.0, exponents=EXPS, certify=False)
