@@ -35,7 +35,7 @@ from .coefficients import (
     composed_path,
     derived_constants,
 )
-from .errors import DataError, DomainError, ParameterError, SolveError
+from .errors import DataError, DomainError, ParameterError, ShapeError, SolveError
 from .greedy import GreedySequence, greedy_sequence
 from .paths import (
     ControlFunction,
@@ -149,31 +149,37 @@ def _solution_map(field: CoefficientField, ts: np.ndarray, ws: np.ndarray):
     S[:, 0] + S[:, 1].  Both take young's midpoint rule, against the clock
     and against w.  f and g are evaluated over one flattened (n*b, d) axis;
     for m = 1 they sit side by side in one buffer and a step's two terms are
-    one midpoint times the stacked [dt, dw] (for m > 1 the noise term is
-    _pair_terms).  One np.add.accumulate from S's zero row sums both, so a
-    zero noise sum reads +0.0, as einsum's terms sum.  The buffers are kept
-    per live count b; S is overwritten by the next call with that b.
+    one midpoint times the stacked [dt, dw].  For m > 1 the product makes the
+    drift term alone and the noise term is _pair_terms (einsum), whose sum
+    over the m columns a sum in order misses in the last bit once m >= 3.  One
+    np.add.accumulate from S's zero row sums both, so a zero noise sum reads
+    +0.0, as einsum's terms sum.  The buffers are those of the latest live
+    count b, and S is overwritten by the next call.
     """
     n, d, m = len(ts), field.dim_d, field.dim_m
+    if ws.shape[1] != m:
+        raise ShapeError(f"integrand columns {m} != driver dimension {ws.shape[1]}")
     dw = ws[1:] - ws[:-1]
-    coef = np.zeros((n - 1, 2, 1, 1))
+    k = 2 if m == 1 else 1  # the parts the stacked product makes
+    coef = np.empty((n - 1, k, 1, 1))
     coef[:, 0, 0, 0] = ts[1:] - ts[:-1]
     if m == 1:
         coef[:, 1, 0, 0] = dw[:, 0]
-    buffers = {}
+    cached = (0,)
 
     def sums(x: np.ndarray) -> np.ndarray:
+        nonlocal cached
         b = x.shape[1]
-        if b not in buffers:
-            buffers[b] = (np.repeat(ts, b), np.repeat(dw, b, axis=0) if m > 1 else None,
-                          np.zeros((n, 2, b, d)), np.zeros((n, 2, b, d)))
-        ts_b, dw_b, vals, S = buffers[b]
+        if cached[0] != b:
+            S = np.zeros((n, 2, b, d))
+            cached = (b, np.repeat(ts, b), np.repeat(dw, b, axis=0) if m > 1 else None,
+                      np.empty((n, k, b, d)), S, S[1:, :k])
+        _, ts_b, dw_b, vals, S, terms = cached
         flat = x.reshape(n * b, d)
         vals[:, 0] = field.eval_f(ts_b, flat).reshape(n, b, d)
         g_vals = field.eval_g(ts_b, flat)
         if m == 1:
             vals[:, 1] = g_vals.reshape(n, b, d)
-        terms = S[1:]
         np.add(vals[:-1], vals[1:], out=terms)
         terms *= 0.5
         # as einsum's noise products, inf * 0 and overflow do not warn
@@ -182,7 +188,7 @@ def _solution_map(field: CoefficientField, ts: np.ndarray, ws: np.ndarray):
         if m > 1:
             g_vals = g_vals.reshape(n, b, d, m)
             g_mid = (0.5 * (g_vals[:-1] + g_vals[1:])).reshape((n - 1) * b, d, m)
-            terms[:, 1] = _pair_terms(g_mid, dw_b).reshape(n - 1, b, d)
+            S[1:, 1] = _pair_terms(g_mid, dw_b).reshape(n - 1, b, d)
         return np.add.accumulate(S, axis=0, out=S)
 
     return sums
@@ -264,12 +270,9 @@ def _picard_slice(
     """
     if q < 1:
         raise ParameterError(f"the ball norm needs q >= 1, got {q}")
-    n, B = len(ts), len(x0)
-    d = x0.shape[1]
+    n, (B, d) = len(ts), x0.shape
     x = np.repeat(x0[None], n, axis=0) if x_init is None else np.array(x_init, dtype=float)
-    # np.linalg.norm of a one-entry vector is the square root of its dot product
-    x0_norm = ([math.sqrt(v * v) for v in x0[:, 0].tolist()] if d == 1
-               else [float(np.linalg.norm(v)) for v in x0])
+    x0_norm = [float(np.linalg.norm(v)) for v in x0]
     scale = [max(1.0, v) for v in x0_norm]
     floor = [max(64.0 * np.finfo(float).eps * v, 1e-5 * opts.picard_tol) for v in scale]
     ball_cap = [2.0 * v + 1.0 for v in x0_norm]
@@ -302,7 +305,9 @@ def _picard_slice(
         # the ball screen for the whole stack, on every grid point: the
         # 1-variation bounds the q-variation from above (q >= 1), as row sums
         # of a contiguous (members, steps) array, each the np.sum of that
-        # member's step norms (for d = 1 the norm is abs)
+        # member's step norms.  For d = 1 the norm is abs, which is
+        # np.linalg.norm's sqrt(s * s) only where s * s neither underflows nor
+        # overflows; the bound is a screen, and the DP decides the flag
         steps = fx[1:] - fx[:-1]
         steps = np.abs(steps[:, :, 0]) if d == 1 else np.linalg.norm(steps, axis=2)
         var1 = np.add.reduce(np.ascontiguousarray(steps.T), axis=1).tolist()

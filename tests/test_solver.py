@@ -31,7 +31,7 @@ from youngflow import (
     solve_interval,
 )
 from test_vector_systems import _rotation_field
-from youngflow.errors import DataError, SolveError
+from youngflow.errors import DataError, ShapeError, SolveError
 from youngflow.paths import _variation, thin_indices
 from youngflow.solver import _anchor_integrals, _chunk_boundaries, _picard_slice, solve_forward_batch
 from youngflow.young import _RULES, _pair_terms, _running_sum
@@ -827,3 +827,15 @@ def test_non_finite_iterate_raises_data_error_without_a_warning(bad, part):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="non-finite"):
             solve_forward(field, drv, 0.0, [10.0], 1.0, exponents=EXPS, certify=False)
+
+
+def test_scalar_noise_against_a_two_column_driver_raises_shape_error():
+    # g has one column, so a driver with two cannot be paired with it; the
+    # solve and apply_F raise rather than integrate against the first column
+    ts = np.linspace(0.0, 1.0, 101)
+    drv = SampledPath(ts, np.stack([np.sin(ts), np.cos(ts)], axis=1))
+    field = linear_field(-0.5, 0.0, 0.4, 0.0)
+    with pytest.raises(ShapeError, match="driver dimension 2"):
+        solve_forward(field, drv, 0.0, [1.0], 1.0, exponents=EXPS, certify=False)
+    with pytest.raises(ShapeError, match="driver dimension 2"):
+        apply_F(field, drv, SampledPath(ts, np.ones(101)))
