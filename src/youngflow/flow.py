@@ -34,7 +34,11 @@ def cauchy_operator(
     exponents: Optional[ExponentSet] = None,
 ) -> np.ndarray:
     """Transport the state x, shape (d,), or the stack x, shape (B, d), from
-    time t1 to time t2 along the dynamics; the result has the shape of x."""
+    time t1 to time t2 along the dynamics; the result has the shape of x.
+
+    Only the end states are computed: the solve runs with keep_path False,
+    so it keeps no path and its BatchSolve has residuals and ball_ok None.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     stack = x if x.ndim == 2 else x[None]
     if stack.ndim != 2 or stack.shape[1] != field.dim_d:

@@ -17,7 +17,8 @@ shrinks on its own, so it equals its one-state solve bit for bit.
 
 One kernel, _solution_map, evaluates F for apply_F and for every Picard
 iteration, bit-equal to young's separate midpoint-rule sums; a solve reads
-the driver once, on its whole grid, and slices that read per chunk.
+the driver and builds the map once, on its whole grid, and slices both per
+chunk.  A transport (keep_path False) computes the end states alone.
 """
 
 from __future__ import annotations
@@ -142,56 +143,60 @@ class SolveReport:
 # the solution map
 
 
-def _solution_map(field: CoefficientField, ts: np.ndarray, ws: np.ndarray):
-    """F on the grid ts, with the driver read there as ws: a function of a
-    stack x (n, b, d) that returns the running sums S (n, 2, b, d), the
-    drift part S[:, 0] and the noise part S[:, 1], so F(x) = x_{t0} +
-    S[:, 0] + S[:, 1].  Both take young's midpoint rule, against the clock
-    and against w.  f and g are evaluated over one flattened (n*b, d) axis;
-    for m = 1 they sit side by side in one buffer and a step's two terms are
-    one midpoint times the stacked [dt, dw].  For m > 1 the product makes the
-    drift term alone and the noise term is _pair_terms (einsum), whose sum
-    over the m columns a sum in order misses in the last bit once m >= 3.  One
+def _solution_map(field: CoefficientField, ts: np.ndarray, ws: np.ndarray, b: int = 1,
+                  rows: Optional[int] = None):
+    """F on the grid ts, with the driver read there as ws, for stacks of b
+    states: map(lo, hi) is F on the grid rows lo..hi, a function of a stack
+    x (n, b, d) that returns the running sums S (2, n, b, d), so F(x) =
+    x_{t_lo} + S[0] + S[1] (drift, then noise).  Both take young's midpoint
+    rule: the end values of each step, f and g evaluated over one flattened
+    (n*b, d) axis, are added straight into S, then halved and, for m = 1,
+    multiplied by the stacked [dt, dw].  For m > 1 that makes the drift term
+    alone and the noise term is _pair_terms (einsum), whose sum over the m
+    columns a sum in order misses in the last bit once m >= 3.  One
     np.add.accumulate from S's zero row sums both, so a zero noise sum reads
-    +0.0, as einsum's terms sum.  The buffers are those of the latest live
-    count b, and S is overwritten by the next call.
+    +0.0, as einsum's terms sum.  The stacked coefficients and the b-fold
+    times cover the whole grid and S holds rows grid points (all of ts by
+    default): a solve builds one map.  S is overwritten by the next call, and
+    the product runs under the caller's np.errstate, as einsum's noise
+    products do not warn on inf * 0 or overflow.
     """
-    n, d, m = len(ts), field.dim_d, field.dim_m
+    d, m = field.dim_d, field.dim_m
     if ws.shape[1] != m:
         raise ShapeError(f"integrand columns {m} != driver dimension {ws.shape[1]}")
     dw = ws[1:] - ws[:-1]
     k = 2 if m == 1 else 1  # the parts the stacked product makes
-    coef = np.empty((n - 1, k, 1, 1))
-    coef[:, 0, 0, 0] = ts[1:] - ts[:-1]
+    coef = np.empty((k, len(ts) - 1, b, d))
+    coef[0] = (ts[1:] - ts[:-1])[:, None, None]
     if m == 1:
-        coef[:, 1, 0, 0] = dw[:, 0]
-    cached = (0,)
+        coef[1] = dw[:, :, None]
+    ts_b = np.repeat(ts, b)
+    dw_b = np.repeat(dw, b, axis=0) if m > 1 else None
+    S_buf = np.zeros((2, len(ts) if rows is None else rows, b, d))
 
-    def sums(x: np.ndarray) -> np.ndarray:
-        nonlocal cached
-        b = x.shape[1]
-        if cached[0] != b:
-            S = np.zeros((n, 2, b, d))
-            cached = (b, np.repeat(ts, b), np.repeat(dw, b, axis=0) if m > 1 else None,
-                      np.empty((n, k, b, d)), S, S[1:, :k])
-        _, ts_b, dw_b, vals, S, terms = cached
-        flat = x.reshape(n * b, d)
-        vals[:, 0] = field.eval_f(ts_b, flat).reshape(n, b, d)
-        g_vals = field.eval_g(ts_b, flat)
-        if m == 1:
-            vals[:, 1] = g_vals.reshape(n, b, d)
-        np.add(vals[:-1], vals[1:], out=terms)
-        terms *= 0.5
-        # as einsum's noise products, inf * 0 and overflow do not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms *= coef
-        if m > 1:
-            g_vals = g_vals.reshape(n, b, d, m)
-            g_mid = (0.5 * (g_vals[:-1] + g_vals[1:])).reshape((n - 1) * b, d, m)
-            S[1:, 1] = _pair_terms(g_mid, dw_b).reshape(n - 1, b, d)
-        return np.add.accumulate(S, axis=0, out=S)
+    def chunk(lo: int, hi: int):
+        n = hi - lo + 1
+        S = S_buf[:, :n]
+        # the step sums in the (n*b, ...) rows of f and g: row j and row j + b
+        drift, noise = S[0, 1:].reshape(-1, d), S[1, 1:].reshape(-1, d, 1)
+        terms, t, c = S[:k, 1:], ts_b[lo * b:(hi + 1) * b], coef[:, lo:hi]
 
-    return sums
+        def sums(x: np.ndarray) -> np.ndarray:
+            flat = x.reshape(n * b, d)
+            f_vals = field.eval_f(t, flat)
+            np.add(f_vals[:-b], f_vals[b:], out=drift)
+            g_vals = field.eval_g(t, flat)
+            if m == 1:
+                np.add(g_vals[:-b], g_vals[b:], out=noise)
+            np.multiply(terms, 0.5, out=terms)
+            np.multiply(terms, c, out=terms)
+            if m > 1:
+                noise[..., 0] = _pair_terms(0.5 * (g_vals[:-b] + g_vals[b:]), dw_b[lo * b:hi * b])
+            return np.add.accumulate(S, axis=1, out=S)
+
+        return sums
+
+    return chunk
 
 
 def apply_F(
@@ -203,9 +208,11 @@ def apply_F(
     """Evaluate the solution map on x's grid, anchored at the window start."""
     sub = x.restrict(window)
     ts = sub.times
-    S = _solution_map(field, ts, driver.at(ts))(sub.values[:, None, :])[:, :, 0]
-    return FApplication(SampledPath(ts, sub.values[0] + S[:, 0] + S[:, 1]),
-                        SampledPath(ts, S[:, 0]), SampledPath(ts, S[:, 1]))
+    sums = _solution_map(field, ts, driver.at(ts))(0, len(ts) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = sums(sub.values[:, None, :])[:, :, 0]
+    return FApplication(SampledPath(ts, sub.values[0] + S[0] + S[1]),
+                        SampledPath(ts, S[0]), SampledPath(ts, S[1]))
 
 
 def apply_F_certificate(
@@ -237,13 +244,22 @@ def apply_F_certificate(
 # Picard iteration on one grid slice
 
 
+def _start_norms(x0: np.ndarray) -> List[float]:
+    """np.linalg.norm of each state of x0 (B, d) bit for bit: sqrt(v.dot(v)),
+    at d = 1 sqrt(v * v) in one call; for d > 1 BLAS's dot may fuse the
+    multiply-adds, which no vectorised sum of squares does."""
+    if x0.shape[1] == 1:
+        return np.sqrt(x0[:, 0] * x0[:, 0]).tolist()
+    return [float(np.linalg.norm(v)) for v in x0]
+
+
 class _Slice(NamedTuple):
     """Picard on one grid slice for a stack of B states."""
 
-    values: np.ndarray  # (n, B, d); a failed member's rows are meaningless
+    values: np.ndarray  # (n, B, d); a failed member's rows hold its last iterate
     iters: int  # iterations of the members that converged, summed
-    residuals: np.ndarray  # (B,)
-    ball_ok: np.ndarray  # (B,)
+    residuals: Optional[np.ndarray]  # (B,), None without diagnostics
+    ball_ok: Optional[np.ndarray]  # (B,), None without diagnostics
     member_iters: np.ndarray  # (B,)
     failed: np.ndarray  # (B,)
 
@@ -256,6 +272,8 @@ def _picard_slice(
     opts: SolveOptions,
     q: float,
     x_init: Optional[np.ndarray] = None,
+    sums=None,
+    diagnostics: bool = True,
 ) -> _Slice:
     """Iterate F to the numerical fixed point on a fixed grid slice, for the
     stack of initial states x0, shape (B, d).
@@ -267,82 +285,107 @@ def _picard_slice(
     from then on, so it ends exactly where its one-state slice ends.
     Non-convergence is reported in failed, the mask of the members that
     diverge or exhaust the budget (every member when none converges).
+
+    The members stay in place: each pass applies F (sums, the solve's map on
+    this slice, or one of its own) to the whole stack and writes back the
+    live members only.  A failed member is reset to its start, so no later
+    pass meets a diverging iterate, and gets its last iterate back at the end.
+    Without diagnostics there is no ball screen or residual pass (residuals
+    and ball_ok None).  One np.errstate(over="ignore", invalid="ignore")
+    covers the slice, f and g included: a live member's non-finite iterate
+    raises DataError, not a RuntimeWarning.
     """
     if q < 1:
         raise ParameterError(f"the ball norm needs q >= 1, got {q}")
     n, (B, d) = len(ts), x0.shape
     x = np.repeat(x0[None], n, axis=0) if x_init is None else np.array(x_init, dtype=float)
-    x0_norm = [float(np.linalg.norm(v)) for v in x0]
+    x0_norm = _start_norms(x0)
     scale = [max(1.0, v) for v in x0_norm]
-    floor = [max(64.0 * np.finfo(float).eps * v, 1e-5 * opts.picard_tol) for v in scale]
+    eps, tol_floor = 64.0 * np.finfo(float).eps, 1e-5 * opts.picard_tol
+    floor = [max(eps * v, tol_floor) for v in scale]
     ball_cap = [2.0 * v + 1.0 for v in x0_norm]
     ball_ok = [True] * B
     reached_tol = [False] * B
     failed = [False] * B
     member_iters = [0] * B
-    prev_change = [math.inf] * B
+    changes = [math.inf] * B  # each member's latest change, read as its previous one
     max_total = opts.picard_max_iters + 40
-    sums = _solution_map(field, ts, ws)
+    if sums is None:
+        sums = _solution_map(field, ts, ws, B)(0, n - 1)
 
-    def apply_f(x, x0s):
+    def apply_f(x):
         S = sums(x)
-        return x0s + S[:, 0] + S[:, 1]
+        fx = x0 + S[0]
+        fx += S[1]
+        return fx
 
     live = list(range(B))  # the members still iterating, all at the same count
+    parked = {}  # the last iterates of the members that failed
     iters = 0
-    while live and iters < max_total:
-        xl = x if len(live) == B else x[:, live]
-        fx = apply_f(xl, x0 if len(live) == B else x0[live])
-        changes = np.maximum.reduce(np.abs(fx - xl), axis=(0, 2)).tolist()
-        # a non-finite entry of fx makes its member's change non-finite
-        if not math.isfinite(sum(changes)) and not np.isfinite(fx).all():
-            raise DataError("Picard iterate contains non-finite entries")
-        if len(live) == B:
-            x = fx
-        else:
-            x[:, live] = fx
-        iters += 1
-        # the ball screen for the whole stack, on every grid point: the
-        # 1-variation bounds the q-variation from above (q >= 1), as row sums
-        # of a contiguous (members, steps) array, each the np.sum of that
-        # member's step norms.  For d = 1 the norm is abs, which is
-        # np.linalg.norm's sqrt(s * s) only where s * s neither underflows nor
-        # overflows; the bound is a screen, and the DP decides the flag
-        steps = fx[1:] - fx[:-1]
-        steps = np.abs(steps[:, :, 0]) if d == 1 else np.linalg.norm(steps, axis=2)
-        var1 = np.add.reduce(np.ascontiguousarray(steps.T), axis=1).tolist()
-        still = []
-        for j, b in enumerate(live):
-            # the DP runs only when that bound, with a rounding margin, does not
-            # settle it
-            if (x0_norm[b] + var1[j]) * (1.0 + 1e-12) > ball_cap[b] + 1e-9:
-                if x0_norm[b] + _variation(fx[:, j], q) > ball_cap[b] + 1e-9:
-                    ball_ok[b] = False
-            change = changes[j]
-            member_iters[b] = iters
-            if change > 1e8 * scale[b]:
-                failed[b] = True  # diverging
-            elif change <= floor[b]:
-                reached_tol[b] = True
-            elif change < opts.picard_tol:
-                reached_tol[b] = True
-                if not change >= 0.9999 * prev_change[b]:  # else stalled at rounding level
-                    still.append(b)
-            elif iters >= opts.picard_max_iters:
-                failed[b] = True  # no contraction within the iteration budget
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live and iters < max_total:
+            fx = apply_f(x)
+            prev, changes = changes, np.maximum.reduce(np.abs(fx - x), axis=(0, 2)).tolist()
+            # a non-finite entry of a live member's fx makes its change non-finite
+            if (not math.isfinite(sum([changes[b] for b in live]))
+                    and not np.isfinite(fx[:, live]).all()):
+                raise DataError("Picard iterate contains non-finite entries")
+            if len(live) == B:
+                x = fx
             else:
-                still.append(b)
-            prev_change[b] = change
-        live = still
-    done = [b for b in range(B) if reached_tol[b] and not failed[b]]  # else polish exhausted
-    residuals = np.zeros(B)
-    if done:
-        xd = x if len(done) == B else x[:, done]
-        residuals[done] = np.abs(apply_f(xd, x0[done]) - xd).max(axis=(0, 2))
-    unconverged = np.ones(B, dtype=bool)
-    unconverged[done] = False
-    return _Slice(x, sum(member_iters[b] for b in done), residuals, np.array(ball_ok),
-                  np.array(member_iters), unconverged)
+                np.copyto(x, fx, where=is_live)
+            iters += 1
+            if diagnostics:
+                # the ball screen for the whole stack, on every grid point: the
+                # 1-variation bounds the q-variation from above (q >= 1), as row
+                # sums of a contiguous (members, steps) array, each the np.sum of
+                # that member's step norms.  For d = 1 the norm is abs, which is
+                # np.linalg.norm's sqrt(s * s) only where s * s neither
+                # underflows nor overflows; the DP, run where the bound with a
+                # rounding margin does not settle it, decides the flag
+                steps = fx[1:] - fx[:-1]
+                steps = np.abs(steps[:, :, 0]) if d == 1 else np.linalg.norm(steps, axis=2)
+                var1 = np.add.reduce(np.ascontiguousarray(steps.T), axis=1).tolist()
+                for b in live:
+                    if ((x0_norm[b] + var1[b]) * (1.0 + 1e-12) > ball_cap[b] + 1e-9
+                            and x0_norm[b] + _variation(fx[:, b], q) > ball_cap[b] + 1e-9):
+                        ball_ok[b] = False
+            still = []
+            for b in live:
+                change = changes[b]
+                member_iters[b] = iters
+                if change > 1e8 * scale[b]:
+                    failed[b] = True  # diverging
+                elif change <= floor[b]:
+                    reached_tol[b] = True
+                elif change < opts.picard_tol:
+                    reached_tol[b] = True
+                    if not change >= 0.9999 * prev[b]:  # else stalled at rounding level
+                        still.append(b)
+                elif iters >= opts.picard_max_iters:
+                    failed[b] = True  # no contraction within the iteration budget
+                else:
+                    still.append(b)
+            if len(still) < len(live):
+                is_live = np.zeros((B, 1), dtype=bool)
+                is_live[still] = True
+                for b in live:
+                    if failed[b]:  # its start stands in for it in the passes that follow
+                        parked[b] = x[:, b].copy()
+                        x[:, b] = x0[b]
+                live = still
+        unconverged = [failed[b] or not reached_tol[b] for b in range(B)]
+        residuals = None
+        if diagnostics:
+            residuals = np.zeros(B)
+            if not all(unconverged):
+                residuals = np.maximum.reduce(np.abs(apply_f(x) - x), axis=(0, 2))
+                residuals[unconverged] = 0.0
+    for b, last in parked.items():
+        x[:, b] = last
+    return _Slice(x, sum(k for k, u in zip(member_iters, unconverged) if not u), residuals,
+                  np.array(ball_ok) if diagnostics else None, np.array(member_iters),
+                  np.array(unconverged))
 
 
 def _solve_span(
@@ -353,14 +396,19 @@ def _solve_span(
     opts: SolveOptions,
     q: float,
     depth: int = 0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    sums=None,
+    diagnostics: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Picard on the slice for the stack x0 (B, d), shrinking recursively.
 
     Only the members that did not converge are re-solved, together, on the
-    two parts of the slice, so every member's values, iteration count,
-    residual and ball flag are those of its own one-state solve.
+    two parts of the slice, each part with a solution map of its own, so
+    every member's values, iteration count, residual and ball flag are those
+    of its own one-state solve.  Without diagnostics the residuals and ball
+    flags are None.
     """
-    vals, _, residuals, ball_ok, iters, failed = _picard_slice(field, ts, ws, x0, opts, q)
+    vals, _, residuals, ball_ok, iters, failed = _picard_slice(
+        field, ts, ws, x0, opts, q, sums=sums, diagnostics=diagnostics)
     if not failed.any():
         return vals, iters, residuals, ball_ok
     if depth >= 20 or len(ts) < 3:
@@ -370,12 +418,15 @@ def _solve_span(
         )
     k = int(round(_SHRINK_FACTOR * (len(ts) - 1)))
     k = min(max(k, 1), len(ts) - 2)
-    left, il, rl, bl = _solve_span(field, ts[: k + 1], ws[: k + 1], x0[failed], opts, q, depth + 1)
-    right, ir, rr, br = _solve_span(field, ts[k:], ws[k:], left[-1], opts, q, depth + 1)
+    left, il, rl, bl = _solve_span(field, ts[: k + 1], ws[: k + 1], x0[failed], opts, q,
+                                   depth + 1, diagnostics=diagnostics)
+    right, ir, rr, br = _solve_span(field, ts[k:], ws[k:], left[-1], opts, q, depth + 1,
+                                    diagnostics=diagnostics)
     vals[:, failed] = np.concatenate([left, right[1:]])
     iters[failed] = il + ir
-    residuals[failed] = np.maximum(rl, rr)
-    ball_ok[failed] = bl & br
+    if diagnostics:
+        residuals[failed] = np.maximum(rl, rr)
+        ball_ok[failed] = bl & br
     return vals, iters, residuals, ball_ok
 
 
@@ -457,14 +508,16 @@ def _chunk_boundaries(ts: np.ndarray, greedy_times: np.ndarray) -> List[int]:
 
 
 class BatchSolve(NamedTuple):
-    """A forward solve of a stack of B initial states over one window."""
+    """A forward solve of a stack of B initial states over one window; without
+    keep_path, times and values hold T and the end states alone and
+    residuals and ball_ok are None."""
 
     times: np.ndarray  # (n,)
     values: np.ndarray  # (n, B, d)
     greedy: GreedySequence
     iters: np.ndarray  # (chunks, B)
-    residuals: np.ndarray  # (chunks, B)
-    ball_ok: np.ndarray  # (B,)
+    residuals: Optional[np.ndarray]  # (chunks, B)
+    ball_ok: Optional[np.ndarray]  # (B,)
     mu: float
     constants: DerivedConstants
 
@@ -481,12 +534,13 @@ def solve_forward_batch(
 ) -> BatchSolve:
     """Solve the stack of initial states x0, shape (B, d), forward on [t0, T].
 
-    The greedy partition and the grid depend on the window alone, so they
-    are built once for the whole stack; Picard runs chunk by chunk on
-    (n, B, d) arrays and the driver read at the chunk's times, and every
-    member's values equal its one-state solve's bit for bit.  With keep_path
-    False only the final states are kept (times holds T alone): a
-    transport needs no more, and the stack's path takes B times the
+    The greedy partition, the grid and the solution map (its buffers sized to
+    the longest chunk) depend on the window alone, so they are built once
+    for the whole stack; Picard runs chunk by chunk on (n, B, d) arrays and
+    the driver read at the chunk's times, and every member's values equal
+    its one-state solve's bit for bit.  With keep_path False only the end
+    states are computed (times holds T alone) and residuals and ball_ok are
+    None: a transport needs no more, and the stack's path takes B times the
     memory of a one-state solve.
     """
     opts = opts or SolveOptions()
@@ -497,7 +551,7 @@ def solve_forward_batch(
         raise DomainError(f"solve window [{t0}, {T}] outside driver domain")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != field.dim_d:
-        raise ParameterError(f"x0 has dimension {x0.shape[-1]}, field expects {field.dim_d}")
+        raise ParameterError(f"x0 has shape {x0.shape}, expected (B, d) with d = {field.dim_d}")
 
     cons = derived_constants(field, t0, T, exponents.K0)
     mu = opts.mu_override if opts.mu_override is not None else cons.mu_star
@@ -506,23 +560,23 @@ def solve_forward_batch(
     ts = _build_grid(driver, t0, T, opts)
     chunk_idx = _chunk_boundaries(ts, greedy.times)
     ws = driver.at(ts)
+    smap = _solution_map(field, ts, ws, len(x0), max(np.diff(chunk_idx), default=0) + 1)
 
-    values = np.empty((len(ts) if keep_path else 1,) + x0.shape)
-    iters, residuals = [], []
-    ball_ok = np.ones(len(x0), dtype=bool)
+    values = np.empty((len(ts),) + x0.shape) if keep_path else None
+    iters, residuals, ball_ok = [], [], np.ones(len(x0), dtype=bool)
     current = x0
     for a, b in zip(chunk_idx[:-1], chunk_idx[1:]):
-        sl = slice(a, b + 1)
-        vals, its, res, b_ok = _solve_span(field, ts[sl], ws[sl], current, opts, exponents.q)
-        if keep_path:
-            values[sl] = vals
+        vals, its, res, b_ok = _solve_span(field, ts[a:b + 1], ws[a:b + 1], current, opts,
+                                           exponents.q, sums=smap(a, b), diagnostics=keep_path)
         iters.append(its)
-        residuals.append(res)
-        ball_ok &= b_ok
         current = vals[-1]
+        if keep_path:
+            values[a:b + 1] = vals
+            residuals.append(res)
+            ball_ok &= b_ok
     if not keep_path:
-        ts = ts[-1:]
-        values[0] = current
+        return BatchSolve(ts[-1:], current[None], greedy, np.array(iters), None, None, float(mu),
+                          cons)
     return BatchSolve(ts, values, greedy, np.array(iters), np.array(residuals), ball_ok,
                       float(mu), cons)
 

@@ -29,11 +29,22 @@ from youngflow import (
     solve_backward,
     solve_forward,
     solve_interval,
+    time_varying_field,
 )
-from test_vector_systems import _rotation_field
-from youngflow.errors import DataError, ShapeError, SolveError
+from test_vector_systems import _rotation_field, _sine_driver
+from youngflow.errors import DataError, ParameterError, ShapeError, SolveError
 from youngflow.paths import _variation, thin_indices
-from youngflow.solver import _anchor_integrals, _chunk_boundaries, _picard_slice, solve_forward_batch
+from youngflow.scenarios import SCENARIOS
+from youngflow.flow import cauchy_operator
+from youngflow.solver import (
+    _anchor_integrals,
+    _chunk_boundaries,
+    _picard_slice,
+    _solution_map,
+    _start_norms,
+    reversed_problem,
+    solve_forward_batch,
+)
 from youngflow.young import _RULES, _pair_terms, _running_sum
 
 
@@ -753,8 +764,9 @@ def test_picard_slice_is_bit_equal_to_the_per_iteration_loop(case, n, span, seed
     # mutations this fails on: a running sum without its zero row, each
     # partial sum one row early (kept in place, it loses only the sign of
     # zero, which the zero-field test below catches); dt and dw swapped in
-    # the coefficient stack; a buffer cache keyed by slice only, not by live
-    # count (the stack case, whose members stop at different iterations)
+    # the coefficient stack; the live mask dropped, frozen members updated
+    # anyway (the stack case, whose members stop at different iterations);
+    # a failed member's last iterate not put back after its reset
     rng = np.random.default_rng(seed)
     m = 2 if case == "two-channel" else 1
     ts = np.linspace(0.0, span, n)
@@ -779,8 +791,8 @@ def test_picard_slice_is_bit_equal_to_the_per_iteration_loop(case, n, span, seed
 
 def test_stack_members_stop_at_different_iterations_bit_equal_to_the_loop():
     # the stack case of the property above on a slice where every member
-    # converges: they stop after 5, 7, 8 and 8 iterations, so the kernel
-    # runs at live counts 4, 3 and 2
+    # converges: they stop after 5, 7, 8 and 8 iterations, so 4, 3 and 2
+    # members are live as the stack iterates in place
     field, drv = linear_field(-0.5, 0.0, 0.4, 0.0), _sine(41, 0.4)
     x0 = np.array([[1e-6], [-0.01], [0.7], [-25.0]])
     got = _picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
@@ -839,3 +851,194 @@ def test_scalar_noise_against_a_two_column_driver_raises_shape_error():
         solve_forward(field, drv, 0.0, [1.0], 1.0, exponents=EXPS, certify=False)
     with pytest.raises(ShapeError, match="driver dimension 2"):
         apply_F(field, drv, SampledPath(ts, np.ones(101)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["scalar-stack", "time-varying-stack", "rotation-stack",
+                          "two-channel-stack"]),
+    n=st.integers(2, 40),
+    lo=st.integers(0, 30),
+    span=st.floats(0.02, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+    max_iters=st.sampled_from([2, 6, 50]),
+)
+def test_transport_slice_on_the_solve_map_is_bit_equal_to_the_loop(case, n, lo, span, seed,
+                                                                    max_iters):
+    # a transport's slice: the rows lo .. lo+n-1 of a longer grid, on the map
+    # built for that grid, without diagnostics.  Mutations this fails on: the
+    # live mask dropped (frozen members updated anyway, as the members stop at
+    # different iterations); the map's coefficients or times (which the
+    # time-varying field reads) not sliced per chunk, read from row 0 rather
+    # than row lo
+    rng = np.random.default_rng(seed)
+    m = 2 if case == "two-channel-stack" else 1
+    total = lo + n + 5
+    grid = np.linspace(0.0, span, total)
+    wgrid = 0.5 * np.cumsum(rng.standard_normal((total, m)), axis=0) * math.sqrt(span / total)
+    sizes = 10.0 ** rng.uniform(-2.0, 1.0, (3, 1))
+    if case == "rotation-stack":
+        field, x0 = _rotation_field(rng.uniform(0.2, 2.0)), rng.uniform(-2.0, 2.0, (3, 2)) * sizes
+    elif case == "two-channel-stack":
+        field, x0 = _two_channel_field(), rng.uniform(-2.0, 2.0, (3, 1)) * sizes
+    elif case == "time-varying-stack":
+        coef = rng.uniform(-1.5, 1.5, 6) * np.array([1.0, 1.0, 8.0, 1.0, 1.0, 8.0])
+        field, x0 = time_varying_field(*coef), rng.uniform(-2.0, 2.0, (3, 1)) * sizes
+    else:
+        field, x0 = linear_field(*rng.uniform(-1.5, 1.5, 4)), np.array([[1e-6], [-0.01], [0.7],
+                                                                         [-25.0]])
+    opts = SolveOptions(picard_max_iters=max_iters)
+    ts, ws = grid[lo:lo + n], wgrid[lo:lo + n]
+    sums = _solution_map(field, grid, wgrid, len(x0), n + 3)(lo, lo + n - 1)
+    got = _picard_slice(field, ts, ws, x0, opts, EXPS.q, sums=sums, diagnostics=False)
+    want = _reference_picard_slice(field, ts, ws, x0, opts, EXPS.q)
+    assert got.residuals is None and got.ball_ok is None
+    assert got.iters == want[1]
+    for name, ref in zip(("values", "member_iters", "failed"), (want[0], want[4], want[5])):
+        value = getattr(got, name)
+        assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
+
+
+def test_diverging_member_leaves_its_stack_mates_bit_equal():
+    # dx = x^3 dt + 0.3 x dw: from 1e40 the first iterate is 4e119, far past
+    # 1e8 times the start, so that member fails while those from 0.1, -0.3
+    # and 0.02 iterate on.  Its start stands in for it from then on: f never
+    # sees a diverging iterate and returns nothing non-finite, no
+    # RuntimeWarning is raised, the survivors equal their one-state slices
+    # bit for bit, and the failed member's rows are its last iterate, as in
+    # the per-iteration loop.  Mutations this fails on: the reset dropped
+    # (the next pass cubes 4e119 past the float range); the last iterate not
+    # put back.  A non-finite check over all members, not the live ones,
+    # changes nothing while the reset is in place, as no frozen member then
+    # holds an iterate whose F is not finite; with the reset dropped too, it
+    # raises DataError here
+    outputs = []
+
+    def cube(t, x):
+        out = x ** 3
+        outputs.append(bool(np.isfinite(out).all()))
+        return out
+
+    field = scalar_field(
+        f=cube, g=lambda t, x: 0.3 * x, g_x=lambda t, x: np.full_like(x, 0.3),
+        L_g=0.3, M_N=0.0, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=0.0, a=0.0, name="cube",
+    )
+    drv = _sine(41, 0.4)
+    x0 = np.array([[0.1], [-0.3], [1e40], [0.02]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for diagnostics in (True, False):
+            outputs.clear()
+            got = _picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q,
+                                diagnostics=diagnostics)
+            assert all(outputs)
+            assert got.failed.tolist() == [False, False, True, False]
+            assert got.member_iters[2] == 1 and len(set(got.member_iters.tolist())) > 2
+            for b in (0, 1, 3):
+                alone = _picard_slice(field, drv.times, drv.values, x0[[b]], SolveOptions(),
+                                      EXPS.q)
+                assert got.values[:, b].tobytes() == alone.values[:, 0].tobytes()
+                assert got.member_iters[b] == alone.member_iters[0]
+    want = _reference_picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
+    assert got.values.tobytes() == want[0].tobytes()
+
+
+def test_non_finite_iterate_after_a_member_stops_raises_data_error():
+    # the member from 0.1 sees no drift and stops after one iteration; the one
+    # from 4.5 drifts past 5, where f is infinite, in its second, so the check
+    # that reads the live members only raises DataError
+    zero = lambda t, x: np.zeros_like(x)
+    field = scalar_field(
+        f=lambda t, x: np.where(x > 5.0, np.inf, np.where(x > 1.0, 1.0, 0.0)), g=zero,
+        g_x=zero, L_g=0.0, M_N=0.0, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=0.0, a=0.0, name="step-blow-up",
+    )
+    drv = _sine(101, 1.0)
+    first = _picard_slice(field, drv.times, drv.values, np.array([[0.1]]), SolveOptions(), EXPS.q)
+    assert first.member_iters.tolist() == [1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite"):
+            _picard_slice(field, drv.times, drv.values, np.array([[0.1], [4.5]]),
+                          SolveOptions(), EXPS.q, diagnostics=False)
+
+
+_TRANSPORT_SYSTEMS = {
+    "flow-linear": (SCENARIOS["flow-linear"].make_field(),
+                    SCENARIOS["flow-linear"].make_driver(None),
+                    SCENARIOS["flow-linear"].exponents()),
+    "rotation": (_rotation_field(), _sine_driver(), EXPS),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_TRANSPORT_SYSTEMS))
+@pytest.mark.parametrize("opts", [SolveOptions(oversample=2),
+                                  SolveOptions(picard_max_iters=6, mu_override=2.0)])
+def test_transport_end_states_are_the_last_row_of_the_kept_path(system, opts):
+    # forward and reversed, the end states a transport computes without the
+    # path equal the last row of the solve that keeps it; the tight budget
+    # makes the large states fail their first chunks and be re-solved on the
+    # halves.  Mutation this fails on: a transport's chunk taking its end
+    # states before the re-solved halves are written back
+    field, driver, exps = _TRANSPORT_SYSTEMS[system]
+    d = field.dim_d
+    states = np.random.default_rng(3).uniform(-1.0, 1.0, (5, d)) * np.array(
+        [[1e-2], [0.3], [1.0], [8.0], [30.0]])
+    t1, t2 = 0.2, 1.6
+    for moved, (f, w, o) in (
+            (cauchy_operator(field, driver, t1, t2, states, opts, exps), (field, driver, opts)),
+            (cauchy_operator(field, driver, t2, t1, states, opts, exps),
+             reversed_problem(field, driver, t1, t2, opts))):
+        kept = solve_forward_batch(f, w, t1, states, t2, o, exps, keep_path=True)
+        assert moved.tobytes() == kept.values[-1].tobytes()
+        bare = solve_forward_batch(f, w, t1, states, t2, o, exps, keep_path=False)
+        assert bare.residuals is None and bare.ball_ok is None
+        assert bare.times.tolist() == [t2]
+        assert bare.iters.tobytes() == kept.iters.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_start_norms_equal_np_linalg_norm_bit_for_bit(d):
+    # at d = 1 one call makes sqrt(v * v) for the stack: it underflows at
+    # 1e-200 and overflows at 1e200 as np.linalg.norm does, and -0.0 reads
+    # +0.0; for d > 1 each state takes np.linalg.norm
+    rng = np.random.default_rng(d)
+    x0 = rng.standard_normal((200, d)) * 10.0 ** rng.uniform(-8.0, 8.0, (200, 1))
+    if d == 1:
+        x0 = np.concatenate([x0, [[1e-200], [-1e-200], [1e200], [-0.0], [0.0], [3.0], [5e-324]]])
+    with np.errstate(over="ignore", under="ignore"):
+        want = [float(np.linalg.norm(v)) for v in x0]
+        got = _start_norms(x0)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_solve_forward_batch_names_the_stack_shape_it_expects():
+    field = SCENARIOS["flow-linear"].make_field()
+    drv = SCENARIOS["flow-linear"].make_driver(None)
+    exps = SCENARIOS["flow-linear"].exponents()
+    # a one-state vector of the right size is not a (B, d) stack
+    with pytest.raises(ParameterError, match=r"x0 has shape \(1,\), expected \(B, d\) with d = 1"):
+        solve_forward_batch(field, drv, 0.2, np.array([1.0]), 1.0, exponents=exps)
+    with pytest.raises(ParameterError, match=r"shape \(2, 2\)"):
+        solve_forward_batch(field, drv, 0.2, np.ones((2, 2)), 1.0, exponents=exps)
+    with pytest.raises(ParameterError, match="needs an ExponentSet"):
+        solve_forward_batch(field, drv, 0.2, np.ones((2, 1)), 1.0)
+
+
+def test_picard_scope_silences_f_overflow_into_data_error():
+    # the slice runs under one np.errstate that covers f and g as well: exp
+    # overflows at 800 with a RuntimeWarning outside the solver, and inside it
+    # the infinite iterate raises DataError instead
+    field = scalar_field(
+        f=lambda t, x: np.exp(x), g=lambda t, x: np.zeros_like(x),
+        g_x=lambda t, x: np.zeros_like(x), L_g=0.0, M_N=0.0, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=0.0, a=0.0, name="exp",
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        np.exp(np.array([800.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite"):
+            solve_forward(field, _sine(201, 1.0), 0.0, [800.0], 1.0, exponents=EXPS,
+                          certify=False)
