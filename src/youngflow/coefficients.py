@@ -42,6 +42,7 @@ from .young import Certificate, YoungConstants
 
 # slack of the composed-path certificates' comparisons
 _CERT_TOL = 1e-10
+_FLOAT = np.dtype(float)
 
 
 def _as_const_fn(value: Union[float, Callable[[float], float]]) -> Callable[[float], float]:
@@ -101,14 +102,23 @@ class CoefficientField:
             raise ParameterError("alpha must lie in [1/2, 1)")
 
     def eval_f(self, ts, xs) -> np.ndarray:
+        """f at the times ts and states xs, shape (n, d): f's own result when
+        it is a float64 ndarray of that shape, else f's result coerced."""
         ts = np.asarray(ts, float)
-        out = np.asarray(self.f(ts, np.asarray(xs, float)), float)
-        return out.reshape(ts.size, self.dim_d)
+        out = self.f(ts, np.asarray(xs, float))
+        shape = (ts.size, self.dim_d)
+        if type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape:
+            return out
+        return np.asarray(out, float).reshape(shape)
 
     def eval_g(self, ts, xs) -> np.ndarray:
+        """g at the times ts and states xs, shape (n, d, m), as eval_f reads f."""
         ts = np.asarray(ts, float)
-        out = np.asarray(self.g(ts, np.asarray(xs, float)), float)
-        return out.reshape(ts.size, self.dim_d, self.dim_m)
+        out = self.g(ts, np.asarray(xs, float))
+        shape = (ts.size, self.dim_d, self.dim_m)
+        if type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape:
+            return out
+        return np.asarray(out, float).reshape(shape)
 
     def eval_g_x(self, ts, xs) -> np.ndarray:
         out = np.asarray(self.g_x(np.asarray(ts, float), np.asarray(xs, float)), float)
@@ -119,7 +129,7 @@ class CoefficientField:
         u -> t0 + t1 - u: running dy = -f_hat du + g_hat d(w o rho) forward
         on the reversed clock traces the original trajectories backwards.
         """
-        rho = lambda u: (t0 + t1) - np.asarray(u, float)
+        rho = lambda u: (t0 + t1) - u  # u is an array or a float
         f, g, g_x, b, h = self.f, self.g, self.g_x, self.b, self.h
         return replace(
             self,
@@ -161,9 +171,9 @@ def scalar_field(
     bf = (lambda ts: np.zeros_like(np.asarray(ts, float))) if b is None else b
     bn = (lambda t0, t1: 0.0) if b_norm is None else b_norm
     return CoefficientField(
-        f=lambda ts, xs: np.asarray(f(ts, xs[:, 0]), float)[:, None],
-        g=lambda ts, xs: np.asarray(g(ts, xs[:, 0]), float)[:, None, None],
-        g_x=lambda ts, xs: np.asarray(g_x(ts, xs[:, 0]), float)[:, None, None, None],
+        f=lambda ts, xs: f(ts, xs[:, 0])[:, None],  # eval_f/eval_g coerce other dtypes
+        g=lambda ts, xs: g(ts, xs[:, 0])[:, None, None],
+        g_x=lambda ts, xs: g_x(ts, xs[:, 0])[:, None, None, None],
         dim_d=1,
         dim_m=1,
         L_g=L_g,

@@ -4,43 +4,34 @@ The next greedy time after tau solves
 
     (t - tau)^lambda + |||w|||_{p-var,[tau, t]}  =  mu.
 
-The left side is continuous and strictly increasing in t.  The budget at
-each vertex comes from the p-variation DP of `paths._powers`, the one that
-`p_variation` and the certificates run, over the start value and the
-vertices after it; bisection inside the segment where the budget reaches mu
-finds the root.  The number of full intervals inside [a, b] obeys the
-counting bound
+The left side is continuous and strictly increasing in t.  The number of
+full intervals inside [a, b] obeys the counting bound
 
     N(a,b,w) <= 2^{p'-1} / mu^{p'} * ( (b-a)^{p' lambda} + |||w|||^{p'}_{p-var,[a,b]} )
 
 for any p' >= max(p, 1/lambda).
 
-One DP row covers the vertices of a window that starts with _FIRST_WINDOW
-vertices and doubles until the budget is spent.  A scalar driver's row
-keeps the start, the turning points and its last vertex, so a vertex
-inside a monotone run has as its DP step the max over the kept points up
-to the run's start; the run where the budget crosses mu takes that step
-for all its vertices in one stacked call.
-
-Bisection predicts, replays and verifies.  Regula falsi guesses the root
-in Python floats on the segment's affine driver; the one-step bisection,
-with its 0.5 * (a + b) midpoints and its stop, is replayed on the guess;
-the midpoints visited and the segment's end, where a step may snap, are
-read through SampledPath._interp, as SampledPath.at reads them, and
-evaluated as one (times x kept) array; and each decision is checked with
-the one-step expression (t - tau)^lambda + power^(1/p) < mu, where a term
-past float range reads inf, as in numpy.
-The replay restarts from the first decision the check overturns.
-Elementwise numpy -, abs, ** and + round the same way at any array shape
-while max is exact, so each power equals its one-step value and every
-decision is the one-step loop's: a wrong guess costs batches, never a bit.
+The one-step engine (_next_greedy) reads each vertex's budget off the
+p-variation DP of paths._powers, the one that p_variation and the
+certificates run, over the start value and a row of vertices after it that
+doubles from _FIRST_WINDOW vertices until the budget is spent.  It bisects
+the segment where the budget reaches mu, predicting the decisions from a
+root guess and checking them in batches with the one-step expression
+(t - tau)^lambda + power^(1/p) < mu, where a term past float range reads
+inf.  greedy_sequence takes a scalar driver's steps from a walk model
+(_Walk) where the engine's rows do not turn: Python floats predict runs of
+steps, one numpy evaluation per run checks every decision the engine would
+make, and the engine takes only the steps the check refuses or the model
+declines.  README "Greedy times" states the rules, and why each keeps every
+bit of the engine's result.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,6 +45,12 @@ _MAX_BISECT = 200
 _FIRST_WINDOW = 64
 # regula falsi steps of a root guess
 _MAX_PREDICT = 64
+# steps the walk model predicts before one exact check
+_MAX_RUN = 32
+# a numpy budget farther than this from mu, relative and absolute, is on the
+# side of mu that the one-step Python expression gives (_Walk.check)
+_SLACK_REL = 64 * np.finfo(float).eps
+_SLACK_ABS = 64 * np.finfo(float).smallest_subnormal
 
 
 def _first_spent(times, powers, t0, lam, mu, p) -> int:
@@ -272,6 +269,215 @@ def _next_greedy(
     return t_star, kappa - mu, False, value
 
 
+class _Step(NamedTuple):
+    """A predicted greedy step: its start t0 with the model's driver value w0
+    there, the first vertex j0 after t0, the crossing vertex j, the
+    direction of the driver's moves after j0 (head); the bisection's
+    midpoints and then t_j (times), the guessed root r, whose side decides
+    each midpoint, and the index in times of the step's end."""
+
+    t0: float
+    w0: float
+    j0: int
+    j: int
+    head: int
+    times: list
+    r: float
+    star: int
+
+
+class _Walk:
+    """Greedy steps of a scalar driver, predicted in Python floats a run at a
+    time and checked with one exact numpy evaluation per run (see the module
+    docstring); end is greedy_sequence's."""
+
+    def __init__(self, driver: SampledPath, end: float, lam: float, mu: float, p: float):
+        self.driver, self.lam, self.mu, self.p = driver, lam, mu, p
+        dom = driver.domain
+        self.lo, self.end = dom.lo, min(end, dom.hi)
+        self.span_tol = _TIME_TOL * max(1.0, abs(dom.hi) + abs(dom.lo))
+        self.ts, self.vs, self.flip_from, self.flip_to, self.flip_dir, self.last_dir = driver._runs
+        self.stop = bisect.bisect_left(self.ts, self.end)
+        self.model = float(lam), float(mu), float(p), 1.0 / float(p)  # the model's, as Python floats
+        self.length = 1  # vertices the last step spanned: the next step's guess
+
+    def smooth(self, start: float) -> bool:
+        """Whether the window from start has fewer turns than one per first
+        DP row: on a rougher driver nearly every step turns, and the model
+        would only add its refusals to the one-step engine's work."""
+        flips = self.flip_from
+        i0 = bisect.bisect_right(self.ts, start)
+        turns = bisect.bisect_left(flips, self.stop) - bisect.bisect_left(flips, i0)
+        return turns * _FIRST_WINDOW <= self.stop - i0
+
+    def crossing(self, t0: float, w0: float, j0: int, top: int) -> int:
+        """The first vertex in j0 .. top-1 whose model budget reaches mu (top
+        when none does), galloping from the last step's length; the budget
+        over the start alone is nondecreasing on a run that does not turn."""
+        ts, vs = self.ts, self.vs
+        lam, mu, p, inv_p = self.model
+
+        def spent(i):
+            try:
+                return not (ts[i] - t0) ** lam + (abs(w0 - vs[i]) ** p) ** inv_p < mu
+            except OverflowError:
+                return True
+
+        lo, hi = j0 - 1, top  # vertex lo is below mu (or the start), vertex hi spent or past
+        i, gap = min(j0 + self.length, top - 1), 1
+        if spent(i):
+            hi = i
+            while hi - gap > lo:
+                if not spent(hi - gap):
+                    lo = hi - gap
+                    break
+                hi, gap = hi - gap, 2 * gap
+        else:
+            lo = i
+            while lo + gap < hi:
+                if spent(lo + gap):
+                    hi = lo + gap
+                    break
+                lo, gap = lo + gap, 2 * gap
+        while hi - lo > 1:
+            i = (lo + hi) // 2
+            if spent(i):
+                hi = i
+            else:
+                lo = i
+        return hi
+
+    def step(self, t0: float, w0: float) -> Optional[_Step]:
+        """The step from t0, whose driver value is about w0; None where the
+        model does not apply and the one-step engine takes the step."""
+        ts, vs, stop, span_tol = self.ts, self.vs, self.stop, self.span_tol
+        if not self.lo <= t0 < self.end - span_tol:
+            return None  # the engine clamps the start or raises
+        j0 = bisect.bisect_right(ts, t0)
+        # the driver's moves from j0 keep one direction, head, up to limit
+        f = bisect.bisect_left(self.flip_from, j0)
+        limit, head = len(ts), self.last_dir
+        if f < len(self.flip_to):
+            limit, head = self.flip_to[f], self.flip_dir[f]
+        top = min(stop, limit)
+        if min(stop, j0 + _FIRST_WINDOW) > limit or top <= j0:
+            return None  # the engine's first row turns
+        j = self.crossing(t0, w0, j0, top)
+        if j == j0 or j == top:
+            return None
+        # the engine's last DP row, vertices j0 .. row, must not turn, nor
+        # its head, the move from the start value to vertex j0, turn back
+        row = j0 + _FIRST_WINDOW
+        while row <= j:
+            row = j0 + 2 * (row - j0)
+        if min(stop, row) > limit or (vs[j0] - w0) * head < 0:
+            return None
+        self.length = j - j0
+        # the engine's bisection of [t_{j-1}, t_j], replayed on a guessed root
+        lam, mu, p, inv_p = self.model
+        t_a, tb, w_a = ts[j - 1], ts[j], vs[j - 1]
+        slope = (vs[j] - w_a) / (tb - t_a)
+
+        def g(t):
+            try:
+                return (t - t0) ** lam + (abs(w_a + (t - t_a) * slope - w0) ** p) ** inv_p - mu
+            except OverflowError:
+                return math.inf
+
+        r = _predict_root(g, t_a, tb, span_tol / 1024)
+        times, star = [], -1
+        a, b = t_a, tb
+        for _ in range(_MAX_BISECT):
+            if not b - a > span_tol:
+                break
+            m = 0.5 * (a + b)
+            times.append(m)
+            if m < r:
+                a = m
+            else:
+                b, star = m, len(times) - 1
+        times.append(tb)
+        if abs(b - tb) <= span_tol:  # a step that ends near t_j snaps to it
+            star = len(times) - 1
+        return _Step(t0, w0, j0, j, head, times, r, star)
+
+    def predict(self, t: float, w: float, t_stop: float, room) -> tuple:
+        """Up to room (and _MAX_RUN) consecutive steps from t, whose driver
+        value is w, while t < t_stop; and whether the model took every step
+        it was asked for (False when it declined the next one)."""
+        ts, vs = self.ts, self.vs
+        run = []
+        while len(run) < room and len(run) < _MAX_RUN and t < t_stop:
+            step = self.step(t, w)
+            if step is None:
+                return run, False
+            run.append(step)
+            j, t = step.j, step.times[step.star]
+            dt = ts[j] - ts[j - 1]
+            w = vs[j] if t == ts[j] else vs[j - 1] + (t - ts[j - 1]) * (vs[j] - vs[j - 1]) / dt
+        return run, True
+
+    def kappa(self, t: float, t0: float, q: float) -> float:
+        """The one-step budget (t - t0)^lam + q^(1/p) in Python floats; a term
+        past float range is inf."""
+        try:
+            return (t - t0) ** self.lam + q ** (1.0 / self.p)
+        except OverflowError:
+            return math.inf
+
+    def check(self, run: list, w: np.ndarray) -> list:
+        """The longest prefix of run whose every decision the one-step engine
+        makes too, as (time, residual, driver value at time) per step; w is
+        the exact driver value at the first step's start, shape (1,).
+
+        The budgets are computed in numpy and trusted where they lie farther
+        from mu than _SLACK_REL (kappa + mu) + _SLACK_ABS; every other one is
+        recomputed by the one-step expression (kappa).  Both read the same
+        t - t0 and power and differ only in pow: if numpy's and the C
+        library's pow are within 4 ulps, each term differs by at most 8 ulps
+        and the sums by less than 20 eps kappa + 16 tiny, inside the slack.
+        Pow's accuracy is assumed, not checked, as in paths._prune_pairs."""
+        driver, lam, mu, p = self.driver, self.lam, self.mu, self.p
+        xs, at_x, pos = [], [], []
+        for step in run:
+            pos.append(len(xs) + step.star)
+            at_x.append(len(step.times))
+            xs += step.times
+        t0s, _, j0s, js, heads, _, rs, _ = zip(*run)
+        # every step's vertices j0 .. j, then its midpoints and t_j
+        counts = np.subtract(js, j0s) + 1
+        ends = np.cumsum(counts)
+        n_v = int(ends[-1])
+        idx = np.arange(n_v) + np.repeat(np.subtract(j0s, ends - counts), counts)
+        X = np.array(xs)
+        values = driver._interp(X)[:, 0]
+        # a step starts at the driver value at its predecessor's end, as _interp reads it
+        w0s = np.concatenate([w, values[pos[:-1]]])
+        owner = np.repeat(np.arange(2 * len(run)) % len(run), np.concatenate([counts, at_x]))
+        # the DP's V[0] + leg over the start, rounded as _leg_powers rounds it
+        powers = 0.0 + np.abs(w0s[owner] - np.concatenate([driver._cols[0][idx], values])) ** p
+        T, T0 = np.concatenate([driver.times[idx], X]), np.array(t0s)[owner]
+        with np.errstate(all="ignore"):
+            kappa = (T - T0) ** lam + powers ** (1.0 / p)
+            below = kappa < mu
+            unsure = np.flatnonzero(~(np.abs(kappa - mu) > _SLACK_REL * (kappa + mu) + _SLACK_ABS))
+        for i in unsure.tolist():
+            below[i] = self.kappa(float(T[i]), float(T0[i]), float(powers[i])) < mu
+        # the vertices before each step's j are below mu and j is not; each
+        # midpoint is on its guess's side; t_j decides nothing
+        want = np.ones_like(below)
+        want[ends - 1] = False
+        np.less(X, np.array(rs)[owner[n_v:]], out=want[n_v:])
+        last = np.cumsum(at_x) - 1 + n_v
+        want[last] = below[last]
+        # and each row's head keeps its direction at the exact start value
+        bad = np.concatenate([owner[below != want],
+                              np.flatnonzero((driver._cols[0][list(j0s)] - w0s) * heads < 0)])
+        n_ok = int(bad.min()) if len(bad) else len(run)
+        return [(xs[i], self.kappa(xs[i], t0, float(powers[n_v + i])) - mu, values[i : i + 1])
+                for t0, i in zip(t0s[:n_ok], pos)]
+
+
 def next_greedy_time(
     driver: SampledPath,
     start: float,
@@ -316,7 +522,23 @@ def greedy_sequence(
     residuals = []
     clamped = False
     t, w = float(start), None
+    walk = _Walk(driver, end, lam, mu, p) if len(driver._cols) == 1 else None
+    if walk is not None and not walk.smooth(start):
+        walk = None
     while t < end - span_tol:
+        if walk is not None:
+            # a run of predicted steps, checked at once; the step after the
+            # verified ones, if any, is the one-step engine's
+            if w is None:
+                w = np.ravel(driver.at(max(t, dom.lo)))
+            run, whole = walk.predict(t, float(w[0]), end - span_tol, max_steps - len(residuals))
+            steps = walk.check(run, w) if run else []
+            for nxt, res, w in steps:  # never clamped, like every step before them
+                times.append(nxt)
+                residuals.append(float(res))
+            t = times[-1]
+            if run and whole and len(steps) == len(run):
+                continue
         if len(residuals) >= max_steps:
             raise ParameterError(
                 f"greedy sequence took {len(residuals)} steps, past its counting bound"

@@ -31,6 +31,7 @@ last DP step from the cut's sample count and end value.
 
 from __future__ import annotations
 
+import array
 import bisect
 import itertools
 import math
@@ -130,7 +131,7 @@ class SampledPath:
     def value_shape(self) -> Tuple[int, ...]:
         return self.values.shape[1:]
 
-    @property
+    @cached_property
     def domain(self) -> Interval:
         return Interval(float(self.times[0]), float(self.times[-1]))
 
@@ -141,6 +142,22 @@ class SampledPath:
     def _cols(self) -> list:
         """The contiguous flat value columns np.interp reads; views of _fp if scalar."""
         return [np.ascontiguousarray(c) for c in self._fp.reshape(len(self.times), -1).T]
+
+    @cached_property
+    def _runs(self) -> tuple:
+        """A scalar path's monotone runs, for greedy's walk model: its times
+        and values as arrays of doubles (indexing gives Python floats), the first
+        and the second move of each pair of consecutive moves in opposite
+        directions (a move is a step i -> i + 1 that changes the value), as
+        lists, the direction (1 or -1) of each pair's first move, and that of
+        the last move (0 if the path has none)."""
+        v = self._cols[0]
+        moves = np.flatnonzero(v[1:] != v[:-1])
+        up = v[moves + 1] > v[moves]
+        flips = np.flatnonzero(up[1:] != up[:-1])
+        return (array.array("d", self.times.tobytes()), array.array("d", v.tobytes()),
+                moves[flips].tolist(), moves[flips + 1].tolist(),
+                np.where(up[flips], 1, -1).tolist(), (1 if up[-1] else -1) if len(up) else 0)
 
     @cached_property
     def _dp_rows(self) -> dict:

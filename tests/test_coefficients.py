@@ -197,3 +197,31 @@ def test_young_pairings_of_exponent_set():
     assert exps.youngq.theta > 1
     assert isinstance(exps.young0, YoungConstants)
     assert exps.K0 == pytest.approx(exps.young0.K)
+
+
+def test_field_wrappers_pass_on_float_arrays_and_coerce_the_rest():
+    # eval_f/eval_g hand back f's and g's own result when it is a float64
+    # ndarray of the protocol's shape, and coerce any other dtype or shape
+    from dataclasses import replace
+
+    ts, xs = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 5)[:, None]
+    field = linear_field()
+    drift, noise = np.full((5, 1), 2.0), np.full((5, 1, 1), 3.0)
+    own = replace(field, f=lambda t, x: drift, g=lambda t, x: noise)
+    assert own.eval_f(ts, xs) is drift and own.eval_g(ts, xs) is noise
+    other = replace(field, f=lambda t, x: np.arange(5)[:, None], g=lambda t, x: [1, 2, 3, 4, 5])
+    f, g = other.eval_f(ts, xs), other.eval_g(ts, xs)
+    assert f.dtype == float and f.shape == (5, 1) and f[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert g.dtype == float and g.shape == (5, 1, 1) and g[:, 0, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    flat = replace(field, f=lambda t, x: np.zeros(5))
+    assert flat.eval_f(ts, xs).shape == (5, 1)
+    # a scalar field's lambdas pass their callables' arrays on as columns
+    sf = scalar_field(f=lambda t, x: 2.0 * x, g=lambda t, x: np.ones_like(x, dtype=np.int64),
+                      g_x=lambda t, x: np.zeros_like(x), L_g=0.0, M_N=0.0, delta=1.0,
+                      beta=0.75, h=ControlFunction.zero(), L_N=0.0, a=2.0)
+    assert sf.eval_f(ts, xs)[:, 0].tolist() == (2.0 * xs[:, 0]).tolist()
+    assert sf.eval_g(ts, xs).dtype == float
+    # the reversed clock reads times as arrays or floats
+    rev = field.time_reversed(0.0, 1.0)
+    assert np.array_equal(rev.eval_f(ts, xs), -field.eval_f(1.0 - ts, xs))
+    assert rev.b(0.25) == field.b(0.75)

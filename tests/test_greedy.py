@@ -108,21 +108,39 @@ def test_greedy_rejects_nan_parameters_before_any_step(monkeypatch, lam, mu, p):
         greedy_sequence(_linear_driver(), 0.0, 1.0, lam, mu, p)
 
 
-def test_greedy_sequence_gives_up_at_its_counting_bound(monkeypatch):
+@pytest.mark.parametrize("path", ["replayed", "predicted"])
+def test_greedy_sequence_gives_up_at_its_counting_bound(monkeypatch, path):
     # a step that barely moves stands for a wrong budget: the sequence stops
-    # after the counting bound on the unit ramp's 1-variation, plus two steps
+    # after the counting bound on the unit ramp's 1-variation, plus two steps.
+    # The ramp never turns, so the walk model predicts its steps: with the
+    # model off, the one-step engine crawls; with it on, a bound of one step,
+    # plus two, must stop the predicted runs after three steps
     lam, mu, p = 0.75, 0.5, 1.5
-    cap = math.ceil(counting_bound(1.0, 1.0, lam, mu, max(p, 1.0 / lam))) + 2
-    calls = []
+    if path == "replayed":
+        cap = math.ceil(counting_bound(1.0, 1.0, lam, mu, max(p, 1.0 / lam))) + 2
+        calls = []
 
-    def crawl(driver, start, lam, mu, p, end=None, w_start=None):
-        calls.append(start)
-        assert len(calls) <= cap, "greedy_sequence stepped past its counting bound"
-        return start + 1e-9, 0.0, False, None
+        def crawl(driver, start, lam, mu, p, end=None, w_start=None):
+            calls.append(start)
+            assert len(calls) <= cap, "greedy_sequence stepped past its counting bound"
+            return start + 1e-9, 0.0, False, None
 
-    monkeypatch.setattr(greedy, "_next_greedy", crawl)
+        monkeypatch.setattr(greedy._Walk, "step", lambda self, t0, w0: None)
+        monkeypatch.setattr(greedy, "_next_greedy", crawl)
+    else:
+        taken, real_check = [], greedy._Walk.check
+
+        def check(self, run, w):
+            steps = real_check(self, run, w)
+            taken.extend(steps)
+            return steps
+
+        monkeypatch.setattr(greedy, "counting_bound", lambda *args: 1.0)
+        monkeypatch.setattr(greedy._Walk, "check", check)
     with pytest.raises(ParameterError, match="counting bound"):
         greedy_sequence(_linear_driver(), 0.0, 1.0, lam, mu, p)
+    if path == "predicted":
+        assert len(taken) == 3
 
 
 def test_count_bound_closed_form():
@@ -468,14 +486,17 @@ def test_greedy_time_terms_past_float_range_spend_the_budget(samples):
 
 @pytest.mark.parametrize("name", ["linear-sine", "fbm-linear"])
 def test_greedy_makes_one_bisection_batch_per_step(monkeypatch, name):
-    # every DP step outside a budget row is a step's end-value batch, made
-    # when the row reaches the window's end, or a bisection batch; a root
-    # guess that the exact check confirms makes one bisection batch a step
+    # a step is either accepted from a checked run of predicted steps or
+    # taken by the one-step engine.  Every DP step of the engine outside a
+    # budget row is a step's end-value batch, made when the row reaches the
+    # window's end, or a bisection batch; a root guess that the exact check
+    # confirms makes one bisection batch a step.  A run's check is one
+    # batch, so the exact batches stay within one per step
     scenario = SCENARIOS[name]
     driver, exponents = scenario.make_driver(0), scenario.exponents()
     mu = derived_constants(scenario.make_field(), scenario.t0, scenario.T, exponents.K0).mu_star
-    real_row, real_power = greedy._budget_row, greedy._endpoint_power
-    in_row, ends, batches = [False], [], []
+    real_row, real_power, real_check = greedy._budget_row, greedy._endpoint_power, greedy._Walk.check
+    in_row, ends, batches, checks, accepted = [False], [], [], [], []
 
     def row(driver, t0, w0, j0, stop, *rest):
         in_row[0] = True
@@ -491,9 +512,259 @@ def test_greedy_makes_one_bisection_batch_per_step(monkeypatch, name):
             batches.append(len(value))
         return real_power(pts, V, value, p)
 
+    def check(self, run, w):
+        steps = real_check(self, run, w)
+        checks.append(len(run))
+        accepted.extend(steps)
+        return steps
+
     monkeypatch.setattr(greedy, "_budget_row", row)
     monkeypatch.setattr(greedy, "_endpoint_power", power)
+    monkeypatch.setattr(greedy._Walk, "check", check)
     seq = greedy_sequence(driver, scenario.t0, scenario.T, exponents.alpha, mu, exponents.p)
     steps = seq.n_intervals
-    assert len(ends) == steps > 10
-    assert len(batches) - sum(ends) <= steps
+    assert len(ends) + len(accepted) == steps > 10
+    assert len(batches) - sum(ends) <= len(ends)
+    assert len(batches) - sum(ends) + len(checks) <= steps
+    # the smooth driver's steps come from the model, the rough one's from the engine
+    assert len(accepted) > 0.9 * steps if name == "linear-sine" else not checks
+
+
+def _one_step_sequence(driver, start, end, lam, mu, p):
+    """Times, residuals and clamped flag from the one-step engine alone,
+    stepped as greedy_sequence steps it when the walk model declines."""
+    span_tol = 1e-12 * max(1.0, abs(start) + abs(end))
+    ts, residuals, clamped, t, w = [float(start)], [], False, float(start), None
+    while t < end - span_tol:
+        t, r, clamped, w = greedy._next_greedy(driver, t, lam, mu, p, end=end, w_start=w)
+        ts.append(float(t))
+        residuals.append(float(r))
+    if abs(ts[-1] - end) <= span_tol:
+        ts[-1] = float(end)
+    return np.array(ts), np.array(residuals), clamped
+
+
+def _predicted_starts(monkeypatch):
+    """Two lists that collect the start of every predicted step the walk
+    checks, and of every one it accepts."""
+    checked, accepted, real_check = [], [], greedy._Walk.check
+
+    def check(self, run, w):
+        steps = real_check(self, run, w)
+        checked.extend(step.t0 for step in run)
+        accepted.extend(step.t0 for step in run[: len(steps)])
+        return steps
+
+    monkeypatch.setattr(greedy._Walk, "check", check)
+    return checked, accepted
+
+
+def _assert_reference(driver, start, end, lam, mu, p):
+    seq = greedy_sequence(driver, start, end, lam=lam, mu=mu, p=p)
+    times, residuals, clamped = _reference_greedy(driver, start, end, lam, mu, p)
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.residuals.tobytes() == residuals.tobytes()
+    assert seq.clamped == clamped
+    return seq
+
+
+@st.composite
+def _smooth_walks(draw):
+    """Scalar drivers on [0, 1] with few turns, where the walk model predicts
+    most steps: sines, ramps and monotone staircases with plateaus, 50 to
+    1,500 samples."""
+    kind = draw(st.sampled_from(["sine", "ramps", "stairs"]))
+    n = draw(st.integers(50, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.uniform(0.5, 1.5, n - 1)
+    times = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    scale = draw(st.floats(0.05, 1.0))
+    if kind == "sine":
+        values = scale * np.sin(draw(st.floats(1.0, 12.0)) * times)
+    elif kind == "ramps":
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 2)), [1.0]])
+        values = np.interp(times, knots, scale * rng.standard_normal(4))
+    else:
+        values = scale * np.cumsum(rng.integers(0, 3, n) * (rng.random(n) < 0.5)) / n
+    return SampledPath(times, values)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    driver=_smooth_walks(),
+    start=st.sampled_from([0.0, 0.013, 0.25]),
+    end=st.sampled_from([1.0, 0.8]),
+    lam=st.floats(0.5, 1.0),
+    mu=st.floats(0.1, 2.0),
+    p=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
+    shifts=st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+    flips=st.lists(st.one_of(st.none(), st.integers(0, 40)), min_size=1, max_size=6),
+)
+def test_greedy_overturns_mispredicted_steps(driver, start, end, lam, mu, p, shifts, flips):
+    # the model's crossing vertex is moved by up to 5 vertices, and its root
+    # guess is reflected about the midpoint at a drawn depth, which flips that
+    # midpoint's decision and keeps the ones before it; the exact check must
+    # refuse every such step and the engine retake it, so no bit moves.
+    # Fails when predictions are accepted unchecked or the last predicted
+    # vertex is not checked
+    draws = itertools.count()
+    real_crossing, real_root = greedy._Walk.crossing, greedy._predict_root
+
+    def crossing(self, t0, w0, j0, top):
+        j = real_crossing(self, t0, w0, j0, top) + shifts[next(draws) % len(shifts)]
+        return min(max(j, j0), top)
+
+    def root(g, a, b, tol):
+        r, depth = real_root(g, a, b, tol), flips[next(draws) % len(flips)]
+        if depth is None:
+            return r
+        for _ in range(depth):
+            m = 0.5 * (a + b)
+            a, b = (m, b) if m < r else (a, m)
+        return a + b - r
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(greedy._Walk, "crossing", crossing)
+        patch.setattr(greedy, "_predict_root", root)
+        seq = greedy_sequence(driver, start, end, lam=lam, mu=mu, p=p)
+    times, residuals, clamped = _reference_greedy(driver, start, end, lam, mu, p)
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.residuals.tobytes() == residuals.tobytes()
+    assert seq.clamped == clamped
+
+
+def test_greedy_model_predicts_the_smooth_steps_and_refuses_the_wrong_ones(monkeypatch):
+    # the mispredictions above are not vacuous: on a sine the model predicts
+    # nearly every step, and a crossing moved by one vertex is refused
+    driver = analytic_driver("sine", {}, np.linspace(0.0, 1.0, 1001))
+    checked, accepted = _predicted_starts(monkeypatch)
+    seq = _assert_reference(driver, 0.0, 1.0, 0.75, 0.3, 1.5)
+    assert len(accepted) >= seq.n_intervals - 2
+    checked.clear()
+    accepted.clear()
+    real_crossing = greedy._Walk.crossing
+    monkeypatch.setattr(greedy._Walk, "crossing",
+                        lambda self, t0, w0, j0, top: min(real_crossing(self, t0, w0, j0, top) + 1, top))
+    _assert_reference(driver, 0.0, 1.0, 0.75, 0.3, 1.5)
+    assert checked and not accepted
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf])
+def test_greedy_steps_start_at_the_exact_driver_value(monkeypatch, toward):
+    # the model's start values are only guesses: moved by one ulp, as its
+    # Python interpolation may round, they still predict most steps, but every
+    # accepted step starts from the driver's value at its predecessor's end as
+    # _interp reads it.  Fails when the model's start value is used for the
+    # next step
+    driver = analytic_driver("sine", {}, np.linspace(0.0, 1.0, 1001))
+    real_step = greedy._Walk.step
+    monkeypatch.setattr(greedy._Walk, "step",
+                        lambda self, t0, w0: real_step(self, t0, math.nextafter(w0, toward)))
+    _, accepted = _predicted_starts(monkeypatch)
+    seq = _assert_reference(driver, 0.0, 1.0, 0.75, 0.3, 1.5)
+    assert len(accepted) >= seq.n_intervals // 2
+
+
+def test_greedy_model_starts_on_a_plateau(monkeypatch):
+    # from inside a plateau w0 == v[j0]: the row's first move is flat and
+    # the row does not turn, so the model predicts the first step too
+    times = np.linspace(0.0, 1.0, 401)
+    driver = SampledPath(times, np.maximum(times - 0.2, 0.0))
+    _, accepted = _predicted_starts(monkeypatch)
+    _assert_reference(driver, 0.05, 1.0, 0.75, 0.3, 1.5)
+    assert accepted[0] == 0.05
+
+
+def test_greedy_turning_point_just_after_the_crossing():
+    # a tent: for some budgets a step crosses mu a few vertices before the
+    # peak, inside the engine's first 64-vertex row, so the row turns after
+    # the crossing vertex
+    times = np.linspace(0.0, 1.0, 1001)
+    driver = SampledPath(times, 0.5 - np.abs(times - 0.5))
+    near_peak = 0
+    for mu in np.linspace(0.04, 0.12, 9):
+        seq = _assert_reference(driver, 0.0, 1.0, 1.0, float(mu), 1.5)
+        j0 = np.searchsorted(times, seq.times[:-1], side="right")
+        j = np.searchsorted(times, seq.times[1:], side="left")
+        near_peak += int(np.sum((j0 < j) & (j < 500) & (500 < j0 + 64)))
+    assert near_peak > 0
+
+
+def test_greedy_model_reads_the_turning_point_after_the_crossing(monkeypatch):
+    # the engine reads the DP budget of a turning point after the crossing
+    # vertex, inside its row, before the run that crosses.  On real
+    # arithmetic that point is spent whenever the crossing vertex is, so the
+    # DP is patched to report it unspent: the engine's answer then changes,
+    # and the model, which takes only rows that do not turn, must leave those
+    # rows to it.  Fails when the model checks the row only up to the crossing
+    driver = SampledPath(np.linspace(0.0, 1.0, 2001), np.sin(3.0 * np.pi * np.linspace(0.0, 1.0, 2001)))
+    budgets = [(0.75, mu, 1.5) for mu in (0.08, 0.1, 0.13, 0.17)]
+    plain = [greedy_sequence(driver, 0.0, 1.0, *b).times for b in budgets]
+    real_powers = greedy._powers
+
+    def powers(row, p):
+        kept, V = real_powers(row, p)
+        V = V.copy()
+        V[1:-1] = 0.0
+        return kept, V
+
+    monkeypatch.setattr(greedy, "_powers", powers)
+    changed = 0
+    for b, before in zip(budgets, plain):
+        seq = greedy_sequence(driver, 0.0, 1.0, *b)
+        times, residuals, clamped = _one_step_sequence(driver, 0.0, 1.0, *b)
+        assert seq.times.tobytes() == times.tobytes()
+        assert seq.residuals.tobytes() == residuals.tobytes()
+        changed += seq.times.tobytes() != before.tobytes()
+    assert changed > 0
+
+
+def test_greedy_model_snaps_to_a_crossing_vertex(monkeypatch):
+    # on the unit ramp with lam = p = 1 a step spends 2 (t - t0) = mu, so with
+    # mu = 0.2 some steps end on vertices, where the bisection snaps to t_j
+    driver = _linear_driver(101)
+    _, accepted = _predicted_starts(monkeypatch)
+    seq = _assert_reference(driver, 0.0, 1.0, 1.0, 0.2, 1.0)
+    vertices = set(driver.times.tolist())
+    snapped = [a for a, b in zip(seq.times[:-2].tolist(), seq.times[1:-1].tolist()) if b in vertices]
+    assert snapped and set(snapped) <= set(accepted)
+
+
+def test_greedy_steps_inside_one_segment():
+    # six samples and a small budget: most steps end before the next vertex
+    # (j == j0), which the model leaves to the engine
+    driver = SampledPath(np.linspace(0.0, 1.0, 6), [0.0, 0.3, 0.5, 0.6, 0.65, 0.9])
+    seq = _assert_reference(driver, 0.0, 1.0, 0.75, 0.05, 1.5)
+    assert seq.n_intervals > 12
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_greedy_model_ends_with_a_clamped_step(monkeypatch, p):
+    # the last step, whose budget is not spent at the end, is the engine's
+    driver = analytic_driver("sine", {}, np.linspace(0.0, 1.0, 801))
+    _, accepted = _predicted_starts(monkeypatch)
+    seq = _assert_reference(driver, 0.0, 0.93, 0.75, 0.35, p)
+    assert seq.clamped and seq.residuals[-1] < 0
+    assert len(accepted) == seq.n_intervals - 1
+
+
+def test_greedy_model_reads_time_terms_past_float_range(monkeypatch):
+    # (t - t0)^300 passes float range beyond t - t0 = 10.6, and the ramp's
+    # vertices are 20 apart: a step that starts within 1 of a vertex finds
+    # the vertex after it spent by an infinite budget, in the model, in the
+    # numpy check and in the one-step Python expression alike.  The model's
+    # root guess fails on so steep a budget, so the check refuses those steps
+    driver = SampledPath(np.linspace(0.0, 1000.0, 51), np.linspace(0.0, 1.0, 51))
+    checked, _ = _predicted_starts(monkeypatch)
+    with np.errstate(over="ignore"):
+        _assert_reference(driver, 0.0, 1000.0, 300.0, 0.5, 1.5)
+    assert checked
+
+
+@pytest.mark.parametrize("lam, horizon", [(0.75, 1.0), (300.0, 1000.0)])
+def test_greedy_model_with_an_infinite_budget(lam, horizon):
+    # mu = inf is spent only by an infinite budget: one clamped step, or, past
+    # float range, steps whose budgets are inf - inf = nan away from mu
+    driver = SampledPath(np.linspace(0.0, horizon, 51), np.linspace(0.0, 1.0, 51))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_reference(driver, 0.0, horizon, lam, math.inf, 1.5)
