@@ -291,24 +291,29 @@ class _Walk:
     time and checked with one exact numpy evaluation per run (see the module
     docstring); end is greedy_sequence's."""
 
-    def __init__(self, driver: SampledPath, end: float, lam: float, mu: float, p: float):
+    def __init__(self, driver: SampledPath, start: float, end: float, lam: float, mu: float,
+                 p: float):
         self.driver, self.lam, self.mu, self.p = driver, lam, mu, p
         dom = driver.domain
         self.lo, self.end = dom.lo, min(end, dom.hi)
         self.span_tol = _TIME_TOL * max(1.0, abs(dom.hi) + abs(dom.lo))
-        self.ts, self.vs, self.flip_from, self.flip_to, self.flip_dir, self.last_dir = driver._runs
+        # the samples, read as Python floats without a copy
+        self.ts = memoryview(np.ascontiguousarray(driver.times))
+        self.vs = memoryview(driver._cols[0])
         self.stop = bisect.bisect_left(self.ts, self.end)
-        self.model = float(lam), float(mu), float(p), 1.0 / float(p)  # the model's, as Python floats
+        # the model's parameters, as Python floats
+        self.model = float(lam), float(mu), float(p), 1.0 / float(p)
         self.length = 1  # vertices the last step spanned: the next step's guess
-
-    def smooth(self, start: float) -> bool:
-        """Whether the window from start has fewer turns than one per first
-        DP row: on a rougher driver nearly every step turns, and the model
-        would only add its refusals to the one-step engine's work."""
-        flips = self.flip_from
+        # fewer turns in the window than one per first DP row: on a rougher
+        # driver nearly every step turns, and the model would only add its
+        # refusals to the one-step engine's work
+        flip_from, flip_to, flip_dir, self.last_dir = driver._turns
         i0 = bisect.bisect_right(self.ts, start)
-        turns = bisect.bisect_left(flips, self.stop) - bisect.bisect_left(flips, i0)
-        return turns * _FIRST_WINDOW <= self.stop - i0
+        turns = int(np.searchsorted(flip_from, self.stop) - np.searchsorted(flip_from, i0))
+        self.smooth = turns * _FIRST_WINDOW <= self.stop - i0
+        if self.smooth:
+            self.flip_from, self.flip_to, self.flip_dir = (
+                flip_from.tolist(), flip_to.tolist(), flip_dir.tolist())
 
     def crossing(self, t0: float, w0: float, j0: int, top: int) -> int:
         """The first vertex in j0 .. top-1 whose model budget reaches mu (top
@@ -522,8 +527,8 @@ def greedy_sequence(
     residuals = []
     clamped = False
     t, w = float(start), None
-    walk = _Walk(driver, end, lam, mu, p) if len(driver._cols) == 1 else None
-    if walk is not None and not walk.smooth(start):
+    walk = _Walk(driver, start, end, lam, mu, p) if len(driver._cols) == 1 else None
+    if walk is not None and not walk.smooth:
         walk = None
     while t < end - span_tol:
         if walk is not None:

@@ -31,7 +31,6 @@ last DP step from the cut's sample count and end value.
 
 from __future__ import annotations
 
-import array
 import bisect
 import itertools
 import math
@@ -144,20 +143,18 @@ class SampledPath:
         return [np.ascontiguousarray(c) for c in self._fp.reshape(len(self.times), -1).T]
 
     @cached_property
-    def _runs(self) -> tuple:
-        """A scalar path's monotone runs, for greedy's walk model: its times
-        and values as arrays of doubles (indexing gives Python floats), the first
-        and the second move of each pair of consecutive moves in opposite
-        directions (a move is a step i -> i + 1 that changes the value), as
-        lists, the direction (1 or -1) of each pair's first move, and that of
-        the last move (0 if the path has none)."""
+    def _turns(self) -> tuple:
+        """A scalar path's direction changes, for greedy's walk model: the
+        first and the second move of each pair of consecutive moves in
+        opposite directions (a move is a step i -> i + 1 that changes the
+        value) and the direction (1 or -1) of each pair's first move, as
+        arrays, and the direction of the last move (0 if the path has none)."""
         v = self._cols[0]
         moves = np.flatnonzero(v[1:] != v[:-1])
         up = v[moves + 1] > v[moves]
         flips = np.flatnonzero(up[1:] != up[:-1])
-        return (array.array("d", self.times.tobytes()), array.array("d", v.tobytes()),
-                moves[flips].tolist(), moves[flips + 1].tolist(),
-                np.where(up[flips], 1, -1).tolist(), (1 if up[-1] else -1) if len(up) else 0)
+        last = (1 if up[-1] else -1) if len(up) else 0
+        return moves[flips], moves[flips + 1], np.where(up[flips], 1, -1), last
 
     @cached_property
     def _dp_rows(self) -> dict:
