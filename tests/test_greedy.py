@@ -108,39 +108,41 @@ def test_greedy_rejects_nan_parameters_before_any_step(monkeypatch, lam, mu, p):
         greedy_sequence(_linear_driver(), 0.0, 1.0, lam, mu, p)
 
 
-@pytest.mark.parametrize("path", ["replayed", "predicted"])
-def test_greedy_sequence_gives_up_at_its_counting_bound(monkeypatch, path):
+def test_greedy_sequence_gives_up_at_its_counting_bound(monkeypatch):
     # a step that barely moves stands for a wrong budget: the sequence stops
     # after the counting bound on the unit ramp's 1-variation, plus two steps.
-    # The ramp never turns, so the walk model predicts its steps: with the
-    # model off, the one-step engine crawls; with it on, a bound of one step,
-    # plus two, must stop the predicted runs after three steps
+    # The ramp never turns, so the walk model is turned off here, and the
+    # one-step engine crawls
     lam, mu, p = 0.75, 0.5, 1.5
-    if path == "replayed":
-        cap = math.ceil(counting_bound(1.0, 1.0, lam, mu, max(p, 1.0 / lam))) + 2
-        calls = []
+    cap = math.ceil(counting_bound(1.0, 1.0, lam, mu, max(p, 1.0 / lam))) + 2
+    calls = []
 
-        def crawl(driver, start, lam, mu, p, end=None, w_start=None):
-            calls.append(start)
-            assert len(calls) <= cap, "greedy_sequence stepped past its counting bound"
-            return start + 1e-9, 0.0, False, None
+    def crawl(driver, start, lam, mu, p, end=None, w_start=None):
+        calls.append(start)
+        assert len(calls) <= cap, "greedy_sequence stepped past its counting bound"
+        return start + 1e-9, 0.0, False, None
 
-        monkeypatch.setattr(greedy._Walk, "step", lambda self, t0, w0: None)
-        monkeypatch.setattr(greedy, "_next_greedy", crawl)
-    else:
-        taken, real_check = [], greedy._Walk.check
-
-        def check(self, run, w):
-            steps = real_check(self, run, w)
-            taken.extend(steps)
-            return steps
-
-        monkeypatch.setattr(greedy, "counting_bound", lambda *args: 1.0)
-        monkeypatch.setattr(greedy._Walk, "check", check)
+    monkeypatch.setattr(greedy._Walk, "step", lambda self, t0, w0: None)
+    monkeypatch.setattr(greedy, "_next_greedy", crawl)
     with pytest.raises(ParameterError, match="counting bound"):
         greedy_sequence(_linear_driver(), 0.0, 1.0, lam, mu, p)
-    if path == "predicted":
-        assert len(taken) == 3
+
+
+def test_greedy_counting_bound_stops_predicted_runs(monkeypatch):
+    # the walk model predicts the ramp's steps; a counting bound of one step,
+    # plus two, must stop its runs after three steps
+    taken, real_check = [], greedy._Walk.check
+
+    def check(self, run, w):
+        steps = real_check(self, run, w)
+        taken.extend(steps)
+        return steps
+
+    monkeypatch.setattr(greedy, "counting_bound", lambda *args: 1.0)
+    monkeypatch.setattr(greedy._Walk, "check", check)
+    with pytest.raises(ParameterError, match="counting bound"):
+        greedy_sequence(_linear_driver(), 0.0, 1.0, 0.75, 0.5, 1.5)
+    assert len(taken) == 3
 
 
 def test_count_bound_closed_form():
