@@ -3,7 +3,8 @@
 The state transport X(t1, t2, w, x) solves forward when t1 <= t2 and
 inverts the flow through the backward equation when t1 > t2.  It moves a
 whole stack of states at once: the greedy partition depends on the window
-and the direction, not on the state, so one is built per transport.  The
+and the direction, not on the state, so one is built per window, and
+independent transports advance in lockstep (lockstep_transport).  The
 flow axioms (identity, inversion, composition) are verified as residuals
 on probe states; homeomorphy is checked operationally through the
 inversion round trip.
@@ -20,8 +21,36 @@ import numpy as np
 from .coefficients import CoefficientField, ExponentSet, derived_constants
 from .errors import ParameterError, PreconditionError
 from .paths import _TIME_TOL, SampledPath, WindowLike, as_interval, p_variation, p_variation_norm
-from .solver import SolveOptions, _gronwall_constant, reversed_problem, solve_forward_batch
+from .solver import SolveOptions, _gronwall_constant, _leg, _lockstep, solve_forward_batch
 from .young import Certificate
+
+
+def lockstep_transport(
+    field: CoefficientField,
+    driver: SampledPath,
+    lanes: Sequence[Tuple[np.ndarray, Sequence[float]]],
+    opts: Optional[SolveOptions] = None,
+    exponents: Optional[ExponentSet] = None,
+) -> List[np.ndarray]:
+    """Transport independent stacks together: lane (x, times) moves its
+    states x, (d,) or (B, d), from times[0] to times[1], on to times[2] and
+    so on, and its end stack (B, d) comes back in lane order.  The lanes
+    advance chunk by chunk in one Picard stack (solver._lockstep), and each
+    end equals its chain of cauchy_operator calls bit for bit.
+    """
+    built = []
+    for x, times in lanes:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim > 2 or x.shape[-1] != field.dim_d:
+            raise ParameterError(f"states of shape {x.shape}, field expects (d,) or (B, d) with "
+                                 f"d = {field.dim_d}")
+        x = x.reshape(-1, field.dim_d)
+        built.append((x, [_leg(field, driver, a, b, len(x), opts, exponents)
+                          for a, b in zip(times[:-1], times[1:]) if a != b]))
+    ends = [x.copy() for x, _ in built]
+    for lane, _, _, vals, *_ in _lockstep(field, built, opts, exponents):
+        ends[lane] = vals[-1]
+    return ends
 
 
 def cauchy_operator(
@@ -35,25 +64,11 @@ def cauchy_operator(
 ) -> np.ndarray:
     """Transport the state x, shape (d,), or the stack x, shape (B, d), from
     time t1 to time t2 along the dynamics; the result has the shape of x.
-
-    Only the end states are computed: the solve runs with keep_path False,
-    so it keeps no path and its BatchSolve has residuals and ball_ok None.
+    The one-lane call of lockstep_transport: only the end states are
+    computed.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    stack = x if x.ndim == 2 else x[None]
-    if stack.ndim != 2 or stack.shape[1] != field.dim_d:
-        raise ParameterError(f"states of shape {x.shape}, field expects (d,) or (B, d) with "
-                             f"d = {field.dim_d}")
-    if t1 == t2:
-        return x.copy()
-    if t1 < t2:
-        batch = solve_forward_batch(field, driver, t1, stack, t2, opts, exponents,
-                                    keep_path=False)
-    else:
-        rev_field, rev_driver, rev_opts = reversed_problem(field, driver, t2, t1, opts)
-        batch = solve_forward_batch(rev_field, rev_driver, t2, stack, t1, rev_opts, exponents,
-                                    keep_path=False)
-    return batch.values[0] if x.ndim == 2 else batch.values[0, 0]
+    end = lockstep_transport(field, driver, [(x, (t1, t2))], opts, exponents)[0]
+    return end if np.ndim(x) == 2 else end[0]
 
 
 @dataclass
@@ -111,27 +126,24 @@ def flow_axiom_check(
 
     Per probe x: |X(s,s,x) - x| (exact zero, no solve), the inversion
     round trip |X(t,s,X(s,t,x)) - x| and the composition gap
-    |X(u,t,X(s,u,x)) - X(s,t,x)|.  Each transport moves all probes at
-    once; the continuity table is one more transport of the perturbed
-    first probe.
+    |X(u,t,X(s,u,x)) - X(s,t,x)|.  X(s,t), whose stack holds the continuity
+    table's perturbed first probes too, and X(s,u) -> X(u,t) are two lanes
+    of one lockstep transport; the backward X(t,s) follows alone.
     """
     if len(probes) == 0:
         raise ParameterError("flow_axiom_check needs at least one probe state")
     s, u, t = (float(v) for v in times)
-    X = lambda a, b, x: cauchy_operator(field, driver, a, b, x, opts=opts, exponents=exponents)
     P = np.stack([np.atleast_1d(np.asarray(probe, dtype=float)) for probe in probes])
     norms = lambda diff: [float(np.linalg.norm(row)) for row in diff]
-    ident = norms(X(s, s, P) - P)
-    x_st = X(s, t, P)
-    invs = norms(X(t, s, x_st) - P)
-    comps = norms(X(u, t, X(s, u, P)) - x_st)
-    table: List[Tuple[float, float]] = []
-    if continuity_sizes:
-        base, ref = P[0], x_st[0]
-        e1 = np.zeros_like(base)
-        e1[0] = 1.0
-        moved = X(s, t, np.stack([base + eps * e1 for eps in continuity_sizes]))
-        table = [(float(eps), resp) for eps, resp in zip(continuity_sizes, norms(moved - ref))]
+    ident = norms(cauchy_operator(field, driver, s, s, P, opts, exponents) - P)
+    sizes = list(continuity_sizes or [])
+    moved = P[:1] + np.outer(sizes, np.eye(1, P.shape[1]))  # base + eps e1
+    x_st, x_sut = lockstep_transport(field, driver, [(np.concatenate([P, moved]), (s, t)),
+                                                     (P, (s, u, t))], opts, exponents)
+    x_st, moved = x_st[:len(P)], x_st[len(P):]
+    invs = norms(cauchy_operator(field, driver, t, s, x_st, opts, exponents) - P)
+    comps = norms(x_sut - x_st)
+    table = [(float(eps), resp) for eps, resp in zip(sizes, norms(moved - x_st[0]))]
     return FlowCheckReport(
         times=(s, u, t),
         identity_residuals=np.array(ident),

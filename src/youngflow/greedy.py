@@ -144,8 +144,9 @@ def _check_budget(lam: float, mu: float, p: float) -> None:
 def _predict_root(g, a, b, tol):
     """A root of g in [a, b] by regula falsi with the Illinois rule (Dowell
     and Jarratt, BIT 11, 1971), safeguarded by bisection: the right end of a
-    bracket no wider than tol, or a point the next step cannot move; a if
-    g(a) >= 0, b if g(b) < 0."""
+    bracket no wider than tol, or an end with the sign change within one
+    float of it (a guess a huge g puts on an end bisects); a if g(a) >= 0,
+    b if g(b) < 0."""
     fa, fb = g(a), g(b)
     if fa >= 0:
         return a
@@ -155,6 +156,8 @@ def _predict_root(g, a, b, tol):
             break
         c = b - fb * (b - a) / (fb - fa)
         if not a <= c <= b:  # an infinite g(b) gives nan: bisect
+            c = 0.5 * (a + b)
+        elif (c == a or c == b) and (g(math.nextafter(c, b if c == a else a)) < 0) != (c == b):
             c = 0.5 * (a + b)
         if c == a or c == b:
             return c

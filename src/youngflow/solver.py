@@ -16,9 +16,10 @@ greedy partition and grid (solve_forward_batch); each member stops and
 shrinks on its own, so it equals its one-state solve bit for bit.
 
 One kernel, _solution_map, evaluates F for apply_F and for every Picard
-iteration, bit-equal to young's separate midpoint-rule sums; a solve reads
-the driver and builds the map once, on its whole grid, and slices both per
-chunk.  A transport (keep_path False) computes the end states alone.
+iteration, bit-equal to young's separate midpoint-rule sums, on member
+arrays a window builds once (_grid_data).  Transports (keep_path False)
+compute the end states alone, and independent ones run in lockstep
+(_lockstep): one Picard slice a step on the current chunks of all lanes.
 """
 
 from __future__ import annotations
@@ -143,36 +144,47 @@ class SolveReport:
 # the solution map
 
 
-def _solution_map(field: CoefficientField, ts: np.ndarray, ws: np.ndarray, b: int = 1,
-                  rows: Optional[int] = None):
-    """F on the grid ts, with the driver read there as ws, for stacks of b
-    states: map(lo, hi) is F on the grid rows lo..hi, a function of a stack
-    x (n, b, d) that returns the running sums S (2, n, b, d), so F(x) =
-    x_{t_lo} + S[0] + S[1] (drift, then noise).  Both take young's midpoint
-    rule: the end values of each step, f and g evaluated over one flattened
-    (n*b, d) axis, are added straight into S, then halved and, for m = 1,
-    multiplied by the stacked [dt, dw].  For m > 1 that makes the drift term
-    alone and the noise term is _pair_terms (einsum), whose sum over the m
-    columns a sum in order misses in the last bit once m >= 3.  One
-    np.add.accumulate from S's zero row sums both, so a zero noise sum reads
-    +0.0, as einsum's terms sum.  The stacked coefficients and the b-fold
-    times cover the whole grid and S holds rows grid points (all of ts by
-    default): a solve builds one map.  S is overwritten by the next call, and
-    the product runs under the caller's np.errstate, as einsum's noise
-    products do not warn on inf * 0 or overflow.
-    """
+def _grid_data(field: CoefficientField, ts: np.ndarray, ws: np.ndarray, b: int = 1,
+               clock: Optional[float] = None):
+    """The member arrays of _solution_map for b states on the grid ts and the
+    driver ws there: times np.repeat(ts, b) as (n, b), the shared [dt, dw]
+    (k, n-1, 1, d) and, for m > 1, the increments (n-1, b, m).  On the
+    reversed clock t0 + T = clock (reversed_problem) f and g are read at
+    clock - ts against -dt: time_reversed's -f bit for bit (README "Picard")."""
     d, m = field.dim_d, field.dim_m
     if ws.shape[1] != m:
         raise ShapeError(f"integrand columns {m} != driver dimension {ws.shape[1]}")
     dw = ws[1:] - ws[:-1]
-    k = 2 if m == 1 else 1  # the parts the stacked product makes
-    coef = np.empty((k, len(ts) - 1, b, d))
-    coef[0] = (ts[1:] - ts[:-1])[:, None, None]
+    coef = np.empty((2 if m == 1 else 1, len(ts) - 1, 1, d))  # the parts the product makes
+    coef[0] = (ts[1:] - ts[:-1] if clock is None else ts[:-1] - ts[1:])[:, None, None]
     if m == 1:
         coef[1] = dw[:, :, None]
-    ts_b = np.repeat(ts, b)
-    dw_b = np.repeat(dw, b, axis=0) if m > 1 else None
-    S_buf = np.zeros((2, len(ts) if rows is None else rows, b, d))
+    times = np.repeat(ts if clock is None else clock - ts, b).reshape(-1, b)
+    return times, coef, (np.repeat(dw, b, axis=0).reshape(-1, b, m) if m > 1 else None)
+
+
+def _solution_map(field: CoefficientField, times: np.ndarray, coef: np.ndarray,
+                  dw: Optional[np.ndarray] = None, rows: Optional[int] = None):
+    """F for a stack of b states, each on its own times (n, b) with its own
+    coefficients (k, n-1, b, d) or shared ones (k, n-1, 1, d) and
+    increments (_grid_data): map(lo, hi) is F on the rows lo..hi, a function
+    of a stack x (n, b, d) returning the running sums S (2, n, b, d), so
+    F(x) = x_{t_lo} + S[0] + S[1] (drift, then noise).  Both take young's
+    midpoint rule: the end values of each step, f and g over one flattened
+    (n*b, d) axis, are added into S, halved and, for m = 1, multiplied by
+    the stacked [dt, dw].  For m > 1 the noise term is _pair_terms (einsum),
+    whose sum over the m columns a sum in order misses in the last bit once
+    m >= 3.  One np.add.accumulate from S's zero row sums both, so a zero
+    noise sum reads +0.0, as einsum's terms sum.  S holds rows points (all
+    n by default).  The map reads the member arrays in place, so a caller
+    may refill them between calls; S is overwritten by the next call, and
+    the product runs under the caller's np.errstate, as einsum's noise
+    products do not warn on inf * 0 or overflow.
+    """
+    d, m = field.dim_d, field.dim_m
+    k, b = len(coef), times.shape[1]
+    ts_b, dw_b = times.reshape(-1), None if dw is None else dw.reshape(-1, m)
+    S_buf = np.zeros((2, len(times) if rows is None else rows, b, d))
 
     def chunk(lo: int, hi: int):
         n = hi - lo + 1
@@ -208,7 +220,7 @@ def apply_F(
     """Evaluate the solution map on x's grid, anchored at the window start."""
     sub = x.restrict(window)
     ts = sub.times
-    sums = _solution_map(field, ts, driver.at(ts))(0, len(ts) - 1)
+    sums = _solution_map(field, *_grid_data(field, ts, driver.at(ts)))(0, len(ts) - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         S = sums(sub.values[:, None, :])[:, :, 0]
     return FApplication(SampledPath(ts, sub.values[0] + S[0] + S[1]),
@@ -310,8 +322,10 @@ def _picard_slice(
     member_iters = [0] * B
     changes = [math.inf] * B  # each member's latest change, read as its previous one
     max_total = opts.picard_max_iters + 40
+    # every live member goes on when all changes lie in (go_floor, go_cap]
+    go_floor, go_cap = max(max(floor), opts.picard_tol), 1e8 * min(scale)
     if sums is None:
-        sums = _solution_map(field, ts, ws, B)(0, n - 1)
+        sums = _solution_map(field, *_grid_data(field, ts, ws, B))(0, n - 1)
 
     def apply_f(x):
         S = sums(x)
@@ -326,9 +340,9 @@ def _picard_slice(
         while live and iters < max_total:
             fx = apply_f(x)
             prev, changes = changes, np.maximum.reduce(np.abs(fx - x), axis=(0, 2)).tolist()
+            live_changes = changes if len(live) == B else [changes[b] for b in live]
             # a non-finite entry of a live member's fx makes its change non-finite
-            if (not math.isfinite(sum([changes[b] for b in live]))
-                    and not np.isfinite(fx[:, live]).all()):
+            if not math.isfinite(sum(live_changes)) and not np.isfinite(fx[:, live]).all():
                 raise DataError("Picard iterate contains non-finite entries")
             if len(live) == B:
                 x = fx
@@ -350,6 +364,9 @@ def _picard_slice(
                     if ((x0_norm[b] + var1[b]) * (1.0 + 1e-12) > ball_cap[b] + 1e-9
                             and x0_norm[b] + _variation(fx[:, b], q) > ball_cap[b] + 1e-9):
                         ball_ok[b] = False
+            if (iters < opts.picard_max_iters and min(live_changes) > go_floor
+                    and max(live_changes) <= go_cap):
+                continue
             still = []
             for b in live:
                 change = changes[b]
@@ -396,17 +413,18 @@ def _solve_span(
     opts: SolveOptions,
     q: float,
     depth: int = 0,
-    sums=None,
     diagnostics: bool = True,
+    clock: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Picard on the slice for the stack x0 (B, d), shrinking recursively.
 
     Only the members that did not converge are re-solved, together, on the
-    two parts of the slice, each part with a solution map of its own, so
-    every member's values, iteration count, residual and ball flag are those
-    of its own one-state solve.  Without diagnostics the residuals and ball
-    flags are None.
+    two parts of the slice, each part with a solution map of its own (on
+    clock, _grid_data), so every member's values, iteration count, residual
+    and ball flag are those of its own one-state solve.  Without diagnostics
+    the residuals and ball flags are None.
     """
+    sums = _solution_map(field, *_grid_data(field, ts, ws, len(x0), clock))(0, len(ts) - 1)
     vals, _, residuals, ball_ok, iters, failed = _picard_slice(
         field, ts, ws, x0, opts, q, sums=sums, diagnostics=diagnostics)
     if not failed.any():
@@ -419,9 +437,9 @@ def _solve_span(
     k = int(round(_SHRINK_FACTOR * (len(ts) - 1)))
     k = min(max(k, 1), len(ts) - 2)
     left, il, rl, bl = _solve_span(field, ts[: k + 1], ws[: k + 1], x0[failed], opts, q,
-                                   depth + 1, diagnostics=diagnostics)
+                                   depth + 1, diagnostics, clock)
     right, ir, rr, br = _solve_span(field, ts[k:], ws[k:], left[-1], opts, q, depth + 1,
-                                    diagnostics=diagnostics)
+                                    diagnostics, clock)
     vals[:, failed] = np.concatenate([left, right[1:]])
     iters[failed] = il + ir
     if diagnostics:
@@ -522,6 +540,91 @@ class BatchSolve(NamedTuple):
     constants: DerivedConstants
 
 
+class _Leg(NamedTuple):
+    """One window of a lockstep lane for its b states, built by _leg."""
+
+    ts: np.ndarray
+    ws: np.ndarray
+    chunks: List[Tuple[int, int]]
+    data: tuple
+    clock: Optional[float]  # t0 + T of a window solved on the reversed clock
+    greedy: GreedySequence
+    mu: float
+    constants: DerivedConstants
+
+
+def _leg(field: CoefficientField, driver: SampledPath, t0: float, T: float, b: int,
+         opts: Optional[SolveOptions], exponents: Optional[ExponentSet]) -> _Leg:
+    """The window from t0 to T for b states: forward when t0 < T, else the
+    forward problem on the reversed clock (reversed_problem, _grid_data)."""
+    if exponents is None:
+        raise ParameterError("solve_forward needs an ExponentSet")
+    clock, window_field = None, field
+    if T < t0:
+        window_field, driver, opts = reversed_problem(field, driver, T, t0, opts)
+        clock, t0, T = T + t0, T, t0
+    opts, dom = opts or SolveOptions(), driver.domain
+    if not (dom.contains(t0) and dom.contains(T)) or not t0 < T:
+        raise DomainError(f"solve window [{t0}, {T}] outside driver domain")
+    cons = derived_constants(window_field, t0, T, exponents.K0)
+    mu = opts.mu_override if opts.mu_override is not None else cons.mu_star
+    greedy = greedy_sequence(driver, t0, T, lam=exponents.alpha, mu=mu, p=exponents.p)
+    ts = _build_grid(driver, t0, T, opts)
+    idx = _chunk_boundaries(ts, greedy.times)
+    ws = driver.at(ts)
+    return _Leg(ts, ws, list(zip(idx[:-1], idx[1:])), _grid_data(field, ts, ws, b, clock), clock,
+                greedy, float(mu), cons)
+
+
+def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
+              exponents: ExponentSet, diagnostics: bool = False):
+    """Advance lanes, each a stack (B, d) and its chain of legs (_leg), one
+    greedy chunk a step; yields (lane, a, b) and _solve_span's outputs for
+    rows a..b of each leg.  A step copies the chunk of every lane that has
+    one into the step arrays, a shorter one padded with its last time and
+    zero dt and dw, and makes one _picard_slice call: each member iterates
+    as alone (README "Picard").  A lane reads its end at its own last row;
+    one with a failed member is re-solved alone.  Diagnostics, which padded
+    rows would enter, take one lane.
+    """
+    opts = opts or SolveOptions()
+    states = [x0 for x0, _ in lanes]
+    chunks = [[(leg, a, b) for leg in legs for a, b in leg.chunks] for _, legs in lanes]
+    stacks = {}  # the columns, step arrays and map of each set of lanes that steps together
+    for step in range(max(map(len, chunks), default=0)):
+        active = tuple(l for l, lane in enumerate(chunks) if step < len(lane))
+        if active not in stacks:
+            edges = np.cumsum([0] + [len(states[l]) for l in active]).tolist()
+            rows = max(b - a for l in active for _, a, b in chunks[l]) + 1
+            m, w, (_, coef, dw) = field.dim_m, edges[-1], chunks[active[0]][0][0].data
+            buf = (np.empty((rows, w)), np.empty((len(coef), rows - 1, w, field.dim_d)),
+                   None if dw is None else np.empty((rows - 1, w, m)))
+            stacks[active] = ([slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])], buf,
+                              _solution_map(field, *buf, rows=rows))
+        cols, (times, coef, dw), step_map = stacks[active]
+        spans = [chunks[l][step] for l in active]
+        grid = max((leg.ts[a:b + 1] for leg, a, b in spans), key=len)
+        n = len(grid)
+        for (leg, a, b), c in zip(spans, cols):
+            k, (leg_times, leg_coef, leg_dw) = b - a + 1, leg.data
+            times[:k, c] = leg_times[a:b + 1]
+            times[k:n, c] = leg_times[b]
+            coef[:, :k - 1, c] = leg_coef[:, a:b]
+            coef[:, k - 1:n - 1, c] = 0.0
+            if dw is not None:
+                dw[:k - 1, c] = leg_dw[a:b]
+                dw[k - 1:n - 1, c] = 0.0
+        r = _picard_slice(field, grid, None, np.concatenate([states[l] for l in active]), opts,
+                          exponents.q, sums=step_map(0, n - 1), diagnostics=diagnostics)
+        for l, (leg, a, b), c in zip(active, spans, cols):
+            out = (r.values[:b - a + 1, c], r.member_iters[c], r.residuals, r.ball_ok)
+            if r.failed[c].any():  # the lane alone, as its own transport shrinks
+                out = _solve_span(field, leg.ts[a:b + 1], leg.ws[a:b + 1], states[l], opts,
+                                  exponents.q, diagnostics=diagnostics, clock=leg.clock)
+            states[l] = out[0][-1]
+            yield (l, a, b) + out
+
+
 def solve_forward_batch(
     field: CoefficientField,
     driver: SampledPath,
@@ -534,51 +637,30 @@ def solve_forward_batch(
 ) -> BatchSolve:
     """Solve the stack of initial states x0, shape (B, d), forward on [t0, T].
 
-    The greedy partition, the grid and the solution map (its buffers sized to
-    the longest chunk) depend on the window alone, so they are built once
-    for the whole stack; Picard runs chunk by chunk on (n, B, d) arrays and
-    the driver read at the chunk's times, and every member's values equal
-    its one-state solve's bit for bit.  With keep_path False only the end
-    states are computed (times holds T alone) and residuals and ball_ok are
-    None: a transport needs no more, and the stack's path takes B times the
-    memory of a one-state solve.
+    The greedy partition, the grid and the member arrays depend on the
+    window alone (_leg); Picard runs chunk by chunk on (n, B, d) arrays, the
+    one-lane call of _lockstep, and every member equals its one-state solve
+    bit for bit.  With keep_path False only the end states are computed
+    (times holds T alone) and residuals and ball_ok are None: a transport
+    needs no more, and the path takes B times a one-state solve's memory.
     """
-    opts = opts or SolveOptions()
-    if exponents is None:
-        raise ParameterError("solve_forward needs an ExponentSet")
-    dom = driver.domain
-    if not (dom.contains(t0) and dom.contains(T)) or not t0 < T:
-        raise DomainError(f"solve window [{t0}, {T}] outside driver domain")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != field.dim_d:
         raise ParameterError(f"x0 has shape {x0.shape}, expected (B, d) with d = {field.dim_d}")
-
-    cons = derived_constants(field, t0, T, exponents.K0)
-    mu = opts.mu_override if opts.mu_override is not None else cons.mu_star
-    greedy = greedy_sequence(driver, t0, T, lam=exponents.alpha, mu=mu, p=exponents.p)
-
-    ts = _build_grid(driver, t0, T, opts)
-    chunk_idx = _chunk_boundaries(ts, greedy.times)
-    ws = driver.at(ts)
-    smap = _solution_map(field, ts, ws, len(x0), max(np.diff(chunk_idx), default=0) + 1)
-
-    values = np.empty((len(ts),) + x0.shape) if keep_path else None
+    leg = _leg(field, driver, t0, T, len(x0), opts, exponents)
+    values = np.empty((len(leg.ts),) + x0.shape) if keep_path else None
     iters, residuals, ball_ok = [], [], np.ones(len(x0), dtype=bool)
-    current = x0
-    for a, b in zip(chunk_idx[:-1], chunk_idx[1:]):
-        vals, its, res, b_ok = _solve_span(field, ts[a:b + 1], ws[a:b + 1], current, opts,
-                                           exponents.q, sums=smap(a, b), diagnostics=keep_path)
+    for _, a, b, vals, its, res, b_ok in _lockstep(field, [(x0, [leg])], opts, exponents,
+                                                   keep_path):
         iters.append(its)
-        current = vals[-1]
         if keep_path:
             values[a:b + 1] = vals
             residuals.append(res)
             ball_ok &= b_ok
-    if not keep_path:
-        return BatchSolve(ts[-1:], current[None], greedy, np.array(iters), None, None, float(mu),
-                          cons)
-    return BatchSolve(ts, values, greedy, np.array(iters), np.array(residuals), ball_ok,
-                      float(mu), cons)
+    times, values, residuals, ball_ok = ((leg.ts, values, np.array(residuals), ball_ok)
+                                         if keep_path else (leg.ts[-1:], vals[-1:], None, None))
+    return BatchSolve(times, values, leg.greedy, np.array(iters), residuals, ball_ok, leg.mu,
+                      leg.constants)
 
 
 def solve_forward(

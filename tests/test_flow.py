@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from youngflow import (
     SCENARIOS,
+    ControlFunction,
     SampledPath,
     SolveOptions,
     analytic_driver,
@@ -11,9 +14,13 @@ from youngflow import (
     flow_axiom_check,
     linear_field,
     non_intersection_check,
+    scalar_field,
     select_exponents,
 )
-from youngflow.errors import ParameterError, PreconditionError
+from youngflow import cli
+from youngflow.errors import DataError, ParameterError, PreconditionError
+from youngflow.flow import lockstep_transport
+from test_solver import _two_channel_field
 from test_vector_systems import _rotation_field, _sine_driver
 
 EXPS = select_exponents(4.0 / 3.0, 0.75, 0.75, 1.0)
@@ -172,17 +179,20 @@ def test_flow_report_json():
 
 
 _FLOW_LINEAR = SCENARIOS["flow-linear"]
+_TWO_CHANNEL_TIMES = np.linspace(0.0, 2.0, 1001)
 _SYSTEMS = {
     "flow-linear": (_FLOW_LINEAR.make_field(), _FLOW_LINEAR.make_driver(None),
                     _FLOW_LINEAR.exponents()),
     "rotation": (_rotation_field(), _sine_driver(), EXPS),
+    "two-channel": (_two_channel_field(), SampledPath(_TWO_CHANNEL_TIMES, 0.4 * np.stack(
+        [np.sin(_TWO_CHANNEL_TIMES), np.cos(3.0 * _TWO_CHANNEL_TIMES)], axis=1)), EXPS),
 }
 _BATCH_OPTS = SolveOptions(oversample=2)
 
 
 @settings(max_examples=16, deadline=None, derandomize=True)
 @given(
-    system=st.sampled_from(sorted(_SYSTEMS)),
+    system=st.sampled_from(["flow-linear", "rotation"]),
     window=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).filter(
         lambda w: abs(w[0] - w[1]) > 0.05),
     size=st.integers(1, 8),
@@ -207,3 +217,97 @@ def test_cauchy_operator_rejects_wrong_state_dimension():
     for states in ([1.0], np.ones((3, 1)), np.ones((2, 3)), np.ones((2, 2, 2))):
         with pytest.raises(ParameterError):
             cauchy_operator(field, driver, 0.2, 0.8, states, exponents=exps)
+
+
+_LANE_OPTS = {"oversample": SolveOptions(oversample=2),
+              "tight": SolveOptions(picard_max_iters=6, mu_override=2.0)}
+
+
+@st.composite
+def _lane_plans(draw):
+    """1-3 lanes, each 1-3 windows of at least 0.05 in [0, 2], either way."""
+    plans = []
+    for _ in range(draw(st.integers(1, 3))):
+        times = [draw(st.floats(0.0, 2.0))]
+        for _ in range(draw(st.integers(1, 3))):
+            times.append(draw(st.floats(0.0, 2.0).filter(lambda t, s=times[-1]: abs(t - s) > 0.05)))
+        plans.append((times, draw(st.integers(1, 3))))
+    return plans
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(system=st.sampled_from(sorted(_SYSTEMS)), opts=st.sampled_from(sorted(_LANE_OPTS)),
+       plans=_lane_plans(), seed=st.integers(0, 2**32 - 1))
+def test_lockstep_lanes_equal_their_separate_transports(system, opts, plans, seed):
+    # lanes of unequal chunk lengths pad their shorter chunks in a step, and
+    # each lane's end stack equals its chain of cauchy_operator calls bit for
+    # bit: forward and backward windows, the rotation (d = 2) and the
+    # two-channel (m = 2) systems.  The tight budget fails the large states
+    # of one lane and makes them shrink while the other lanes go on; states
+    # span four decades and the first lane holds a zero state.  Mutation
+    # this fails on: padded rows given the real increment
+    field, driver, exps = _SYSTEMS[system]
+    opts = _LANE_OPTS[opts]
+    rng = np.random.default_rng(seed)
+    lanes = [(rng.uniform(-1.0, 1.0, (size, field.dim_d)) * 10.0 ** rng.uniform(-2, 2, (size, 1)),
+              times) for times, size in plans]
+    lanes[0][0][0] = 0.0
+    want = []
+    for x, times in lanes:
+        for a, b in zip(times[:-1], times[1:]):
+            x = cauchy_operator(field, driver, a, b, x, opts=opts, exponents=exps)
+        want.append(x)
+    got = lockstep_transport(field, driver, lanes, opts=opts, exponents=exps)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_lockstep_lane_with_an_overflowing_f_raises_the_transports_data_error():
+    # f = exp(x) overflows from 800: that lane's own transport raises
+    # DataError, and so does the lockstep run beside a lane that is fine
+    field = scalar_field(
+        f=lambda t, x: np.exp(x), g=lambda t, x: np.zeros_like(x),
+        g_x=lambda t, x: np.zeros_like(x), L_g=0.0, M_N=0.0, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=0.0, a=0.0, name="exp",
+    )
+    driver = analytic_driver("sine", {}, np.linspace(0.0, 1.0, 201))
+    with pytest.raises(DataError, match="non-finite") as alone:
+        cauchy_operator(field, driver, 0.0, 1.0, [800.0], exponents=EXPS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite") as together:
+            lockstep_transport(field, driver, [(np.array([[0.1]]), (0.0, 0.4, 1.0)),
+                                               (np.array([[800.0]]), (0.0, 1.0))], exponents=EXPS)
+    assert str(together.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("system", ["flow-linear", "rotation"])
+def test_flow_axiom_check_is_byte_equal_to_its_chain_of_transports(system):
+    # X(s,t) with the continuity table's perturbed states and the chain
+    # X(s,u) -> X(u,t) run as two lockstep lanes; every residual and table
+    # entry equals the one made from separate cauchy_operator calls
+    field, driver, exps = _SYSTEMS[system]
+    opts = _FLOW_LINEAR.opts
+    s, u, t = 0.3, 1.1, 1.7
+    P = np.random.default_rng(5).uniform(-1.5, 1.5, (4, field.dim_d))
+    sizes = [1e-3, 1e-2, 1e-1]
+    rep = flow_axiom_check(field, driver, (s, u, t), P, opts=opts, exponents=exps,
+                           continuity_sizes=sizes)
+    X = lambda a, b, x: cauchy_operator(field, driver, a, b, x, opts=opts, exponents=exps)
+    norms = lambda diff: np.array([np.linalg.norm(row) for row in diff])
+    x_st = X(s, t, P)
+    e1 = np.eye(1, field.dim_d)[0]
+    moved = X(s, t, np.stack([P[0] + eps * e1 for eps in sizes]))
+    assert rep.inversion_residuals.tobytes() == norms(X(t, s, x_st) - P).tobytes()
+    assert rep.composition_residuals.tobytes() == norms(X(u, t, X(s, u, P)) - x_st).tobytes()
+    assert rep.continuity_table == list(zip(sizes, norms(moved - x_st[0]).tolist()))
+
+
+def test_verify_composition_residual_is_byte_equal_to_its_chain_of_transports(tmp_path):
+    scenario = SCENARIOS["flow-linear"]
+    row, _ = cli._run_one_seed(scenario, 0, scenario.opts, tmp_path)
+    field, driver, exps = scenario.make_field(), scenario.make_driver(0), scenario.exponents()
+    X = lambda a, b, x: cauchy_operator(field, driver, a, b, x, opts=scenario.opts, exponents=exps)
+    s, u, t = scenario.flow_triple
+    x = np.atleast_1d(scenario.x0)
+    want = float(np.linalg.norm(X(u, t, X(s, u, x)) - X(s, t, x)))
+    assert np.float64(row["flow_composition_residual"]).tobytes() == np.float64(want).tobytes()

@@ -532,6 +532,45 @@ def test_greedy_makes_one_bisection_batch_per_step(monkeypatch, name):
     assert len(accepted) > 0.9 * steps if name == "linear-sine" else not checks
 
 
+def test_greedy_root_guess_bisects_when_a_huge_g_rounds_it_onto_the_bracket_end(monkeypatch):
+    # on a 51-sample ramp over [0, 1000] with lambda = 300 the budget at a
+    # segment's far end is near 1e209, and regula falsi's guess rounds onto
+    # the bracket's left end.  Taken as the root, that guess was overturned at
+    # each midpoint: 2.9 bisection batches on each step that crosses a vertex
+    # (up to 4) and 3.3 on the others.  Bisecting instead, no engine step
+    # needs more than two and most need one; the times stay the engine's.
+    # Mutation this fails on: the guess on the end returned as the root
+    driver = SampledPath(np.linspace(0.0, 1000.0, 51), np.linspace(0.0, 1.0, 51))
+    real_row, real_power = greedy._budget_row, greedy._endpoint_power
+    in_row, steps = [False], []
+
+    def row(driver, t0, w0, j0, stop, *rest):
+        in_row[0] = True
+        try:
+            j, pts, V = real_row(driver, t0, w0, j0, stop, *rest)
+        finally:
+            in_row[0] = False
+        steps.append([j > j0, 0])  # whether the step crosses a vertex, its batches
+        return j, pts, V
+
+    def power(pts, V, value, p):
+        if not in_row[0]:
+            steps[-1][1] += 1
+        return real_power(pts, V, value, p)
+
+    monkeypatch.setattr(greedy, "_budget_row", row)
+    monkeypatch.setattr(greedy, "_endpoint_power", power)
+    seq = greedy_sequence(driver, 0.0, 1000.0, lam=300.0, mu=0.5, p=1.5)
+    monkeypatch.undo()
+    with np.errstate(over="ignore"):
+        times, residuals, _ = _reference_greedy(driver, 0.0, 1000.0, 300.0, 0.5, 1.5)
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.residuals.tobytes() == residuals.tobytes()
+    crossing = [batches for crosses, batches in steps if crosses]
+    assert crossing and max(crossing) <= 2
+    assert sum(batches for _, batches in steps) <= 1.2 * len(steps)
+
+
 def _one_step_sequence(driver, start, end, lam, mu, p):
     """Times, residuals and clamped flag from the one-step engine alone,
     stepped as greedy_sequence steps it when the walk model declines."""

@@ -39,6 +39,7 @@ from youngflow.flow import cauchy_operator
 from youngflow.solver import (
     _anchor_integrals,
     _chunk_boundaries,
+    _grid_data,
     _picard_slice,
     _solution_map,
     _start_norms,
@@ -889,7 +890,8 @@ def test_transport_slice_on_the_solve_map_is_bit_equal_to_the_loop(case, n, lo, 
                                                                          [-25.0]])
     opts = SolveOptions(picard_max_iters=max_iters)
     ts, ws = grid[lo:lo + n], wgrid[lo:lo + n]
-    sums = _solution_map(field, grid, wgrid, len(x0), n + 3)(lo, lo + n - 1)
+    chunk = _solution_map(field, *_grid_data(field, grid, wgrid, len(x0)), rows=n + 3)
+    sums = chunk(lo, lo + n - 1)
     got = _picard_slice(field, ts, ws, x0, opts, EXPS.q, sums=sums, diagnostics=False)
     want = _reference_picard_slice(field, ts, ws, x0, opts, EXPS.q)
     assert got.residuals is None and got.ball_ok is None
@@ -1042,3 +1044,38 @@ def test_picard_scope_silences_f_overflow_into_data_error():
         with pytest.raises(DataError, match="non-finite"):
             solve_forward(field, _sine(201, 1.0), 0.0, [800.0], 1.0, exponents=EXPS,
                           certify=False)
+
+
+def test_lockstep_lane_that_shrinks_in_a_padded_step_equals_its_own_transports(monkeypatch):
+    # with mu_override=2.0 every window is one chunk: the lane from 0.2 reaches
+    # 1.0 in 1,201 grid points while the lane from 0.25 spans 2,176, so the
+    # first lane's rows are padded in the first step.  Its large states fail
+    # the 6-iteration budget, so the lane is re-solved alone on its own slice
+    # and shrinks, and its end at 1.0 starts its second window.  Mutations this
+    # fails on: the lane's end read at the step's last row (a padded row,
+    # which holds the failed iterate); a failed member re-solved on the
+    # step's longest slice
+    from youngflow import solver
+    from youngflow.flow import lockstep_transport
+
+    field, driver, exps = _TRANSPORT_SYSTEMS["flow-linear"]
+    opts = SolveOptions(picard_max_iters=6, mu_override=2.0)
+    big, small = np.array([[8.0], [-30.0]]), np.array([[1e-2]])
+    real_slice, real_span, shrinks, step = solver._picard_slice, solver._solve_span, [], [0]
+
+    def picard_slice(field, ts, *args, **kwargs):
+        step[0] = len(ts)
+        return real_slice(field, ts, *args, **kwargs)
+
+    def solve_span(field, ts, *args, **kwargs):
+        shrinks.append((len(ts), step[0]))
+        return real_span(field, ts, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard_slice", picard_slice)
+    monkeypatch.setattr(solver, "_solve_span", solve_span)
+    got = lockstep_transport(field, driver, [(big, (0.2, 1.0, 1.6)), (small, (0.25, 1.7))],
+                             opts=opts, exponents=exps)
+    assert (1201, 2176) in shrinks
+    X = lambda a, b, x: cauchy_operator(field, driver, a, b, x, opts, exps)
+    assert got[0].tobytes() == X(1.0, 1.6, X(0.2, 1.0, big)).tobytes()
+    assert got[1].tobytes() == X(0.25, 1.7, small).tobytes()

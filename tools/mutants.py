@@ -33,6 +33,7 @@ SOLVER = "src/youngflow/solver.py"
 COEFFICIENTS = "src/youngflow/coefficients.py"
 T_GREEDY = "tests/test_greedy.py"
 T_SOLVER = "tests/test_solver.py"
+LOCKSTEP_SHRINK = f"{T_SOLVER}::test_lockstep_lane_that_shrinks_in_a_padded_step_equals_its_own_transports"
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
@@ -52,6 +53,10 @@ MUTANTS = [
      "if min(stop, row) > limit or",
      "if j >= limit or",
      [f"{T_GREEDY}::test_greedy_model_reads_the_turning_point_after_the_crossing"]),
+    ("root guess on a bracket end returned", GREEDY,
+     "elif (c == a or c == b) and (g(math.nextafter(c, b if c == a else a)) < 0) != (c == b):",
+     "elif False:",
+     [f"{T_GREEDY}::test_greedy_root_guess_bisects_when_a_huge_g_rounds_it_onto_the_bracket_end"]),
     ("field result passed on in any dtype", COEFFICIENTS,
      "shape = (ts.size, self.dim_d)\n        if type(out) is np.ndarray and out.dtype is _FLOAT and",
      "shape = (ts.size, self.dim_d)\n        if type(out) is np.ndarray and",
@@ -60,6 +65,19 @@ MUTANTS = [
      "np.copyto(x, fx, where=is_live)",
      "np.copyto(x, fx)",
      [f"{T_SOLVER}::test_transport_slice_on_the_solve_map_is_bit_equal_to_the_loop"]),
+    ("lane end read at the step's last row", SOLVER,
+     "            states[l] = out[0][-1]\n",
+     "            states[l] = r.values[-1, c]\n",
+     [LOCKSTEP_SHRINK]),
+    ("padded rows given the real increment", SOLVER,
+     "            coef[:, k - 1:n - 1, c] = 0.0\n",
+     "            coef[:, k - 1:n - 1, c] = leg_coef[:, b - 1:b]\n",
+     ["tests/test_flow.py::test_lockstep_lanes_equal_their_separate_transports"]),
+    ("failed member re-solved on the step's longest slice", SOLVER,
+     "out = _solve_span(field, leg.ts[a:b + 1], leg.ws[a:b + 1],",
+     "out = _solve_span(field, *max(((s.ts[i:j + 1], s.ws[i:j + 1]) for s, i, j in spans),"
+     " key=lambda p: len(p[0])),",
+     [LOCKSTEP_SHRINK]),
     ("dt and dw swapped", SOLVER,
      "    if m == 1:\n        coef[1] = dw[:, :, None]\n",
      "    if m == 1:\n        coef[0], coef[1] = dw[:, :, None], coef[0].copy()\n",
