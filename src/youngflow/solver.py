@@ -20,6 +20,8 @@ iteration, bit-equal to young's separate midpoint-rule sums, on member
 arrays a window builds once (_grid_data).  Transports (keep_path False)
 compute the end states alone, and independent ones run in lockstep
 (_lockstep): one Picard slice a step on the current chunks of all lanes.
+A backward window (solve_backward, a backward transport) is the forward
+problem on the reversed clock, its field read at reflected times (_leg).
 """
 
 from __future__ import annotations
@@ -159,8 +161,8 @@ def _grid_data(field: CoefficientField, ts: np.ndarray, ws: np.ndarray, b: int =
     coef[0] = (ts[1:] - ts[:-1] if clock is None else ts[:-1] - ts[1:])[:, None, None]
     if m == 1:
         coef[1] = dw[:, :, None]
-    times = np.repeat(ts if clock is None else clock - ts, b).reshape(-1, b)
-    return times, coef, (np.repeat(dw, b, axis=0).reshape(-1, b, m) if m > 1 else None)
+    times = np.repeat(ts if clock is None else clock - ts, b).reshape(len(ts), b)
+    return times, coef, (np.repeat(dw, b, axis=0).reshape(len(dw), b, m) if m > 1 else None)
 
 
 def _solution_map(field: CoefficientField, times: np.ndarray, coef: np.ndarray,
@@ -315,6 +317,7 @@ def _picard_slice(
     scale = [max(1.0, v) for v in x0_norm]
     eps, tol_floor = 64.0 * np.finfo(float).eps, 1e-5 * opts.picard_tol
     floor = [max(eps * v, tol_floor) for v in scale]
+    cap = [1e8 * v for v in scale]  # a change above it diverges
     ball_cap = [2.0 * v + 1.0 for v in x0_norm]
     ball_ok = [True] * B
     reached_tol = [False] * B
@@ -322,8 +325,8 @@ def _picard_slice(
     member_iters = [0] * B
     changes = [math.inf] * B  # each member's latest change, read as its previous one
     max_total = opts.picard_max_iters + 40
-    # every live member goes on when all changes lie in (go_floor, go_cap]
-    go_floor, go_cap = max(max(floor), opts.picard_tol), 1e8 * min(scale)
+    # within the budget, every live member goes on when all changes lie in (go_floor, go_cap]
+    go_floor, go_cap = max(floor + [opts.picard_tol]), min(cap, default=math.inf)
     if sums is None:
         sums = _solution_map(field, *_grid_data(field, ts, ws, B))(0, n - 1)
 
@@ -371,7 +374,7 @@ def _picard_slice(
             for b in live:
                 change = changes[b]
                 member_iters[b] = iters
-                if change > 1e8 * scale[b]:
+                if change > cap[b]:
                     failed[b] = True  # diverging
                 elif change <= floor[b]:
                     reached_tol[b] = True
@@ -415,8 +418,10 @@ def _solve_span(
     depth: int = 0,
     diagnostics: bool = True,
     clock: Optional[float] = None,
+    first: Optional[_Slice] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Picard on the slice for the stack x0 (B, d), shrinking recursively.
+    """Picard on the slice for the stack x0 (B, d), shrinking recursively;
+    first is the slice's result when the caller has run it (_lockstep).
 
     Only the members that did not converge are re-solved, together, on the
     two parts of the slice, each part with a solution map of its own (on
@@ -424,9 +429,10 @@ def _solve_span(
     and ball flag are those of its own one-state solve.  Without diagnostics
     the residuals and ball flags are None.
     """
-    sums = _solution_map(field, *_grid_data(field, ts, ws, len(x0), clock))(0, len(ts) - 1)
-    vals, _, residuals, ball_ok, iters, failed = _picard_slice(
-        field, ts, ws, x0, opts, q, sums=sums, diagnostics=diagnostics)
+    if first is None:
+        sums = _solution_map(field, *_grid_data(field, ts, ws, len(x0), clock))(0, len(ts) - 1)
+        first = _picard_slice(field, ts, ws, x0, opts, q, sums=sums, diagnostics=diagnostics)
+    vals, _, residuals, ball_ok, iters, failed = first
     if not failed.any():
         return vals, iters, residuals, ball_ok
     if depth >= 20 or len(ts) < 3:
@@ -551,6 +557,8 @@ class _Leg(NamedTuple):
     greedy: GreedySequence
     mu: float
     constants: DerivedConstants
+    field: CoefficientField  # the field and driver of the window's constants and certificates
+    driver: SampledPath
 
 
 def _leg(field: CoefficientField, driver: SampledPath, t0: float, T: float, b: int,
@@ -573,7 +581,7 @@ def _leg(field: CoefficientField, driver: SampledPath, t0: float, T: float, b: i
     idx = _chunk_boundaries(ts, greedy.times)
     ws = driver.at(ts)
     return _Leg(ts, ws, list(zip(idx[:-1], idx[1:])), _grid_data(field, ts, ws, b, clock), clock,
-                greedy, float(mu), cons)
+                greedy, float(mu), cons, window_field, driver)
 
 
 def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
@@ -583,9 +591,10 @@ def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
     rows a..b of each leg.  A step copies the chunk of every lane that has
     one into the step arrays, a shorter one padded with its last time and
     zero dt and dw, and makes one _picard_slice call: each member iterates
-    as alone (README "Picard").  A lane reads its end at its own last row;
-    one with a failed member is re-solved alone.  Diagnostics, which padded
-    rows would enter, take one lane.
+    as alone (README "Picard").  A lane reads its end at its own last row,
+    and only its failed members are re-solved, on its own slice (_solve_span
+    from the step's result).  Diagnostics, which padded rows would enter,
+    take one lane.
     """
     opts = opts or SolveOptions()
     states = [x0 for x0, _ in lanes]
@@ -617,12 +626,36 @@ def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
         r = _picard_slice(field, grid, None, np.concatenate([states[l] for l in active]), opts,
                           exponents.q, sums=step_map(0, n - 1), diagnostics=diagnostics)
         for l, (leg, a, b), c in zip(active, spans, cols):
-            out = (r.values[:b - a + 1, c], r.member_iters[c], r.residuals, r.ball_ok)
-            if r.failed[c].any():  # the lane alone, as its own transport shrinks
-                out = _solve_span(field, leg.ts[a:b + 1], leg.ws[a:b + 1], states[l], opts,
-                                  exponents.q, diagnostics=diagnostics, clock=leg.clock)
+            lane = _Slice(r.values[:b - a + 1, c], r.iters,
+                          *(v if v is None else v[c] for v in r[2:]))
+            # its failed members shrink on the lane's own slice, as in its own transport
+            out = _solve_span(field, leg.ts[a:b + 1], leg.ws[a:b + 1], states[l], opts,
+                              exponents.q, diagnostics=diagnostics, clock=leg.clock, first=lane)
             states[l] = out[0][-1]
             yield (l, a, b) + out
+
+
+def _solve_window(field: CoefficientField, driver: SampledPath, t0: float, x0: np.ndarray,
+                  T: float, opts: Optional[SolveOptions], exponents: Optional[ExponentSet],
+                  keep_path: bool = True) -> Tuple[BatchSolve, _Leg]:
+    """solve_forward_batch from t0 to T, on the reversed clock if T < t0, and its leg."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 2 or x0.shape[1] != field.dim_d:
+        raise ParameterError(f"x0 has shape {x0.shape}, expected (B, d) with d = {field.dim_d}")
+    leg = _leg(field, driver, t0, T, len(x0), opts, exponents)
+    values = np.empty((len(leg.ts),) + x0.shape) if keep_path else None
+    iters, residuals, ball_ok = [], [], np.ones(len(x0), dtype=bool)
+    for _, a, b, vals, its, res, b_ok in _lockstep(field, [(x0, [leg])], opts, exponents,
+                                                   keep_path):
+        iters.append(its)
+        if keep_path:
+            values[a:b + 1] = vals
+            residuals.append(res)
+            ball_ok &= b_ok
+    times, values, residuals, ball_ok = ((leg.ts, values, np.array(residuals), ball_ok)
+                                         if keep_path else (leg.ts[-1:], vals[-1:], None, None))
+    return BatchSolve(times, values, leg.greedy, np.array(iters), residuals, ball_ok, leg.mu,
+                      leg.constants), leg
 
 
 def solve_forward_batch(
@@ -644,23 +677,31 @@ def solve_forward_batch(
     (times holds T alone) and residuals and ball_ok are None: a transport
     needs no more, and the path takes B times a one-state solve's memory.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2 or x0.shape[1] != field.dim_d:
-        raise ParameterError(f"x0 has shape {x0.shape}, expected (B, d) with d = {field.dim_d}")
-    leg = _leg(field, driver, t0, T, len(x0), opts, exponents)
-    values = np.empty((len(leg.ts),) + x0.shape) if keep_path else None
-    iters, residuals, ball_ok = [], [], np.ones(len(x0), dtype=bool)
-    for _, a, b, vals, its, res, b_ok in _lockstep(field, [(x0, [leg])], opts, exponents,
-                                                   keep_path):
-        iters.append(its)
-        if keep_path:
-            values[a:b + 1] = vals
-            residuals.append(res)
-            ball_ok &= b_ok
-    times, values, residuals, ball_ok = ((leg.ts, values, np.array(residuals), ball_ok)
-                                         if keep_path else (leg.ts[-1:], vals[-1:], None, None))
-    return BatchSolve(times, values, leg.greedy, np.array(iters), residuals, ball_ok, leg.mu,
-                      leg.constants)
+    if not t0 < T:
+        raise DomainError(f"solve window [{t0}, {T}] outside driver domain")
+    return _solve_window(field, driver, t0, x0, T, opts, exponents, keep_path)[0]
+
+
+def _report(field: CoefficientField, driver: SampledPath, batch: BatchSolve, x0: np.ndarray,
+            t0: float, T: float, exponents: ExponentSet, certify: bool) -> SolveReport:
+    """The SolveReport of the one-state batch, certified on field and driver."""
+    report = SolveReport(
+        solution=SampledPath(batch.times, batch.values[:, 0]),
+        greedy=batch.greedy,
+        iters_per_interval=batch.iters[:, 0].tolist(),
+        fixed_point_residuals=batch.residuals[:, 0].tolist(),
+        ball_ok=bool(batch.ball_ok[0]),
+        certificates=[],
+        exponents=exponents,
+        mu=batch.mu,
+        constants=batch.constants,
+        t0=float(t0),
+        T=float(T),
+        x0=x0,
+    )
+    if certify:
+        report.certificates = standard_certificates(report, field, driver)
+    return report
 
 
 def solve_forward(
@@ -679,23 +720,7 @@ def solve_forward(
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     batch = solve_forward_batch(field, driver, t0, x0[None], T, opts, exponents)
-    report = SolveReport(
-        solution=SampledPath(batch.times, batch.values[:, 0]),
-        greedy=batch.greedy,
-        iters_per_interval=batch.iters[:, 0].tolist(),
-        fixed_point_residuals=batch.residuals[:, 0].tolist(),
-        ball_ok=bool(batch.ball_ok[0]),
-        certificates=[],
-        exponents=exponents,
-        mu=batch.mu,
-        constants=batch.constants,
-        t0=float(t0),
-        T=float(T),
-        x0=x0,
-    )
-    if certify:
-        report.certificates = standard_certificates(report, field, driver)
-    return report
+    return _report(field, driver, batch, x0, t0, T, exponents, certify)
 
 
 def reversed_problem(
@@ -734,23 +759,20 @@ def solve_backward(
     """Continue the dynamics backwards from (T, xT) down to t0.
 
     The terminal-value problem is solved forward on the reversed clock
-    (reversed_problem) and the solution is mapped back to the original
-    clock; the forward-then-backward round trip inverts the flow up to
-    quadrature resolution.
+    (reversed_problem): Picard runs on the window's leg from T to t0 (_leg),
+    which reads the field at the reflected times, and the certificates read
+    the reversed problem's field and driver.  The solution is mapped back to
+    the original clock; the forward-then-backward round trip inverts the
+    flow up to quadrature resolution.
     """
-    rev_field, rev_driver, rev_opts = reversed_problem(field, driver, t0, T, opts)
-    inner = solve_forward(
-        rev_field, rev_driver, t0, xT, T, opts=rev_opts, exponents=exponents, certify=certify
-    )
+    if not t0 < T:
+        raise DomainError("solve_backward needs t0 < T")
+    xT = np.atleast_1d(np.asarray(xT, dtype=float))
+    batch, leg = _solve_window(field, driver, T, xT[None], t0, opts, exponents)
+    inner = _report(leg.field, leg.driver, batch, xT, t0, T, exponents, certify)
     sol = inner.solution
-    return replace(
-        inner,
-        solution=SampledPath((t0 + T) - sol.times[::-1], sol.values[::-1]),
-        t0=float(t0),
-        T=float(T),
-        x0=np.atleast_1d(np.asarray(xT, dtype=float)),
-        direction="backward",
-    )
+    return replace(inner, solution=SampledPath((t0 + T) - sol.times[::-1], sol.values[::-1]),
+                   direction="backward")
 
 
 def euler_solve(

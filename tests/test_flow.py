@@ -219,6 +219,19 @@ def test_cauchy_operator_rejects_wrong_state_dimension():
             cauchy_operator(field, driver, 0.2, 0.8, states, exponents=exps)
 
 
+@pytest.mark.parametrize("system", sorted(_SYSTEMS))
+def test_empty_stack_transports_to_an_empty_stack(system):
+    # a (0, d) stack makes no Picard pass: forward, backward and as a lane
+    # beside a stack of one state, whose end it leaves as alone
+    field, driver, exps = _SYSTEMS[system]
+    empty, x = np.empty((0, field.dim_d)), np.full((1, field.dim_d), 0.5)
+    for t1, t2 in ((0.2, 0.8), (0.8, 0.2)):
+        assert cauchy_operator(field, driver, t1, t2, empty, exponents=exps).shape == empty.shape
+    got = lockstep_transport(field, driver, [(empty, (0.2, 0.8)), (x, (0.2, 0.8))], exponents=exps)
+    assert got[0].shape == empty.shape
+    assert got[1].tobytes() == cauchy_operator(field, driver, 0.2, 0.8, x, exponents=exps).tobytes()
+
+
 _LANE_OPTS = {"oversample": SolveOptions(oversample=2),
               "tight": SolveOptions(picard_max_iters=6, mu_override=2.0)}
 

@@ -599,6 +599,14 @@ def test_solve_window_outside_domain():
         solve_forward(field, drv, 0.0, [1.0], 2.0, exponents=EXPS)
     with pytest.raises(DomainError):
         solve_backward(field, drv, 0.5, [1.0], 0.5, exponents=EXPS)
+    with pytest.raises(DomainError):
+        reversed_problem(field, drv, 0.5, 0.5)
+    # a reversed window is no forward solve (transports reverse the clock)
+    with pytest.raises(DomainError):
+        solve_forward(field, drv, 1.0, [1.0], 0.5, exponents=EXPS)
+    with pytest.raises(DomainError):
+        solve_forward_batch(field, drv, 1.0, np.ones((2, 1)), 0.5, exponents=EXPS,
+                            keep_path=False)
 
 
 def test_picard_shrinking_stops_at_depth_cap():
@@ -804,6 +812,41 @@ def test_stack_members_stop_at_different_iterations_bit_equal_to_the_loop():
     assert got.residuals.tobytes() == want[2].tobytes()
 
 
+def test_member_that_stalls_below_picard_tol_stops_as_in_the_loop():
+    # dx = 5 x dt grows e^5-fold on the slice, so rounding keeps the change of
+    # the member from 3.0 above its floor (64 eps) but below picard_tol: it
+    # stalls and stops after 34 iterations, in a pass where its mates go on.
+    # Mutation this fails on: picard_tol dropped from the go-on test, which
+    # lets that pass skip the stop rules
+    field, drv = linear_field(5.0, 0.0, 0.0, 0.0), _sine(1001, 1.0)
+    x0, opts = np.array([[1.0], [0.5], [3.0], [1e-3]]), SolveOptions(picard_max_iters=200)
+    got = _picard_slice(field, drv.times, drv.values, x0, opts, EXPS.q)
+    want = _reference_picard_slice(field, drv.times, drv.values, x0, opts, EXPS.q)
+    assert want[4].tolist() == [33, 33, 34, 30] and not want[5].any()
+    assert got.values.tobytes() == want[0].tobytes()
+    assert got.member_iters.tolist() == want[4].tolist()
+
+
+def test_member_past_the_divergence_cap_fails_while_its_mates_go_on():
+    # dx = x^3 dt + 0.3 x dw from 1e3: the second iterate's change passes 1e8
+    # times the start while the member from 0.1 still contracts, so that
+    # pass goes through the stop rules and the member fails before its
+    # iterate overflows.  Mutation this fails on: the divergence cap dropped
+    # from the go-on test (the iterate reaches inf: DataError)
+    field = scalar_field(
+        f=lambda t, x: x ** 3, g=lambda t, x: 0.3 * x, g_x=lambda t, x: np.full_like(x, 0.3),
+        L_g=0.3, M_N=0.0, delta=1.0, beta=0.75,
+        h=ControlFunction.zero(), L_N=0.0, a=0.0, name="cube",
+    )
+    drv = _sine(41, 0.4)
+    x0 = np.array([[0.1], [1e3]])
+    got = _picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
+    want = _reference_picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
+    assert got.failed.tolist() == [False, True] and got.member_iters.tolist() == [9, 2]
+    assert got.values.tobytes() == want[0].tobytes()
+    assert got.member_iters.tolist() == want[4].tolist()
+
+
 @pytest.mark.parametrize("keeps_sign", [False, True])
 def test_zero_field_from_negative_zero_prints_positive_zero(tmp_path, keeps_sign):
     # einsum sums the noise term from +0.0 where a product keeps -0.0; with f
@@ -1000,6 +1043,31 @@ def test_transport_end_states_are_the_last_row_of_the_kept_path(system, opts):
         assert bare.iters.tobytes() == kept.iters.tobytes()
 
 
+@pytest.mark.parametrize("system", sorted(_TRANSPORT_SYSTEMS))
+def test_backward_solve_equals_the_forward_solve_of_its_reversed_problem(system, monkeypatch):
+    # solve_backward's Picard reads the field at the reflected times; its
+    # report equals solve_forward's on reversed_problem's time_reversed field
+    # bit for bit, with an extra output time, the tight budget's shrinking
+    # and the certificates
+    import json
+    from youngflow import solver
+
+    field, driver, exps = _TRANSPORT_SYSTEMS[system]
+    opts = SolveOptions(picard_max_iters=6, mu_override=2.0, grid=[0.9001])
+    xT = np.full(field.dim_d, 8.0)
+    real_span, spans = solver._solve_span, []
+    monkeypatch.setattr(solver, "_solve_span",
+                        lambda f, ts, *a, **k: spans.append(len(ts)) or real_span(f, ts, *a, **k))
+    back = solve_backward(field, driver, 1.6, xT, 0.2, opts, exps)
+    assert len(spans) > len(back.iters_per_interval)  # a chunk shrinks
+    rev_field, rev_driver, rev_opts = reversed_problem(field, driver, 0.2, 1.6, opts)
+    fwd = solve_forward(rev_field, rev_driver, 0.2, xT, 1.6, rev_opts, exps)
+    assert back.solution.values.tobytes() == fwd.solution.values[::-1].tobytes()
+    assert back.solution.times.tobytes() == ((0.2 + 1.6) - fwd.solution.times[::-1]).tobytes()
+    assert back.direction == "backward"
+    assert json.dumps(back.to_json()) == json.dumps(replace(fwd, direction="backward").to_json())
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_start_norms_equal_np_linalg_norm_bit_for_bit(d):
     # at d = 1 one call makes sqrt(v * v) for the stack: it underflows at
@@ -1054,7 +1122,7 @@ def test_lockstep_lane_that_shrinks_in_a_padded_step_equals_its_own_transports(m
     # and shrinks, and its end at 1.0 starts its second window.  Mutations this
     # fails on: the lane's end read at the step's last row (a padded row,
     # which holds the failed iterate); a failed member re-solved on the
-    # step's longest slice
+    # step's longest slice; the lane's slice run again before it shrinks
     from youngflow import solver
     from youngflow.flow import lockstep_transport
 
@@ -1075,7 +1143,10 @@ def test_lockstep_lane_that_shrinks_in_a_padded_step_equals_its_own_transports(m
     monkeypatch.setattr(solver, "_solve_span", solve_span)
     got = lockstep_transport(field, driver, [(big, (0.2, 1.0, 1.6)), (small, (0.25, 1.7))],
                              opts=opts, exponents=exps)
-    assert (1201, 2176) in shrinks
+    # the failed members shrink straight from the step's result: the left half
+    # of the lane's 1,201 points follows the 2,176-point step, with no slice of
+    # the whole lane in between (mutation: the lane's slice run again)
+    assert (1201, 2176) in shrinks and (601, 2176) in shrinks
     X = lambda a, b, x: cauchy_operator(field, driver, a, b, x, opts, exps)
     assert got[0].tobytes() == X(1.0, 1.6, X(0.2, 1.0, big)).tobytes()
     assert got[1].tobytes() == X(0.25, 1.7, small).tobytes()

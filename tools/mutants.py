@@ -74,10 +74,26 @@ MUTANTS = [
      "            coef[:, k - 1:n - 1, c] = leg_coef[:, b - 1:b]\n",
      ["tests/test_flow.py::test_lockstep_lanes_equal_their_separate_transports"]),
     ("failed member re-solved on the step's longest slice", SOLVER,
-     "out = _solve_span(field, leg.ts[a:b + 1], leg.ws[a:b + 1],",
-     "out = _solve_span(field, *max(((s.ts[i:j + 1], s.ws[i:j + 1]) for s, i, j in spans),"
-     " key=lambda p: len(p[0])),",
+     "lane = _Slice(r.values[:b - a + 1, c], r.iters,\n" + " " * 26
+     + "*(v if v is None else v[c] for v in r[2:]))\n" + " " * 12
+     + "# its failed members shrink on the lane's own slice, as in its own transport\n"
+     + " " * 12 + "out = _solve_span(field, leg.ts[a:b + 1], leg.ws[a:b + 1],",
+     "lane = _Slice(r.values[:, c], r.iters, *(v if v is None else v[c] for v in r[2:]))\n"
+     + " " * 12 + "out = _solve_span(field, *max(((s.ts[i:j + 1], s.ws[i:j + 1])"
+     " for s, i, j in spans), key=lambda p: len(p[0])),",
      [LOCKSTEP_SHRINK]),
+    ("failed lane's slice run again before it shrinks", SOLVER,
+     "clock=leg.clock, first=lane)",
+     "clock=leg.clock)",
+     [LOCKSTEP_SHRINK]),
+    ("picard_tol dropped from the go-on test", SOLVER,
+     "go_floor, go_cap = max(floor + [opts.picard_tol]),",
+     "go_floor, go_cap = max(floor),",
+     [f"{T_SOLVER}::test_member_that_stalls_below_picard_tol_stops_as_in_the_loop"]),
+    ("divergence cap dropped from the go-on test", SOLVER,
+     "                    and max(live_changes) <= go_cap):",
+     "                    and True):",
+     [f"{T_SOLVER}::test_member_past_the_divergence_cap_fails_while_its_mates_go_on"]),
     ("dt and dw swapped", SOLVER,
      "    if m == 1:\n        coef[1] = dw[:, :, None]\n",
      "    if m == 1:\n        coef[0], coef[1] = dw[:, :, None], coef[0].copy()\n",
