@@ -77,7 +77,6 @@ from .solver import (
     growth_certificate,
     solve_backward,
     solve_forward,
-    solve_interval,
 )
 from .young import (
     Certificate,

@@ -17,11 +17,14 @@ shrinks on its own, so it equals its one-state solve bit for bit.
 
 One kernel, _solution_map, evaluates F for apply_F and for every Picard
 iteration, bit-equal to young's separate midpoint-rule sums, on member
-arrays a window builds once (_grid_data).  Transports (keep_path False)
-compute the end states alone, and independent ones run in lockstep
-(_lockstep): one Picard slice a step on the current chunks of all lanes.
-A backward window (solve_backward, a backward transport) is the forward
-problem on the reversed clock, its field read at reflected times (_leg).
+arrays a window builds once (_grid_data).  One engine, _lockstep, runs
+every Picard slice: a solve is its one lane, and independent transports
+are lanes that advance together, one slice a step on the current chunks
+of all lanes; a failed member shrinks on its lane's member arrays
+(_solve_span).  A backward window (solve_backward, a backward transport)
+is the forward problem on the reversed clock, its field read at
+reflected times (_leg).  A one-chunk solve is solve_forward with
+mu_override=inf, whose greedy partition is the whole window.
 """
 
 from __future__ import annotations
@@ -278,19 +281,11 @@ class _Slice(NamedTuple):
     failed: np.ndarray  # (B,)
 
 
-def _picard_slice(
-    field: CoefficientField,
-    ts: np.ndarray,
-    ws: np.ndarray,
-    x0: np.ndarray,
-    opts: SolveOptions,
-    q: float,
-    x_init: Optional[np.ndarray] = None,
-    sums=None,
-    diagnostics: bool = True,
-) -> _Slice:
-    """Iterate F to the numerical fixed point on a fixed grid slice, for the
-    stack of initial states x0, shape (B, d).
+def _picard_slice(sums, n: int, x0: np.ndarray, opts: SolveOptions, q: float,
+                  diagnostics: bool = True) -> _Slice:
+    """Iterate F to the numerical fixed point on a grid slice of n points, for
+    the stack of initial states x0, shape (B, d); sums is F's map on the
+    slice (_solution_map), and the first iterate is the constant path.
 
     Convergence first to picard_tol within picard_max_iters, then a polish
     phase well below picard_tol so that chunked and monolithic solves of
@@ -300,19 +295,19 @@ def _picard_slice(
     Non-convergence is reported in failed, the mask of the members that
     diverge or exhaust the budget (every member when none converges).
 
-    The members stay in place: each pass applies F (sums, the solve's map on
-    this slice, or one of its own) to the whole stack and writes back the
-    live members only.  A failed member is reset to its start, so no later
-    pass meets a diverging iterate, and gets its last iterate back at the end.
-    Without diagnostics there is no ball screen or residual pass (residuals
-    and ball_ok None).  One np.errstate(over="ignore", invalid="ignore")
-    covers the slice, f and g included: a live member's non-finite iterate
-    raises DataError, not a RuntimeWarning.
+    The members stay in place: each pass applies F (sums) to the whole stack
+    and writes back the live members only.  A failed member is reset to its
+    start, so no later pass meets a diverging iterate, and gets its last
+    iterate back at the end.  Without diagnostics there is no ball screen or
+    residual pass (residuals and ball_ok None).  One
+    np.errstate(over="ignore", invalid="ignore") covers the slice, f and g
+    included: a live member's non-finite iterate raises DataError, not a
+    RuntimeWarning.
     """
     if q < 1:
         raise ParameterError(f"the ball norm needs q >= 1, got {q}")
-    n, (B, d) = len(ts), x0.shape
-    x = np.repeat(x0[None], n, axis=0) if x_init is None else np.array(x_init, dtype=float)
+    B, d = x0.shape
+    x = np.repeat(x0[None], n, axis=0)
     x0_norm = _start_norms(x0)
     scale = [max(1.0, v) for v in x0_norm]
     eps, tol_floor = 64.0 * np.finfo(float).eps, 1e-5 * opts.picard_tol
@@ -327,8 +322,6 @@ def _picard_slice(
     max_total = opts.picard_max_iters + 40
     # within the budget, every live member goes on when all changes lie in (go_floor, go_cap]
     go_floor, go_cap = max(floor + [opts.picard_tol]), min(cap, default=math.inf)
-    if sums is None:
-        sums = _solution_map(field, *_grid_data(field, ts, ws, B))(0, n - 1)
 
     def apply_f(x):
         S = sums(x)
@@ -411,41 +404,47 @@ def _picard_slice(
 def _solve_span(
     field: CoefficientField,
     ts: np.ndarray,
-    ws: np.ndarray,
+    data: tuple,
     x0: np.ndarray,
     opts: SolveOptions,
     q: float,
     depth: int = 0,
     diagnostics: bool = True,
-    clock: Optional[float] = None,
     first: Optional[_Slice] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Picard on the slice for the stack x0 (B, d), shrinking recursively;
-    first is the slice's result when the caller has run it (_lockstep).
+    """Picard on the slice ts for the stack x0 (B, d), shrinking recursively;
+    data is the slice's member arrays (times, coef, dw) for x0 (_grid_data),
+    and first the slice's result when the caller has run it (_lockstep).
 
     Only the members that did not converge are re-solved, together, on the
-    two parts of the slice, each part with a solution map of its own (on
-    clock, _grid_data), so every member's values, iteration count, residual
-    and ball flag are those of its own one-state solve.  Without diagnostics
-    the residuals and ball flags are None.
+    two parts of the slice, each part with the rows of data it covers and
+    the failed members' columns.  The member arrays are elementwise
+    differences and repeats of the grid, so a part's rows equal what
+    _grid_data builds for it, and every member's values, iteration count,
+    residual and ball flag are those of its own one-state solve.  Without
+    diagnostics the residuals and ball flags are None.
     """
+    n = len(ts)
     if first is None:
-        sums = _solution_map(field, *_grid_data(field, ts, ws, len(x0), clock))(0, len(ts) - 1)
-        first = _picard_slice(field, ts, ws, x0, opts, q, sums=sums, diagnostics=diagnostics)
+        sums = _solution_map(field, *data)(0, n - 1)
+        first = _picard_slice(sums, n, x0, opts, q, diagnostics)
     vals, _, residuals, ball_ok, iters, failed = first
     if not failed.any():
         return vals, iters, residuals, ball_ok
-    if depth >= 20 or len(ts) < 3:
+    if depth >= 20 or n < 3:
         raise SolveError(
             f"Picard failed on [{ts[0]}, {ts[-1]}] at depth {depth}",
             window=(float(ts[0]), float(ts[-1])),
         )
-    k = int(round(_SHRINK_FACTOR * (len(ts) - 1)))
-    k = min(max(k, 1), len(ts) - 2)
-    left, il, rl, bl = _solve_span(field, ts[: k + 1], ws[: k + 1], x0[failed], opts, q,
-                                   depth + 1, diagnostics, clock)
-    right, ir, rr, br = _solve_span(field, ts[k:], ws[k:], left[-1], opts, q, depth + 1,
-                                    diagnostics, clock)
+    k = int(round(_SHRINK_FACTOR * (n - 1)))
+    k = min(max(k, 1), n - 2)
+    times, coef, dw = data
+    left = (times[:k + 1, failed], coef[:, :k], None if dw is None else dw[:k, failed])
+    right = (times[k:, failed], coef[:, k:], None if dw is None else dw[k:, failed])
+    left, il, rl, bl = _solve_span(field, ts[:k + 1], left, x0[failed], opts, q, depth + 1,
+                                   diagnostics)
+    right, ir, rr, br = _solve_span(field, ts[k:], right, left[-1], opts, q, depth + 1,
+                                    diagnostics)
     vals[:, failed] = np.concatenate([left, right[1:]])
     iters[failed] = il + ir
     if diagnostics:
@@ -454,49 +453,11 @@ def _solve_span(
     return vals, iters, residuals, ball_ok
 
 
-def solve_interval(
-    field: CoefficientField,
-    driver: SampledPath,
-    t0: float,
-    x0,
-    t1: float,
-    opts: Optional[SolveOptions] = None,
-    exponents: Optional[ExponentSet] = None,
-    warm_start: Optional[SampledPath] = None,
-) -> Tuple[SampledPath, int, float]:
-    """Solve one interval by Picard iteration.
-
-    The initial iterate is the constant path at x0 (it lies in the
-    invariant ball of the local theory); warm_start supplies a different
-    first iterate, e.g. an explicit one-step path, for cross-checks.
-    """
-    opts = opts or SolveOptions()
-    if exponents is None:
-        raise ParameterError("solve_interval needs an ExponentSet")
-    ts = _build_grid(driver, t0, t1, opts)
-    ws = driver.at(ts)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None]
-    if warm_start is not None:
-        x_init = warm_start.at(ts)[:, None, :]
-        vals, iters, residual, _, _, failed = _picard_slice(
-            field, ts, ws, x0, opts, exponents.q, x_init=x_init
-        )
-        if failed[0]:
-            raise SolveError(f"Picard failed from the warm start on [{t0}, {t1}]",
-                             window=(float(t0), float(t1)))
-    else:
-        vals, iters, residual, _ = _solve_span(field, ts, ws, x0, opts, exponents.q)
-        iters = int(iters[0])
-    return SampledPath(ts, vals[:, 0]), iters, float(residual[0])
-
-
 # ----------------------------------------------------------------------
 # grids and chunking
 
 
 def _build_grid(driver: SampledPath, t0: float, t1: float, opts: SolveOptions) -> np.ndarray:
-    if t1 <= t0:
-        raise ParameterError("solve window needs t0 < T")
     base = driver.restrict((t0, t1)).times
     if opts.grid is not None:
         extra = np.asarray(opts.grid, dtype=float)
@@ -532,16 +493,14 @@ def _chunk_boundaries(ts: np.ndarray, greedy_times: np.ndarray) -> List[int]:
 
 
 class BatchSolve(NamedTuple):
-    """A forward solve of a stack of B initial states over one window; without
-    keep_path, times and values hold T and the end states alone and
-    residuals and ball_ok are None."""
+    """A forward solve of a stack of B initial states over one window."""
 
     times: np.ndarray  # (n,)
     values: np.ndarray  # (n, B, d)
     greedy: GreedySequence
     iters: np.ndarray  # (chunks, B)
-    residuals: Optional[np.ndarray]  # (chunks, B)
-    ball_ok: Optional[np.ndarray]  # (B,)
+    residuals: np.ndarray  # (chunks, B)
+    ball_ok: np.ndarray  # (B,)
     mu: float
     constants: DerivedConstants
 
@@ -550,10 +509,8 @@ class _Leg(NamedTuple):
     """One window of a lockstep lane for its b states, built by _leg."""
 
     ts: np.ndarray
-    ws: np.ndarray
     chunks: List[Tuple[int, int]]
-    data: tuple
-    clock: Optional[float]  # t0 + T of a window solved on the reversed clock
+    data: tuple  # the member arrays (_grid_data)
     greedy: GreedySequence
     mu: float
     constants: DerivedConstants
@@ -579,8 +536,7 @@ def _leg(field: CoefficientField, driver: SampledPath, t0: float, T: float, b: i
     greedy = greedy_sequence(driver, t0, T, lam=exponents.alpha, mu=mu, p=exponents.p)
     ts = _build_grid(driver, t0, T, opts)
     idx = _chunk_boundaries(ts, greedy.times)
-    ws = driver.at(ts)
-    return _Leg(ts, ws, list(zip(idx[:-1], idx[1:])), _grid_data(field, ts, ws, b, clock), clock,
+    return _Leg(ts, list(zip(idx[:-1], idx[1:])), _grid_data(field, ts, driver.at(ts), b, clock),
                 greedy, float(mu), cons, window_field, driver)
 
 
@@ -592,9 +548,9 @@ def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
     one into the step arrays, a shorter one padded with its last time and
     zero dt and dw, and makes one _picard_slice call: each member iterates
     as alone (README "Picard").  A lane reads its end at its own last row,
-    and only its failed members are re-solved, on its own slice (_solve_span
-    from the step's result).  Diagnostics, which padded rows would enter,
-    take one lane.
+    and only its failed members are re-solved, on its own slice's member
+    arrays (_solve_span from the step's result).  Diagnostics, which padded
+    rows would enter, take one lane.
     """
     opts = opts or SolveOptions()
     states = [x0 for x0, _ in lanes]
@@ -612,10 +568,12 @@ def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
                               _solution_map(field, *buf, rows=rows))
         cols, (times, coef, dw), step_map = stacks[active]
         spans = [chunks[l][step] for l in active]
-        grid = max((leg.ts[a:b + 1] for leg, a, b in spans), key=len)
-        n = len(grid)
+        n = max(b - a for _, a, b in spans) + 1
+        parts = []  # each lane's member arrays of its chunk
         for (leg, a, b), c in zip(spans, cols):
             k, (leg_times, leg_coef, leg_dw) = b - a + 1, leg.data
+            parts.append((leg_times[a:b + 1], leg_coef[:, a:b],
+                          None if dw is None else leg_dw[a:b]))
             times[:k, c] = leg_times[a:b + 1]
             times[k:n, c] = leg_times[b]
             coef[:, :k - 1, c] = leg_coef[:, a:b]
@@ -623,39 +581,35 @@ def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
             if dw is not None:
                 dw[:k - 1, c] = leg_dw[a:b]
                 dw[k - 1:n - 1, c] = 0.0
-        r = _picard_slice(field, grid, None, np.concatenate([states[l] for l in active]), opts,
-                          exponents.q, sums=step_map(0, n - 1), diagnostics=diagnostics)
-        for l, (leg, a, b), c in zip(active, spans, cols):
+        r = _picard_slice(step_map(0, n - 1), n, np.concatenate([states[l] for l in active]),
+                          opts, exponents.q, diagnostics)
+        for l, (leg, a, b), part, c in zip(active, spans, parts, cols):
             lane = _Slice(r.values[:b - a + 1, c], r.iters,
                           *(v if v is None else v[c] for v in r[2:]))
             # its failed members shrink on the lane's own slice, as in its own transport
-            out = _solve_span(field, leg.ts[a:b + 1], leg.ws[a:b + 1], states[l], opts,
-                              exponents.q, diagnostics=diagnostics, clock=leg.clock, first=lane)
+            out = _solve_span(field, leg.ts[a:b + 1], part, states[l], opts, exponents.q,
+                              diagnostics=diagnostics, first=lane)
             states[l] = out[0][-1]
             yield (l, a, b) + out
 
 
 def _solve_window(field: CoefficientField, driver: SampledPath, t0: float, x0: np.ndarray,
-                  T: float, opts: Optional[SolveOptions], exponents: Optional[ExponentSet],
-                  keep_path: bool = True) -> Tuple[BatchSolve, _Leg]:
+                  T: float, opts: Optional[SolveOptions],
+                  exponents: Optional[ExponentSet]) -> Tuple[BatchSolve, _Leg]:
     """solve_forward_batch from t0 to T, on the reversed clock if T < t0, and its leg."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != field.dim_d:
         raise ParameterError(f"x0 has shape {x0.shape}, expected (B, d) with d = {field.dim_d}")
     leg = _leg(field, driver, t0, T, len(x0), opts, exponents)
-    values = np.empty((len(leg.ts),) + x0.shape) if keep_path else None
+    values = np.empty((len(leg.ts),) + x0.shape)
     iters, residuals, ball_ok = [], [], np.ones(len(x0), dtype=bool)
-    for _, a, b, vals, its, res, b_ok in _lockstep(field, [(x0, [leg])], opts, exponents,
-                                                   keep_path):
+    for _, a, b, vals, its, res, b_ok in _lockstep(field, [(x0, [leg])], opts, exponents, True):
+        values[a:b + 1] = vals
         iters.append(its)
-        if keep_path:
-            values[a:b + 1] = vals
-            residuals.append(res)
-            ball_ok &= b_ok
-    times, values, residuals, ball_ok = ((leg.ts, values, np.array(residuals), ball_ok)
-                                         if keep_path else (leg.ts[-1:], vals[-1:], None, None))
-    return BatchSolve(times, values, leg.greedy, np.array(iters), residuals, ball_ok, leg.mu,
-                      leg.constants), leg
+        residuals.append(res)
+        ball_ok &= b_ok
+    return BatchSolve(leg.ts, values, leg.greedy, np.array(iters), np.array(residuals), ball_ok,
+                      leg.mu, leg.constants), leg
 
 
 def solve_forward_batch(
@@ -666,20 +620,18 @@ def solve_forward_batch(
     T: float,
     opts: Optional[SolveOptions] = None,
     exponents: Optional[ExponentSet] = None,
-    keep_path: bool = True,
 ) -> BatchSolve:
     """Solve the stack of initial states x0, shape (B, d), forward on [t0, T].
 
     The greedy partition, the grid and the member arrays depend on the
     window alone (_leg); Picard runs chunk by chunk on (n, B, d) arrays, the
     one-lane call of _lockstep, and every member equals its one-state solve
-    bit for bit.  With keep_path False only the end states are computed
-    (times holds T alone) and residuals and ball_ok are None: a transport
-    needs no more, and the path takes B times a one-state solve's memory.
+    bit for bit.  A transport, which needs the end states alone, is
+    flow.cauchy_operator.
     """
     if not t0 < T:
         raise DomainError(f"solve window [{t0}, {T}] outside driver domain")
-    return _solve_window(field, driver, t0, x0, T, opts, exponents, keep_path)[0]
+    return _solve_window(field, driver, t0, x0, T, opts, exponents)[0]
 
 
 def _report(field: CoefficientField, driver: SampledPath, batch: BatchSolve, x0: np.ndarray,

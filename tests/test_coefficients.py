@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from youngflow import (
     BUILTIN_FIELDS,
     ControlFunction,
     InfeasibleExponentsError,
+    ParameterError,
     PreconditionError,
     SampledPath,
     bounded_smooth_field,
@@ -39,6 +42,16 @@ def test_select_exponents_boundary_infeasible():
     with pytest.raises(InfeasibleExponentsError) as err:
         select_exponents(p, 0.75, 0.75, p - 1.0)
     assert "delta > p - 1" in str(err.value)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("delta", 0.0, "delta and beta"), ("delta", 1.5, "delta and beta"),
+    ("beta", 0.0, "delta and beta"), ("alpha", 0.4, "alpha must lie"),
+    ("alpha", 1.0, "alpha must lie"),
+])
+def test_field_rejects_exponents_outside_their_ranges(key, value, match):
+    with pytest.raises(ParameterError, match=match):
+        replace(linear_field(), **{key: value})
 
 
 def test_select_exponents_low_alpha_case():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from youngflow import (
     FbmSpec,
+    DomainError,
     GreedyExhausted,
     ParameterError,
     SampledPath,
@@ -69,6 +70,18 @@ def test_start_just_outside_domain_is_clamped():
     assert next_greedy_time(drv, 10.0 - 5e-12, 0.6, 0.3, 1.7) == at_lo
     with pytest.raises(GreedyExhausted):
         next_greedy_time(drv, 11.0 + 5e-12, 0.6, 0.3, 1.7)
+
+
+def test_greedy_rejects_a_start_or_window_outside_the_domain_and_an_empty_window():
+    drv = SampledPath(np.linspace(10.0, 11.0, 50), np.linspace(0.0, 1.0, 50))
+    with pytest.raises(DomainError, match="start 9.5 outside driver domain"):
+        next_greedy_time(drv, 9.5, 0.6, 0.3, 1.7)
+    for start, end in ((9.5, 10.5), (10.5, 11.5)):
+        with pytest.raises(DomainError, match="greedy window outside driver domain"):
+            greedy_sequence(drv, start, end, lam=0.6, mu=0.3, p=1.7)
+    for start, end in ((10.5, 10.5), (10.7, 10.2)):
+        with pytest.raises(ParameterError, match="needs start < end"):
+            greedy_sequence(drv, start, end, lam=0.6, mu=0.3, p=1.7)
 
 
 def test_residuals_small_for_fbm_drivers():

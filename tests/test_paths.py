@@ -69,6 +69,15 @@ def test_pvar_trivial_cases():
     assert p_variation(ramp, 2.0) == pytest.approx(3.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("lo, hi, match", [
+    (0.0, np.inf, "must be finite"), (np.nan, 1.0, "must be finite"),
+    (1.0, 0.5, "lo=1.0 > hi=0.5"),
+])
+def test_interval_rejects_non_finite_or_reversed_ends(lo, hi, match):
+    with pytest.raises(ParameterError, match=match):
+        Interval(lo, hi)
+
+
 def test_pvar_rejects_bad_params():
     path = SampledPath([0, 1], [0.0, 1.0])
     with pytest.raises(ParameterError):

@@ -28,7 +28,6 @@ from youngflow import (
     select_exponents,
     solve_backward,
     solve_forward,
-    solve_interval,
     time_varying_field,
 )
 from test_vector_systems import _rotation_field, _sine_driver
@@ -58,6 +57,12 @@ def _mult_field():
 
 
 EXPS = select_exponents(4.0 / 3.0, 0.75, 0.75, 1.0)
+
+
+def _slice(field, ts, ws, x0, opts, q, diagnostics=True):
+    """_picard_slice for the stack x0 on the map of the grid ts and the driver ws there."""
+    sums = _solution_map(field, *_grid_data(field, ts, ws, len(x0)))(0, len(ts) - 1)
+    return _picard_slice(sums, len(ts), x0, opts, q, diagnostics)
 
 
 def test_apply_f_zero_field_constant():
@@ -106,45 +111,27 @@ def test_drift_closed_form():
 
 
 def test_short_interval_matches_exponential():
-    # dx = x dw on a short window with a smooth driver: x = x0 exp(w_t - w_0)
+    # dx = x dw on a short window with a smooth driver: x = x0 exp(w_t - w_0),
+    # solved as one chunk (an unbounded greedy budget)
     field = _mult_field()
     drv = _sine(4001, 0.5)
-    opts = SolveOptions(oversample=80)
-    path, iters, residual = solve_interval(field, drv, 0.0, [1.0], 0.5, opts, EXPS)
-    target = np.exp(np.sin(path.times))
-    assert np.max(np.abs(path.values[:, 0] - target)) < 1e-6
-    assert residual < 1e-10
-
-
-def test_warm_start_reaches_same_fixed_point():
-    field = _mult_field()
-    drv = _sine(2001, 0.4)
-    opts = SolveOptions(oversample=4)
-    cold, _, _ = solve_interval(field, drv, 0.0, [1.0], 0.4, opts, EXPS)
-    warm_path = euler_solve(field, drv, 0.0, [1.0], 0.4, cold.times)
-    warm, _, _ = solve_interval(field, drv, 0.0, [1.0], 0.4, opts, EXPS, warm_start=warm_path)
-    assert np.max(np.abs(cold.values - warm.values)) <= 10 * opts.picard_tol
-
-
-def test_warm_start_that_never_converges_raises_solve_error():
-    field = _mult_field()
-    drv = analytic_driver("sine", {"amp": 50.0}, np.linspace(0.0, 1.0, 201))
-    solve_interval(field, drv, 0.0, [1.0], 1.0, SolveOptions(), EXPS)  # the cold start shrinks
-    warm_path = euler_solve(field, drv, 0.0, [1.0], 1.0, drv.times)
-    with pytest.raises(SolveError) as err:
-        solve_interval(field, drv, 0.0, [1.0], 1.0, SolveOptions(picard_max_iters=3), EXPS,
-                       warm_start=warm_path)
-    assert err.value.window == (0.0, 1.0)
+    opts = SolveOptions(oversample=80, mu_override=math.inf)
+    rep = solve_forward(field, drv, 0.0, [1.0], 0.5, opts, EXPS, certify=False)
+    assert len(rep.iters_per_interval) == 1
+    target = np.exp(np.sin(rep.solution.times))
+    assert np.max(np.abs(rep.solution.values[:, 0] - target)) < 1e-6
+    assert rep.max_residual < 1e-10
 
 
 def test_shrinking_to_a_two_point_slice_that_never_converges_raises_solve_error():
     # the trapezoid step is implicit: on a two-point slice with |g_x dw| ~ 0.25
     # Picard contracts by about 0.125 per iteration, so 3 iterations cannot
-    # reach the tolerance and shrinking stops at the first grid step
+    # reach the tolerance and shrinking the one chunk stops at the first grid step
     field = _mult_field()
     drv = analytic_driver("sine", {"amp": 50.0}, np.linspace(0.0, 1.0, 201))
+    opts = SolveOptions(picard_max_iters=3, mu_override=math.inf)
     with pytest.raises(SolveError) as err:
-        solve_interval(field, drv, 0.0, [1.0], 1.0, SolveOptions(picard_max_iters=3), EXPS)
+        solve_forward(field, drv, 0.0, [1.0], 1.0, opts, EXPS, certify=False)
     assert err.value.window == (0.0, 0.005)
 
 
@@ -169,8 +156,8 @@ def test_picard_slice_reports_non_convergence_in_failed():
     field = linear_field()
     drv = _sine(201, 1.0)
     ts = drv.times
-    out = _picard_slice(field, ts, drv.at(ts), np.array([[1.0]]),
-                        SolveOptions(picard_max_iters=1), EXPS.q)
+    out = _slice(field, ts, drv.at(ts), np.array([[1.0]]), SolveOptions(picard_max_iters=1),
+                 EXPS.q)
     assert out.failed.tolist() == [True]
     assert out.iters == 0
     assert out.residuals.tolist() == [0.0]
@@ -306,7 +293,7 @@ def test_batch_members_shrink_on_their_own():
     batch = solve_forward_batch(field, drv, 0.0, x0, 1.0, opts, EXPS)
     ends = _chunk_boundaries(batch.times, batch.greedy.times)
     ts = batch.times[: ends[1] + 1]
-    first = _picard_slice(field, ts, drv.at(ts), x0, opts, EXPS.q)
+    first = _slice(field, ts, drv.at(ts), x0, opts, EXPS.q)
     assert first.failed.tolist() == [False, True]
     for b, x in enumerate(x0):
         single = solve_forward(field, drv, 0.0, x, 1.0, opts=opts, exponents=EXPS,
@@ -329,7 +316,7 @@ def test_batch_members_keep_their_own_ball_flags():
     batch = solve_forward_batch(field, drv, 0.0, x0, 2.0, opts, EXPS)
     ends = _chunk_boundaries(batch.times, batch.greedy.times)
     ts = batch.times[: ends[1] + 1]
-    assert _picard_slice(field, ts, drv.at(ts), x0, opts, EXPS.q).ball_ok.tolist() == flags
+    assert _slice(field, ts, drv.at(ts), x0, opts, EXPS.q).ball_ok.tolist() == flags
     for b, x in enumerate(x0):
         single = solve_forward(field, drv, 0.0, x, 2.0, opts=opts, exponents=EXPS,
                                certify=False)
@@ -605,18 +592,62 @@ def test_solve_window_outside_domain():
     with pytest.raises(DomainError):
         solve_forward(field, drv, 1.0, [1.0], 0.5, exponents=EXPS)
     with pytest.raises(DomainError):
-        solve_forward_batch(field, drv, 1.0, np.ones((2, 1)), 0.5, exponents=EXPS,
-                            keep_path=False)
+        solve_forward_batch(field, drv, 1.0, np.ones((2, 1)), 0.5, exponents=EXPS)
+
+
+def _count_spans(monkeypatch):
+    """The lengths of the slices _solve_span is called on, one a call."""
+    from youngflow import solver
+
+    real_span, spans = solver._solve_span, []
+    monkeypatch.setattr(solver, "_solve_span",
+                        lambda f, ts, *a, **k: spans.append(len(ts)) or real_span(f, ts, *a, **k))
+    return spans
+
+
+@pytest.mark.parametrize("name", ["bounded-smooth", "flow-linear", "time-varying"])
+@pytest.mark.parametrize("max_iters, mu", [(6, 2.0), (4, 5.0)])
+def test_shrinking_solve_is_a_fixed_point_of_the_window_map(name, max_iters, mu, monkeypatch):
+    # a tight budget makes chunks fail and shrink; the solution must still be
+    # a fixed point of F over the whole window, which apply_F builds on its
+    # own from the full grid, so the test does not share the shrink path's
+    # member arrays.  Mutations this fails on: the right half reading the
+    # span's first rows, or its coefficients from row 0
+    sc = SCENARIOS[name]
+    field, driver, exps = sc.make_field(), sc.make_driver(0), sc.exponents()
+    opts = replace(sc.opts, picard_max_iters=max_iters, mu_override=mu)
+    spans, chunks = _count_spans(monkeypatch), 0
+    for x0 in (np.atleast_1d(sc.x0), np.full(field.dim_d, 8.0)):
+        rep = solve_forward(field, driver, sc.t0, x0, sc.T, opts, exps, certify=False)
+        chunks += len(rep.iters_per_interval)
+        fx = apply_F(field, driver, rep.solution).path
+        assert np.max(np.abs(fx.values - rep.solution.values)) <= 1e-12
+    assert len(spans) > chunks  # a chunk shrinks
+
+
+def test_shrinking_backward_solve_is_a_fixed_point_of_the_reversed_window_map(monkeypatch):
+    # the backward solve is the forward one of reversed_problem, whose map
+    # apply_F builds on the reflected grid
+    sc = SCENARIOS["flow-linear"]
+    field, driver, exps = sc.make_field(), sc.make_driver(0), sc.exponents()
+    opts = replace(sc.opts, picard_max_iters=6, mu_override=2.0)
+    spans = _count_spans(monkeypatch)
+    back = solve_backward(field, driver, sc.T, [8.0], sc.t0, opts, exps, certify=False)
+    assert len(spans) > len(back.iters_per_interval)  # a chunk shrinks
+    rev_field, rev_driver, _ = reversed_problem(field, driver, sc.t0, sc.T, opts)
+    path = SampledPath((sc.t0 + sc.T) - back.solution.times[::-1], back.solution.values[::-1])
+    fx = apply_F(rev_field, rev_driver, path).path
+    assert np.max(np.abs(fx.values - path.values)) <= 1e-12
 
 
 def test_picard_shrinking_stops_at_depth_cap():
     # one Picard iteration never converges, so every slice is halved; with
-    # 2^21 grid steps the slice at depth 20 still has 3 points, so the depth
-    # cap, not the slice length, ends the recursion
-    opts = SolveOptions(picard_max_iters=1, oversample=1024)
+    # 2^21 grid steps in the one chunk the slice at depth 20 still has 3
+    # points, so the depth cap, not the slice length, ends the recursion
+    opts = SolveOptions(picard_max_iters=1, oversample=1024, mu_override=math.inf)
     with pytest.raises(SolveError, match=r"at depth 20$") as err:
-        solve_interval(linear_field(), _sine(2049, 1.0), 0.0, [1.0], 1.0, opts=opts,
-                       exponents=EXPS)
+        solve_forward(linear_field(), _sine(2049, 1.0), 0.0, [1.0], 1.0, opts, EXPS,
+                      certify=False)
     assert err.value.window == (0.0, pytest.approx(2.0 / 2**21, rel=1e-12))
 
 
@@ -789,7 +820,7 @@ def test_picard_slice_is_bit_equal_to_the_per_iteration_loop(case, n, span, seed
         x0 = (rng.uniform(-2.0, 2.0, (1, 1)) if case == "scalar"
               else np.array([[1e-6], [-0.01], [0.7], [-25.0]]))
     opts = SolveOptions(picard_max_iters=max_iters)
-    got = _picard_slice(field, ts, ws, x0, opts, EXPS.q)
+    got = _slice(field, ts, ws, x0, opts, EXPS.q)
     want = _reference_picard_slice(field, ts, ws, x0, opts, EXPS.q)
     assert got.iters == want[1]
     for name, ref in zip(("values", "residuals", "ball_ok", "member_iters", "failed"),
@@ -804,7 +835,7 @@ def test_stack_members_stop_at_different_iterations_bit_equal_to_the_loop():
     # members are live as the stack iterates in place
     field, drv = linear_field(-0.5, 0.0, 0.4, 0.0), _sine(41, 0.4)
     x0 = np.array([[1e-6], [-0.01], [0.7], [-25.0]])
-    got = _picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
+    got = _slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
     want = _reference_picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
     assert want[4].tolist() == [5, 7, 8, 8] and not want[5].any()
     assert got.values.tobytes() == want[0].tobytes()
@@ -820,7 +851,7 @@ def test_member_that_stalls_below_picard_tol_stops_as_in_the_loop():
     # lets that pass skip the stop rules
     field, drv = linear_field(5.0, 0.0, 0.0, 0.0), _sine(1001, 1.0)
     x0, opts = np.array([[1.0], [0.5], [3.0], [1e-3]]), SolveOptions(picard_max_iters=200)
-    got = _picard_slice(field, drv.times, drv.values, x0, opts, EXPS.q)
+    got = _slice(field, drv.times, drv.values, x0, opts, EXPS.q)
     want = _reference_picard_slice(field, drv.times, drv.values, x0, opts, EXPS.q)
     assert want[4].tolist() == [33, 33, 34, 30] and not want[5].any()
     assert got.values.tobytes() == want[0].tobytes()
@@ -840,7 +871,7 @@ def test_member_past_the_divergence_cap_fails_while_its_mates_go_on():
     )
     drv = _sine(41, 0.4)
     x0 = np.array([[0.1], [1e3]])
-    got = _picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
+    got = _slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
     want = _reference_picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
     assert got.failed.tolist() == [False, True] and got.member_iters.tolist() == [9, 2]
     assert got.values.tobytes() == want[0].tobytes()
@@ -935,7 +966,7 @@ def test_transport_slice_on_the_solve_map_is_bit_equal_to_the_loop(case, n, lo, 
     ts, ws = grid[lo:lo + n], wgrid[lo:lo + n]
     chunk = _solution_map(field, *_grid_data(field, grid, wgrid, len(x0)), rows=n + 3)
     sums = chunk(lo, lo + n - 1)
-    got = _picard_slice(field, ts, ws, x0, opts, EXPS.q, sums=sums, diagnostics=False)
+    got = _picard_slice(sums, n, x0, opts, EXPS.q, diagnostics=False)
     want = _reference_picard_slice(field, ts, ws, x0, opts, EXPS.q)
     assert got.residuals is None and got.ball_ok is None
     assert got.iters == want[1]
@@ -975,14 +1006,13 @@ def test_diverging_member_leaves_its_stack_mates_bit_equal():
         warnings.simplefilter("error")
         for diagnostics in (True, False):
             outputs.clear()
-            got = _picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q,
-                                diagnostics=diagnostics)
+            got = _slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q,
+                         diagnostics=diagnostics)
             assert all(outputs)
             assert got.failed.tolist() == [False, False, True, False]
             assert got.member_iters[2] == 1 and len(set(got.member_iters.tolist())) > 2
             for b in (0, 1, 3):
-                alone = _picard_slice(field, drv.times, drv.values, x0[[b]], SolveOptions(),
-                                      EXPS.q)
+                alone = _slice(field, drv.times, drv.values, x0[[b]], SolveOptions(), EXPS.q)
                 assert got.values[:, b].tobytes() == alone.values[:, 0].tobytes()
                 assert got.member_iters[b] == alone.member_iters[0]
     want = _reference_picard_slice(field, drv.times, drv.values, x0, SolveOptions(), EXPS.q)
@@ -1000,13 +1030,13 @@ def test_non_finite_iterate_after_a_member_stops_raises_data_error():
         h=ControlFunction.zero(), L_N=0.0, a=0.0, name="step-blow-up",
     )
     drv = _sine(101, 1.0)
-    first = _picard_slice(field, drv.times, drv.values, np.array([[0.1]]), SolveOptions(), EXPS.q)
+    first = _slice(field, drv.times, drv.values, np.array([[0.1]]), SolveOptions(), EXPS.q)
     assert first.member_iters.tolist() == [1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="non-finite"):
-            _picard_slice(field, drv.times, drv.values, np.array([[0.1], [4.5]]),
-                          SolveOptions(), EXPS.q, diagnostics=False)
+            _slice(field, drv.times, drv.values, np.array([[0.1], [4.5]]), SolveOptions(),
+                   EXPS.q, diagnostics=False)
 
 
 _TRANSPORT_SYSTEMS = {
@@ -1035,12 +1065,8 @@ def test_transport_end_states_are_the_last_row_of_the_kept_path(system, opts):
             (cauchy_operator(field, driver, t1, t2, states, opts, exps), (field, driver, opts)),
             (cauchy_operator(field, driver, t2, t1, states, opts, exps),
              reversed_problem(field, driver, t1, t2, opts))):
-        kept = solve_forward_batch(f, w, t1, states, t2, o, exps, keep_path=True)
+        kept = solve_forward_batch(f, w, t1, states, t2, o, exps)
         assert moved.tobytes() == kept.values[-1].tobytes()
-        bare = solve_forward_batch(f, w, t1, states, t2, o, exps, keep_path=False)
-        assert bare.residuals is None and bare.ball_ok is None
-        assert bare.times.tolist() == [t2]
-        assert bare.iters.tobytes() == kept.iters.tobytes()
 
 
 @pytest.mark.parametrize("system", sorted(_TRANSPORT_SYSTEMS))
@@ -1050,14 +1076,11 @@ def test_backward_solve_equals_the_forward_solve_of_its_reversed_problem(system,
     # bit for bit, with an extra output time, the tight budget's shrinking
     # and the certificates
     import json
-    from youngflow import solver
 
     field, driver, exps = _TRANSPORT_SYSTEMS[system]
     opts = SolveOptions(picard_max_iters=6, mu_override=2.0, grid=[0.9001])
     xT = np.full(field.dim_d, 8.0)
-    real_span, spans = solver._solve_span, []
-    monkeypatch.setattr(solver, "_solve_span",
-                        lambda f, ts, *a, **k: spans.append(len(ts)) or real_span(f, ts, *a, **k))
+    spans = _count_spans(monkeypatch)
     back = solve_backward(field, driver, 1.6, xT, 0.2, opts, exps)
     assert len(spans) > len(back.iters_per_interval)  # a chunk shrinks
     rev_field, rev_driver, rev_opts = reversed_problem(field, driver, 0.2, 1.6, opts)
@@ -1131,9 +1154,9 @@ def test_lockstep_lane_that_shrinks_in_a_padded_step_equals_its_own_transports(m
     big, small = np.array([[8.0], [-30.0]]), np.array([[1e-2]])
     real_slice, real_span, shrinks, step = solver._picard_slice, solver._solve_span, [], [0]
 
-    def picard_slice(field, ts, *args, **kwargs):
-        step[0] = len(ts)
-        return real_slice(field, ts, *args, **kwargs)
+    def picard_slice(sums, n, *args, **kwargs):
+        step[0] = n
+        return real_slice(sums, n, *args, **kwargs)
 
     def solve_span(field, ts, *args, **kwargs):
         shrinks.append((len(ts), step[0]))

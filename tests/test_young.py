@@ -193,6 +193,13 @@ def test_young_loeve_certificate(rng):
     assert ok_count == 12
 
 
+def test_young_loeve_check_needs_explicit_constants():
+    ts = _uniform(11)
+    x = SampledPath(ts, np.ones(len(ts)))
+    with pytest.raises(ParameterError, match="needs explicit YoungConstants"):
+        young_loeve_check(x, x)
+
+
 def test_young_loeve_constant_integrand(rng):
     ts = _uniform(101)
     x = SampledPath(ts, np.full(len(ts), 3.0))

@@ -34,6 +34,7 @@ COEFFICIENTS = "src/youngflow/coefficients.py"
 T_GREEDY = "tests/test_greedy.py"
 T_SOLVER = "tests/test_solver.py"
 LOCKSTEP_SHRINK = f"{T_SOLVER}::test_lockstep_lane_that_shrinks_in_a_padded_step_equals_its_own_transports"
+SHRINK_FIXED_POINT = f"{T_SOLVER}::test_shrinking_solve_is_a_fixed_point_of_the_window_map"
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
@@ -77,15 +78,25 @@ MUTANTS = [
      "lane = _Slice(r.values[:b - a + 1, c], r.iters,\n" + " " * 26
      + "*(v if v is None else v[c] for v in r[2:]))\n" + " " * 12
      + "# its failed members shrink on the lane's own slice, as in its own transport\n"
-     + " " * 12 + "out = _solve_span(field, leg.ts[a:b + 1], leg.ws[a:b + 1],",
+     + " " * 12 + "out = _solve_span(field, leg.ts[a:b + 1], part,",
      "lane = _Slice(r.values[:, c], r.iters, *(v if v is None else v[c] for v in r[2:]))\n"
-     + " " * 12 + "out = _solve_span(field, *max(((s.ts[i:j + 1], s.ws[i:j + 1])"
-     " for s, i, j in spans), key=lambda p: len(p[0])),",
+     + " " * 12 + "out = _solve_span(field, max((s.ts[i:j + 1] for s, i, j in spans), key=len),"
+     " (times[:n, c], coef[:, :n - 1, c.start:c.start + 1],"
+     " None if dw is None else dw[:n - 1, c]),",
      [LOCKSTEP_SHRINK]),
     ("failed lane's slice run again before it shrinks", SOLVER,
-     "clock=leg.clock, first=lane)",
-     "clock=leg.clock)",
+     "diagnostics=diagnostics, first=lane)",
+     "diagnostics=diagnostics)",
      [LOCKSTEP_SHRINK]),
+    ("right half reads the span's first rows", SOLVER,
+     "right = (times[k:, failed], coef[:, k:], None if dw is None else dw[k:, failed])",
+     "right = (times[:n - k, failed], coef[:, :n - k - 1],"
+     " None if dw is None else dw[:n - k - 1, failed])",
+     [SHRINK_FIXED_POINT]),
+    ("right half's coefficients from row 0", SOLVER,
+     "right = (times[k:, failed], coef[:, k:],",
+     "right = (times[k:, failed], coef[:, :n - k - 1],",
+     [SHRINK_FIXED_POINT]),
     ("picard_tol dropped from the go-on test", SOLVER,
      "go_floor, go_cap = max(floor + [opts.picard_tol]),",
      "go_floor, go_cap = max(floor),",
