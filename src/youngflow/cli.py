@@ -21,7 +21,7 @@ from .coefficients import BUILTIN_FIELDS, select_exponents
 from .drivers import FbmSpec, analytic_driver, fbm_sample
 from .errors import SolveError, YoungflowError
 # cauchy_operator stays in cli's namespace, where perfbench's tracer wraps it
-from .flow import cauchy_operator, flow_axiom_check, lockstep_transport  # noqa: F401
+from .flow import _transport_lanes, cauchy_operator, flow_axiom_check  # noqa: F401
 from .greedy import counting_bound, greedy_sequence
 from .paths import p_variation
 from .scenarios import (
@@ -29,9 +29,8 @@ from .scenarios import (
     SCENARIOS,
     Scenario,
     run_scenario,
-    run_scenario_object,
 )
-from .solver import SolveOptions, solve_backward, solve_forward
+from .solver import SolveOptions, _report, _solve_window, solve_backward, solve_forward
 from .young import YoungConstants, young_integral, young_loeve_check
 
 SUMMARY_COLUMNS = [
@@ -221,9 +220,16 @@ _ERROR_ROW = {
 
 def _run_one_seed(scenario: Scenario, seed: int, opts: SolveOptions, out_dir: Path):
     """Solve one seed and write its artifacts under out_dir/seed_<seed>;
-    returns its summary row and whether every certificate holds."""
-    run = run_scenario_object(scenario, seed=seed, opts=opts)
-    report, exps = run.report, run.exponents
+    returns its summary row and whether every certificate holds.  The
+    composition's transports advance beside the solve in one Picard stack
+    (solver._solve_window); their SolveError is raised after the writes."""
+    field, driver, exps = scenario.make_field(), scenario.make_driver(seed), scenario.exponents()
+    x0, (s, u, t) = np.atleast_1d(np.asarray(scenario.x0, dtype=float)), scenario.flow_triple
+    lanes = [(x0, (s, u, t)), (x0, (s, t))]
+    # no leg is kept: the certificates, the run's peak of memory, come next
+    batch, ends = _solve_window(field, driver, scenario.t0, x0[None], scenario.T, opts, exps,
+                                _transport_lanes(field, driver, lanes, opts, exps))[:2]
+    report = _report(field, driver, batch, x0, scenario.t0, scenario.T, exps, True)
     seed_dir = out_dir / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     yio.path_to_csv(report.solution, seed_dir / "solution.csv")
@@ -231,12 +237,12 @@ def _run_one_seed(scenario: Scenario, seed: int, opts: SolveOptions, out_dir: Pa
     yio.write_json(report.greedy.to_json(), seed_dir / "greedy.json")
     yio.write_json([c.to_json() for c in report.certificates], seed_dir / "certificates.json")
 
-    var = p_variation(run.driver, exps.p, (report.t0, report.T))
+    for end in ends:  # the transports fail in one step: lane order is step order
+        if isinstance(end, SolveError):
+            raise end
+    chain, direct = ends
+    var = p_variation(driver, exps.p, (report.t0, report.T))
     bound = counting_bound(report.T - report.t0, var, exps.alpha, report.mu, exps.p_prime)
-    s, u, t = scenario.flow_triple
-    x = np.atleast_1d(scenario.x0)[None]
-    chain, direct = lockstep_transport(run.field, run.driver, [(x, (s, u, t)), (x, (s, t))], opts,
-                                       exps)
     gron, grow = report.certificate("gronwall"), report.certificate("growth")
     row = {
         "seed": seed,

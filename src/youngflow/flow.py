@@ -25,6 +25,22 @@ from .solver import SolveOptions, _gronwall_constant, _leg, _lockstep, solve_for
 from .young import Certificate
 
 
+def _transport_lanes(field: CoefficientField, driver: SampledPath, lanes,
+                     opts: Optional[SolveOptions], exponents: Optional[ExponentSet]):
+    """solver._lockstep's lanes for the transports (x, times): x, (d,) or
+    (B, d), moves from times[0] to times[1], on to times[2] and so on."""
+    built = []
+    for x, times in lanes:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim > 2 or x.shape[-1] != field.dim_d:
+            raise ParameterError(f"states of shape {x.shape}, field expects (d,) or (B, d) with "
+                                 f"d = {field.dim_d}")
+        x = x.reshape(-1, field.dim_d)
+        built.append((x, [_leg(field, driver, a, b, len(x), opts, exponents)
+                          for a, b in zip(times[:-1], times[1:]) if a != b]))
+    return built
+
+
 def lockstep_transport(
     field: CoefficientField,
     driver: SampledPath,
@@ -38,15 +54,7 @@ def lockstep_transport(
     advance chunk by chunk in one Picard stack (solver._lockstep), and each
     end equals its chain of cauchy_operator calls bit for bit.
     """
-    built = []
-    for x, times in lanes:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim > 2 or x.shape[-1] != field.dim_d:
-            raise ParameterError(f"states of shape {x.shape}, field expects (d,) or (B, d) with "
-                                 f"d = {field.dim_d}")
-        x = x.reshape(-1, field.dim_d)
-        built.append((x, [_leg(field, driver, a, b, len(x), opts, exponents)
-                          for a, b in zip(times[:-1], times[1:]) if a != b]))
+    built = _transport_lanes(field, driver, lanes, opts, exponents)
     ends = [x.copy() for x, _ in built]
     for lane, _, _, vals, *_ in _lockstep(field, built, opts, exponents):
         ends[lane] = vals[-1]

@@ -18,10 +18,10 @@ shrinks on its own, so it equals its one-state solve bit for bit.
 One kernel, _solution_map, evaluates F for apply_F and for every Picard
 iteration, bit-equal to young's separate midpoint-rule sums, on member
 arrays a window builds once (_grid_data).  One engine, _lockstep, runs
-every Picard slice: a solve is its one lane, and independent transports
-are lanes that advance together, one slice a step on the current chunks
-of all lanes; a failed member shrinks on its lane's member arrays
-(_solve_span).  A backward window (solve_backward, a backward transport)
+every Picard slice: a solve is its first lane, and independent transports
+are lanes that advance together, beside a solve or alone, one slice a
+step on the current chunks of all lanes; a failed member shrinks on its
+lane's member arrays (_solve_span).  A backward window (solve_backward, a backward transport)
 is the forward problem on the reversed clock, its field read at
 reflected times (_leg).  A one-chunk solve is solve_forward with
 mu_override=inf, whose greedy partition is the whole window.
@@ -304,7 +304,7 @@ def _picard_slice(sums, n: int, x0: np.ndarray, opts: SolveOptions, q: float,
     included: a live member's non-finite iterate raises DataError, not a
     RuntimeWarning.
     """
-    if q < 1:
+    if not q >= 1:  # NaN fails too
         raise ParameterError(f"the ball norm needs q >= 1, got {q}")
     B, d = x0.shape
     x = np.repeat(x0[None], n, axis=0)
@@ -549,8 +549,12 @@ def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
     zero dt and dw, and makes one _picard_slice call: each member iterates
     as alone (README "Picard").  A lane reads its end at its own last row,
     and only its failed members are re-solved, on its own slice's member
-    arrays (_solve_span from the step's result).  Diagnostics, which padded
-    rows would enter, take one lane.
+    arrays (_solve_span from the step's result).  Diagnostics, which read the
+    padded rows too, are each lane's own (README "Picard"), so any number of
+    lanes keeps them.  With diagnostics, lane 0 is a solve and the others are
+    transports: a transport's SolveError does not stop the solve, that lane
+    yields (lane, a, b, error) in place of its outputs, and every transport
+    ends there.
     """
     opts = opts or SolveOptions()
     states = [x0 for x0, _ in lanes]
@@ -558,6 +562,8 @@ def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
     stacks = {}  # the columns, step arrays and map of each set of lanes that steps together
     for step in range(max(map(len, chunks), default=0)):
         active = tuple(l for l, lane in enumerate(chunks) if step < len(lane))
+        if not active:  # the transports ended early
+            break
         if active not in stacks:
             edges = np.cumsum([0] + [len(states[l]) for l in active]).tolist()
             rows = max(b - a for l in active for _, a, b in chunks[l]) + 1
@@ -587,29 +593,39 @@ def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
             lane = _Slice(r.values[:b - a + 1, c], r.iters,
                           *(v if v is None else v[c] for v in r[2:]))
             # its failed members shrink on the lane's own slice, as in its own transport
-            out = _solve_span(field, leg.ts[a:b + 1], part, states[l], opts, exponents.q,
-                              diagnostics=diagnostics, first=lane)
-            states[l] = out[0][-1]
+            try:
+                out = _solve_span(field, leg.ts[a:b + 1], part, states[l], opts, exponents.q,
+                                  diagnostics=diagnostics, first=lane)
+                states[l] = out[0][-1]
+            except SolveError as exc:
+                if not diagnostics or not l:
+                    raise
+                del chunks[1:]  # the transports end at their first failure, as their own run
+                out = (exc,)
             yield (l, a, b) + out
 
 
 def _solve_window(field: CoefficientField, driver: SampledPath, t0: float, x0: np.ndarray,
-                  T: float, opts: Optional[SolveOptions],
-                  exponents: Optional[ExponentSet]) -> Tuple[BatchSolve, _Leg]:
-    """solve_forward_batch from t0 to T, on the reversed clock if T < t0, and its leg."""
+                  T: float, opts: Optional[SolveOptions], exponents: Optional[ExponentSet],
+                  lanes=()) -> Tuple[BatchSolve, list, _Leg]:
+    """solve_forward_batch from t0 to T, on the reversed clock if T < t0, the
+    end of each transport lane (flow._transport_lanes) that advances beside
+    the solve in one _lockstep, its end stack or the SolveError that stopped
+    it, and the solve's leg."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != field.dim_d:
         raise ParameterError(f"x0 has shape {x0.shape}, expected (B, d) with d = {field.dim_d}")
     leg = _leg(field, driver, t0, T, len(x0), opts, exponents)
-    values = np.empty((len(leg.ts),) + x0.shape)
-    iters, residuals, ball_ok = [], [], np.ones(len(x0), dtype=bool)
-    for _, a, b, vals, its, res, b_ok in _lockstep(field, [(x0, [leg])], opts, exponents, True):
-        values[a:b + 1] = vals
-        iters.append(its)
-        residuals.append(res)
-        ball_ok &= b_ok
-    return BatchSolve(leg.ts, values, leg.greedy, np.array(iters), np.array(residuals), ball_ok,
-                      leg.mu, leg.constants), leg
+    values, outs, ends = np.empty((len(leg.ts),) + x0.shape), [], [x for x, _ in lanes]
+    for l, a, b, vals, *out in _lockstep(field, [(x0, [leg]), *lanes], opts, exponents, True):
+        if l:
+            ends[l - 1] = vals if isinstance(vals, SolveError) else vals[-1]
+        else:
+            values[a:b + 1] = vals
+            outs.append(out)
+    iters, residuals, ball_ok = (np.array(v) for v in zip(*outs))
+    return BatchSolve(leg.ts, values, leg.greedy, iters, residuals, ball_ok.all(axis=0),
+                      leg.mu, leg.constants), ends, leg
 
 
 def solve_forward_batch(
@@ -720,7 +736,7 @@ def solve_backward(
     if not t0 < T:
         raise DomainError("solve_backward needs t0 < T")
     xT = np.atleast_1d(np.asarray(xT, dtype=float))
-    batch, leg = _solve_window(field, driver, T, xT[None], t0, opts, exponents)
+    batch, _, leg = _solve_window(field, driver, T, xT[None], t0, opts, exponents)
     inner = _report(leg.field, leg.driver, batch, xT, t0, T, exponents, certify)
     sol = inner.solution
     return replace(inner, solution=SampledPath((t0 + T) - sol.times[::-1], sol.values[::-1]),

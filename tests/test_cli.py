@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from youngflow import SampledPath, analytic_driver, path_from_csv, path_to_csv
-from youngflow import cli
+from youngflow import SCENARIOS, SampledPath, analytic_driver, path_from_csv, path_to_csv
+from youngflow import cli, flow, solver
 from youngflow.cli import SUMMARY_COLUMNS, main, run_config, ConfigError
-from youngflow.io import _CSV_BLOCK_ROWS
+from youngflow.errors import DataError, SolveError
+from youngflow.flow import lockstep_transport
+from youngflow.io import _CSV_BLOCK_ROWS, write_json
 
 
 @pytest.fixture()
@@ -229,6 +231,72 @@ def test_run_config_solve_error_row(tmp_path):
     assert cells["gronwall_ok"] == "false" and cells["growth_ok"] == "false"
     error = json.loads((out / "seed_0_error.json").read_text())
     assert error["seed"] == 0 and error["error"]
+
+
+def _failing_legs(monkeypatch, transports=True, solve_from=None):
+    """Make Picard fail on the composition's transports (the legs that do not
+    start at 0, flow-linear's t0) and on the solve's rows from solve_from on:
+    their dt and dw grow by 1e6, so no slice of them contracts."""
+    real_leg = solver._leg
+
+    def leg(field, driver, t0, T, b, opts, exponents):
+        built = real_leg(field, driver, t0, T, b, opts, exponents)
+        times, coef, dw = built.data
+        coef = coef.copy()
+        if t0 != 0.0 and transports:
+            coef *= 1e6
+        if t0 == 0.0 and solve_from is not None:
+            coef[:, solve_from:] *= 1e6
+        return built._replace(data=(times, coef, dw))
+
+    monkeypatch.setattr(solver, "_leg", leg)
+    monkeypatch.setattr(flow, "_leg", leg)
+    sc = SCENARIOS["flow-linear"]
+    field, driver, exps, x = sc.make_field(), sc.make_driver(0), sc.exponents(), np.array([sc.x0])
+    s, u, t = sc.flow_triple
+    with pytest.raises(SolveError) as transport:
+        lockstep_transport(field, driver, [(x, (s, u, t)), (x, (s, t))], sc.opts, exps)
+    solve = lambda: solver.solve_forward(field, driver, sc.t0, x, sc.T, sc.opts, exps)
+    return str(transport.value), solve
+
+
+def test_run_config_composition_error_keeps_the_solve_files(tmp_path, monkeypatch):
+    # the composition's transports fail in their first chunk, long before the
+    # solve beside them ends: the seed keeps the solve's four files, as its
+    # solve alone writes them, and the error their own lockstep_transport
+    # raises.  Mutation this fails on: transport lane's SolveError raised
+    # before the solve lane ends
+    message, solve = _failing_legs(monkeypatch)
+    out = tmp_path / "run"
+    assert run_config({"scenario": "flow-linear", "seeds": [0]}, out) is False
+    assert json.loads((out / "seed_0_error.json").read_text()) == {"seed": 0, "error": message}
+    assert sorted(p.name for p in (out / "seed_0").iterdir()) == [
+        "certificates.json", "greedy.json", "report.json", "solution.csv"]
+    write_json(solve().to_json(), tmp_path / "alone.json")
+    assert (out / "seed_0" / "report.json").read_text() == (tmp_path / "alone.json").read_text()
+    row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == "0" and math.isinf(float(row[4]))
+
+
+def test_run_config_solve_error_wins_over_an_earlier_composition_error(tmp_path, monkeypatch):
+    # the transports fail in their first chunk and the solve from t = 1 on:
+    # the seed writes the solve's error alone, and no solve files
+    message, solve = _failing_legs(monkeypatch, solve_from=1500)
+    with pytest.raises(SolveError) as alone:
+        solve()
+    assert str(alone.value) != message
+    out = tmp_path / "run"
+    assert run_config({"scenario": "flow-linear", "seeds": [0]}, out) is False
+    assert json.loads((out / "seed_0_error.json").read_text()) == {
+        "seed": 0, "error": str(alone.value)}
+    assert sorted(p.name for p in out.iterdir()) == ["seed_0_error.json", "summary.csv"]
+
+
+def test_path_from_csv_rejects_a_file_without_its_header(tmp_path):
+    for text in ("", "x,y\n0,1\n", "\n\n"):
+        (tmp_path / "bad.csv").write_text(text)
+        with pytest.raises(DataError, match="expected header t,x1"):
+            path_from_csv(tmp_path / "bad.csv")
 
 
 def test_error_row_template_plus_seed_names_the_summary_columns():

@@ -17,9 +17,10 @@ from youngflow import (
     scalar_field,
     select_exponents,
 )
-from youngflow import cli
-from youngflow.errors import DataError, ParameterError, PreconditionError
-from youngflow.flow import lockstep_transport
+from youngflow import cli, solver
+from youngflow.errors import DataError, ParameterError, PreconditionError, SolveError
+from youngflow.flow import _transport_lanes, lockstep_transport
+from youngflow.solver import solve_forward_batch
 from test_solver import _two_channel_field
 from test_vector_systems import _rotation_field, _sine_driver
 
@@ -190,6 +191,11 @@ _SYSTEMS = {
 _BATCH_OPTS = SolveOptions(oversample=2)
 
 
+def _states(rng, size, d):
+    """size states over four decades, which need different Picard iteration counts."""
+    return rng.uniform(-1.0, 1.0, (size, d)) * 10.0 ** rng.uniform(-2, 2, (size, 1))
+
+
 @settings(max_examples=16, deadline=None, derandomize=True)
 @given(
     system=st.sampled_from(["flow-linear", "rotation"]),
@@ -199,10 +205,8 @@ _BATCH_OPTS = SolveOptions(oversample=2)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_transport_equals_one_state_transports(system, window, size, seed):
-    # states over four decades need different Picard iteration counts
     field, driver, exps = _SYSTEMS[system]
-    rng = np.random.default_rng(seed)
-    states = rng.uniform(-1.0, 1.0, (size, field.dim_d)) * 10.0 ** rng.uniform(-2, 2, (size, 1))
+    states = _states(np.random.default_rng(seed), size, field.dim_d)
     t1, t2 = window
     moved = cauchy_operator(field, driver, t1, t2, states, opts=_BATCH_OPTS, exponents=exps)
     assert moved.shape == states.shape
@@ -237,10 +241,11 @@ _LANE_OPTS = {"oversample": SolveOptions(oversample=2),
 
 
 @st.composite
-def _lane_plans(draw):
-    """1-3 lanes, each 1-3 windows of at least 0.05 in [0, 2], either way."""
+def _lane_plans(draw, min_lanes=1, max_lanes=3):
+    """min_lanes to max_lanes lanes, each 1-3 windows of at least 0.05 in
+    [0, 2], either way."""
     plans = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(min_lanes, max_lanes))):
         times = [draw(st.floats(0.0, 2.0))]
         for _ in range(draw(st.integers(1, 3))):
             times.append(draw(st.floats(0.0, 2.0).filter(lambda t, s=times[-1]: abs(t - s) > 0.05)))
@@ -262,8 +267,7 @@ def test_lockstep_lanes_equal_their_separate_transports(system, opts, plans, see
     field, driver, exps = _SYSTEMS[system]
     opts = _LANE_OPTS[opts]
     rng = np.random.default_rng(seed)
-    lanes = [(rng.uniform(-1.0, 1.0, (size, field.dim_d)) * 10.0 ** rng.uniform(-2, 2, (size, 1)),
-              times) for times, size in plans]
+    lanes = [(_states(rng, size, field.dim_d), times) for times, size in plans]
     lanes[0][0][0] = 0.0
     want = []
     for x, times in lanes:
@@ -272,6 +276,104 @@ def test_lockstep_lanes_equal_their_separate_transports(system, opts, plans, see
         want.append(x)
     got = lockstep_transport(field, driver, lanes, opts=opts, exponents=exps)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+_STACK_OPTS = {"default": SolveOptions(), "tight": _LANE_OPTS["tight"]}
+
+
+@pytest.mark.parametrize("system", sorted(_SYSTEMS))
+@pytest.mark.parametrize("opts", sorted(_STACK_OPTS))
+@pytest.mark.parametrize("lanes", [0, 1, 2])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(window=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).filter(
+           lambda w: w[1] - w[0] > 0.05),
+       size=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_solve_lane_beside_transport_lanes_equals_its_separate_solve_and_transports(
+        system, opts, lanes, window, size, data, seed):
+    # a solve and 0-2 transport lanes in one Picard stack: the solve's values,
+    # iterations, residuals and ball flags are those of its own
+    # solve_forward_batch, and the transports' end stacks those of their own
+    # lockstep_transport, byte for byte.  Longer transport chunks pad the
+    # solve's rows, and under the tight budget members shrink.  Mutation this
+    # fails on: a lane's residuals read across the stack's columns
+    field, driver, exps = _SYSTEMS[system]
+    opts = _STACK_OPTS[opts]
+    rng = np.random.default_rng(seed)
+    x0 = _states(rng, size, field.dim_d)
+    plans = data.draw(_lane_plans(lanes, lanes))
+    lanes = [(_states(rng, n, field.dim_d), times) for times, n in plans]
+    (t0, T), want = window, lockstep_transport(field, driver, lanes, opts=opts, exponents=exps)
+    got, ends, _ = solver._solve_window(field, driver, t0, x0, T, opts, exps,
+                                        _transport_lanes(field, driver, lanes, opts, exps))
+    alone = solve_forward_batch(field, driver, t0, x0, T, opts, exps)
+    for name in ("times", "values", "iters", "residuals", "ball_ok"):
+        assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert [e.tobytes() for e in ends] == [w.tobytes() for w in want]
+
+
+def test_solve_lane_that_fails_the_ball_screen_in_a_padded_step_reports_as_alone(monkeypatch):
+    # x' = x dw against sin(5t) on [0.5, 1.5] in one chunk: from x0 = 100 the
+    # iterates' 1-variation exceeds the invariant ball's radius, so the DP
+    # runs and finds the ball left (ball_ok False), while the member from 0.01
+    # stays inside.  A transport over [0, 2], one chunk of 2,001 points, pads
+    # the solve's 1,001 rows, so its screen and DP read 2,001 rows; the DP
+    # runs for it on the same passes, and the solve reports the flags and
+    # residuals of its own solve, and the transport the end of its own
+    field = linear_field(0.0, 0.0, 1.0, 0.0)
+    driver = analytic_driver("sine", {"freq": 5.0}, np.linspace(0.0, 2.0, 2001))
+    opts = SolveOptions(mu_override=float("inf"))
+    x0, lane = np.array([[100.0], [0.01]]), (np.array([[0.3]]), (0.0, 2.0))
+    real_variation, calls = solver._variation, []
+
+    def variation(flat, q):
+        calls.append((len(flat), flat[0, 0]))
+        return real_variation(flat, q)
+
+    monkeypatch.setattr(solver, "_variation", variation)
+    alone = solve_forward_batch(field, driver, 0.5, x0, 1.5, opts, EXPS)
+    alone_calls = calls[:]
+    calls.clear()
+    got, ends, _ = solver._solve_window(field, driver, 0.5, x0, 1.5, opts, EXPS,
+                                        _transport_lanes(field, driver, [lane], opts, EXPS))
+    assert alone_calls and set(alone_calls) == {(1001, 100.0)}
+    assert [c for c in calls if c[1] == 100.0] == [(2001, 100.0)] * len(alone_calls)
+    assert alone.ball_ok.tolist() == [False, True]
+    for name in ("values", "iters", "residuals", "ball_ok"):
+        assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
+    want = lockstep_transport(field, driver, [lane], opts=opts, exponents=EXPS)
+    assert ends[0].tobytes() == want[0].tobytes()
+
+
+def test_failing_transport_lane_ends_the_transports_and_leaves_the_solve_as_alone():
+    # the transport lanes run past the short solve; the first fails in its
+    # first chunk (its dt and dw grown by 1e6, so no slice contracts): every
+    # transport ends in that step, the solve goes on to its end as alone, and
+    # the failed lane's end is the SolveError its own lockstep raises, so the
+    # lockstep stops once the solve is done
+    field, driver, exps = _SYSTEMS["flow-linear"]
+    x0, x = np.array([[1.0]]), np.array([[0.5]])
+    lanes = _transport_lanes(field, driver, [(x, (0.2, 1.9)), (x, (0.1, 1.8))], None, exps)
+    times, coef, dw = lanes[0][1][0].data
+    lanes[0][1][0] = lanes[0][1][0]._replace(data=(times, coef * 1e6, dw))
+    with pytest.raises(SolveError) as alone:
+        list(solver._lockstep(field, lanes[:1], None, exps))
+    steps = []
+    real_slice = solver._picard_slice
+
+    def picard_slice(sums, n, x0, *args):
+        steps.append(len(x0))
+        return real_slice(sums, n, x0, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_picard_slice", picard_slice)
+        got, ends, _ = solver._solve_window(field, driver, 0.0, x0, 0.3, None, exps, lanes)
+    want = solve_forward_batch(field, driver, 0.0, x0, 0.3, None, exps)
+    for name in ("values", "iters", "residuals", "ball_ok"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert isinstance(ends[0], SolveError) and str(ends[0]) == str(alone.value)
+    # three members in the first step, then one-member slices: the failed
+    # member's shrinks and the solve alone to its last chunk
+    assert steps[0] == 3 and set(steps[1:]) == {1}
 
 
 def test_lockstep_lane_with_an_overflowing_f_raises_the_transports_data_error():

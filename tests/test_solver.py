@@ -163,6 +163,13 @@ def test_picard_slice_reports_non_convergence_in_failed():
     assert out.residuals.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("q", [0.5, float("nan")])
+def test_picard_slice_rejects_a_ball_norm_below_one(q):
+    drv = _sine(21, 1.0)
+    with pytest.raises(ParameterError, match="the ball norm needs q >= 1"):
+        _slice(linear_field(), drv.times, drv.values, np.array([[1.0]]), SolveOptions(), q)
+
+
 def test_concatenation_consistency(scenario_run):
     run = scenario_run("time-varying")
     rep = run.report
@@ -199,6 +206,13 @@ def test_euler_agreement_improves_with_refinement():
         target = np.exp(np.sin(grid))
         errs.append(np.max(np.abs(eul.values[:, 0] - target)))
     assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("grid", [[0.1, 1.0, 2.0], [0.0, 1.0, 1.5], [0.0, 1.2, 1.2, 2.0],
+                                  [0.0, 1.5, 1.0, 2.0]])
+def test_euler_rejects_a_grid_that_does_not_increase_from_t0_to_T(grid):
+    with pytest.raises(ParameterError, match="grid must increase from t0 to T"):
+        euler_solve(_mult_field(), _sine(), 0.0, [1.0], 2.0, grid)
 
 
 def test_euler_vs_picard_agreement(scenario_run):
@@ -440,6 +454,13 @@ def test_gronwall_variation_variant(scenario_run):
     assert cert.ok, cert.extra
     assert cert.extra["variant"] == "variation"
     assert cert.extra["hypothesis_ok"]
+
+
+def test_gronwall_rejects_an_unknown_variant(scenario_run):
+    run = scenario_run("time-varying")
+    gin = build_gronwall_input(run.field, run.report, run.driver)
+    with pytest.raises(ParameterError, match="unknown gronwall variant 'sup'"):
+        gronwall_certificate(gin, run.driver, run.exponents.p, run.exponents.q, variant="sup")
 
 
 def test_solution_dominated_by_budget_controls(scenario_run):

@@ -33,6 +33,8 @@ SOLVER = "src/youngflow/solver.py"
 COEFFICIENTS = "src/youngflow/coefficients.py"
 T_GREEDY = "tests/test_greedy.py"
 T_SOLVER = "tests/test_solver.py"
+T_FLOW = "tests/test_flow.py"
+T_CLI = "tests/test_cli.py"
 LOCKSTEP_SHRINK = f"{T_SOLVER}::test_lockstep_lane_that_shrinks_in_a_padded_step_equals_its_own_transports"
 SHRINK_FIXED_POINT = f"{T_SOLVER}::test_shrinking_solve_is_a_fixed_point_of_the_window_map"
 
@@ -78,9 +80,10 @@ MUTANTS = [
      "lane = _Slice(r.values[:b - a + 1, c], r.iters,\n" + " " * 26
      + "*(v if v is None else v[c] for v in r[2:]))\n" + " " * 12
      + "# its failed members shrink on the lane's own slice, as in its own transport\n"
-     + " " * 12 + "out = _solve_span(field, leg.ts[a:b + 1], part,",
+     + " " * 12 + "try:\n" + " " * 16 + "out = _solve_span(field, leg.ts[a:b + 1], part,",
      "lane = _Slice(r.values[:, c], r.iters, *(v if v is None else v[c] for v in r[2:]))\n"
-     + " " * 12 + "out = _solve_span(field, max((s.ts[i:j + 1] for s, i, j in spans), key=len),"
+     + " " * 12 + "try:\n" + " " * 16
+     + "out = _solve_span(field, max((s.ts[i:j + 1] for s, i, j in spans), key=len),"
      " (times[:n, c], coef[:, :n - 1, c.start:c.start + 1],"
      " None if dw is None else dw[:n - 1, c]),",
      [LOCKSTEP_SHRINK]),
@@ -88,6 +91,14 @@ MUTANTS = [
      "diagnostics=diagnostics, first=lane)",
      "diagnostics=diagnostics)",
      [LOCKSTEP_SHRINK]),
+    ("transport lane's SolveError raised before the solve lane ends", SOLVER,
+     "                if not diagnostics or not l:\n                    raise\n",
+     "                raise\n",
+     [f"{T_CLI}::test_run_config_composition_error_keeps_the_solve_files"]),
+    ("a lane's residuals read across the stack's columns", SOLVER,
+     "residuals = np.maximum.reduce(np.abs(apply_f(x) - x), axis=(0, 2))",
+     "residuals = np.maximum.reduce(np.abs(apply_f(x) - x), axis=(0, 2)).max() + np.zeros(B)",
+     [f"{T_FLOW}::test_solve_lane_beside_transport_lanes_equals_its_separate_solve_and_transports"]),
     ("right half reads the span's first rows", SOLVER,
      "right = (times[k:, failed], coef[:, k:], None if dw is None else dw[k:, failed])",
      "right = (times[:n - k, failed], coef[:, :n - k - 1],"
