@@ -30,7 +30,7 @@ from .scenarios import (
     Scenario,
     run_scenario,
 )
-from .solver import SolveOptions, _report, _solve_window, solve_backward, solve_forward
+from .solver import SolveOptions, _leg, _lockstep, _report, solve_backward, solve_forward
 from .young import YoungConstants, young_integral, young_loeve_check
 
 SUMMARY_COLUMNS = [
@@ -218,18 +218,14 @@ _ERROR_ROW = {
 }
 
 
-def _run_one_seed(scenario: Scenario, seed: int, opts: SolveOptions, out_dir: Path):
-    """Solve one seed and write its artifacts under out_dir/seed_<seed>;
-    returns its summary row and whether every certificate holds.  The
-    composition's transports advance beside the solve in one Picard stack
-    (solver._solve_window); their SolveError is raised after the writes."""
-    field, driver, exps = scenario.make_field(), scenario.make_driver(seed), scenario.exponents()
-    x0, (s, u, t) = np.atleast_1d(np.asarray(scenario.x0, dtype=float)), scenario.flow_triple
-    lanes = [(x0, (s, u, t)), (x0, (s, t))]
-    # no leg is kept: the certificates, the run's peak of memory, come next
-    batch, ends = _solve_window(field, driver, scenario.t0, x0[None], scenario.T, opts, exps,
-                                _transport_lanes(field, driver, lanes, opts, exps))[:2]
-    report = _report(field, driver, batch, x0, scenario.t0, scenario.T, exps, True)
+def _write_seed(scenario: Scenario, seed: int, field, driver, exps, solve, ends, out_dir: Path):
+    """Certify one seed's solve and write its artifacts under out_dir/seed_<seed>;
+    returns its summary row and whether every certificate holds.  The solve's
+    SolveError is raised before the writes, the transports' after them."""
+    if isinstance(solve, SolveError):
+        raise solve
+    x0 = np.atleast_1d(np.asarray(scenario.x0, dtype=float))
+    report = _report(field, driver, solve, x0, scenario.t0, scenario.T, exps, True)
     seed_dir = out_dir / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     yio.path_to_csv(report.solution, seed_dir / "solution.csv")
@@ -257,8 +253,52 @@ def _run_one_seed(scenario: Scenario, seed: int, opts: SolveOptions, out_dir: Pa
     return row, all(c.ok for c in report.certificates)
 
 
+def _seed_lanes(scenario: Scenario, field, driver, exps, opts: SolveOptions):
+    """The lanes of one seed's run: its solve, X(s,u) -> X(u,t) and X(s,t)."""
+    x0, (s, u, t) = np.atleast_1d(np.asarray(scenario.x0, dtype=float)), scenario.flow_triple
+    return [(x0[None], [_leg(field, driver, scenario.t0, scenario.T, opts, exps)]),
+            *_transport_lanes(field, driver, [(x0, (s, u, t)), (x0, (s, t))], opts, exps)]
+
+
+def _run_configs(configs):
+    """Run every seed of the configs, each (scenario, seeds, opts, out_dir),
+    writing its artifacts and each config's summary.csv under its out_dir;
+    returns each config's all-certificates-ok and its summary rows.  Each
+    seed is a run of solver._lockstep lanes (_seed_lanes), and the runs of
+    configs with equal options, d and m share one lockstep, a config's seeds
+    one field.  A run is certified, written (_write_seed) and released as
+    soon as it ends, and a SolveError ends its run alone; any other error
+    is raised at once, and the runs not yet ended leave no files.
+    """
+    runs, rows, oks = [], [{} for _ in configs], [True] * len(configs)
+    for c, (scenario, seeds, _, out_dir) in enumerate(configs):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        field, exps = scenario.make_field(), scenario.exponents()
+        runs += [(c, seed, field, scenario.make_driver(seed), exps) for seed in sorted(seeds)]
+    keys = [(configs[c][2], field.dim_d, field.dim_m) for c, _, field, _, _ in runs]
+    for key in [k for i, k in enumerate(keys) if k not in keys[:i]]:
+        stack = [i for i, k in enumerate(keys) if k == key]
+        # built inline: the lockstep alone holds the legs, and drops a run's once it ends
+        for r, (solve, *ends) in _lockstep([_seed_lanes(configs[runs[i][0]][0], *runs[i][2:],
+                                                        key[0]) for i in stack], key[0], True):
+            (c, seed, field, driver, exps), runs[stack[r]] = runs[stack[r]], None
+            scenario, _, _, out_dir = configs[c]
+            try:
+                row, ok = _write_seed(scenario, seed, field, driver, exps, solve, ends, out_dir)
+            except SolveError as exc:
+                row, ok = {"seed": seed, **_ERROR_ROW}, False
+                yio.write_json({"seed": seed, "error": str(exc)},
+                               out_dir / f"seed_{seed}_error.json")
+            rows[c][seed], oks[c] = row, oks[c] and ok
+    rows = [[by_seed[s] for s in sorted(by_seed)] for by_seed in rows]
+    for (_, _, _, out_dir), config_rows in zip(configs, rows):
+        yio.write_csv_table(config_rows, SUMMARY_COLUMNS, out_dir / "summary.csv")
+    return oks, rows
+
+
 def run_config(cfg: dict, out_dir: Path) -> bool:
-    """Execute one experiment config over its seeds; returns all-certificates-ok."""
+    """Execute one experiment config over its seeds, its runs in one Picard
+    stack (_run_configs); returns all-certificates-ok."""
     scenario = _scenario_from_config(cfg)
     seeds = cfg.get("seeds", [0])
     # type, not isinstance: a bool is an int
@@ -267,18 +307,7 @@ def run_config(cfg: dict, out_dir: Path) -> bool:
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"config key 'seeds': repeated seeds in {seeds}")
     opts = _solve_options(cfg, scenario.opts)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows, all_ok = [], True
-    for seed in sorted(seeds):
-        try:
-            row, ok = _run_one_seed(scenario, seed, opts, out_dir)
-        except SolveError as exc:
-            row, ok = {"seed": seed, **_ERROR_ROW}, False
-            yio.write_json({"seed": seed, "error": str(exc)}, out_dir / f"seed_{seed}_error.json")
-        rows.append(row)
-        all_ok = all_ok and ok
-    yio.write_csv_table(rows, SUMMARY_COLUMNS, out_dir / "summary.csv")
-    return all_ok
+    return _run_configs([(scenario, seeds, opts, out_dir)])[0][0]
 
 
 # ----------------------------------------------------------------------
@@ -423,14 +452,13 @@ def _cmd_verify(args) -> int:
     plan = [{"scenario": name, "seeds": [0]} for name in DETERMINISTIC_BUNDLE]
     plan.append({"scenario": "fbm-linear", "seeds": seeds})
     yio.write_json({"runs": plan}, out_dir / "verify_config.json")
-    all_ok = True
-    lines = ["scenario," + ",".join(SUMMARY_COLUMNS)]
-    for cfg in plan:
-        name = cfg["scenario"]
-        all_ok = run_config(cfg, out_dir / name) and all_ok
-        summary = (out_dir / name / "summary.csv").read_text(encoding="utf-8")
-        lines += [f"{name},{row}" for row in summary.splitlines()[1:]]
-    (out_dir / "verify_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # every scenario's and seed's run in one Picard stack
+    runs = [(SCENARIOS[cfg["scenario"]], cfg["seeds"], out_dir / cfg["scenario"]) for cfg in plan]
+    oks, rows = _run_configs([(sc, seeds, sc.opts, out) for sc, seeds, out in runs])
+    yio.write_csv_table([{"scenario": cfg["scenario"], **row} for cfg, cfg_rows in zip(plan, rows)
+                         for row in cfg_rows], ["scenario", *SUMMARY_COLUMNS],
+                        out_dir / "verify_summary.csv")
+    all_ok = all(oks)
     print(f"verify: {'ok' if all_ok else 'FAILURES'} -> {out_dir / 'verify_summary.csv'}")
     return 0 if all_ok else 1
 

@@ -36,7 +36,7 @@ def _transport_lanes(field: CoefficientField, driver: SampledPath, lanes,
             raise ParameterError(f"states of shape {x.shape}, field expects (d,) or (B, d) with "
                                  f"d = {field.dim_d}")
         x = x.reshape(-1, field.dim_d)
-        built.append((x, [_leg(field, driver, a, b, len(x), opts, exponents)
+        built.append((x, [_leg(field, driver, a, b, opts, exponents)
                           for a, b in zip(times[:-1], times[1:]) if a != b]))
     return built
 
@@ -54,10 +54,7 @@ def lockstep_transport(
     advance chunk by chunk in one Picard stack (solver._lockstep), and each
     end equals its chain of cauchy_operator calls bit for bit.
     """
-    built = _transport_lanes(field, driver, lanes, opts, exponents)
-    ends = [x.copy() for x, _ in built]
-    for lane, _, _, vals, *_ in _lockstep(field, built, opts, exponents):
-        ends[lane] = vals[-1]
+    (_, ends), = _lockstep([_transport_lanes(field, driver, lanes, opts, exponents)], opts)
     return ends
 
 

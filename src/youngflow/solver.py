@@ -17,18 +17,16 @@ shrinks on its own, so it equals its one-state solve bit for bit.
 
 One kernel, _solution_map, evaluates F for apply_F and for every Picard
 iteration, bit-equal to young's separate midpoint-rule sums, on member
-arrays a window builds once (_grid_data).  One engine, _lockstep, runs
-every Picard slice: a solve is its first lane, and independent transports
-are lanes that advance together, beside a solve or alone, one slice a
-step on the current chunks of all lanes; a failed member shrinks on its
-lane's member arrays (_solve_span).  A backward window (solve_backward, a backward transport)
-is the forward problem on the reversed clock, its field read at
-reflected times (_leg).  A one-chunk solve is solve_forward with
-mu_override=inf, whose greedy partition is the whole window.
+arrays built per chunk (_fill_rows).  One engine, _lockstep, runs every
+Picard slice: runs of lanes (a solve and its transports, or transports)
+of any fields advance together, one slice a step; a failed member shrinks
+on its lane's rows (_solve_span).  A backward window is the forward
+problem on the reversed clock, its field read at reflected times (_leg).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import List, NamedTuple, Optional, Tuple
@@ -149,35 +147,46 @@ class SolveReport:
 # the solution map
 
 
-def _grid_data(field: CoefficientField, ts: np.ndarray, ws: np.ndarray, b: int = 1,
-               clock: Optional[float] = None):
+def _grid_data(field: CoefficientField, ts: np.ndarray, ws: np.ndarray, b: int = 1):
     """The member arrays of _solution_map for b states on the grid ts and the
     driver ws there: times np.repeat(ts, b) as (n, b), the shared [dt, dw]
-    (k, n-1, 1, d) and, for m > 1, the increments (n-1, b, m).  On the
-    reversed clock t0 + T = clock (reversed_problem) f and g are read at
-    clock - ts against -dt: time_reversed's -f bit for bit (README "Picard")."""
+    (k, n-1, 1, d) and, for m > 1, the increments (n-1, b, m) (_fill_rows)."""
     d, m = field.dim_d, field.dim_m
-    if ws.shape[1] != m:
-        raise ShapeError(f"integrand columns {m} != driver dimension {ws.shape[1]}")
-    dw = ws[1:] - ws[:-1]
-    coef = np.empty((2 if m == 1 else 1, len(ts) - 1, 1, d))  # the parts the product makes
+    data = (np.empty((len(ts), b)), np.empty((2 if m == 1 else 1, len(ts) - 1, 1, d)),
+            np.empty((len(ts) - 1, b, m)) if m > 1 else None)
+    _fill_rows(data, ts, ws, None)
+    return data
+
+
+def _fill_rows(data: tuple, ts: np.ndarray, ws: np.ndarray, clock: Optional[float]) -> None:
+    """Write the member arrays of the grid ts and the driver ws there into
+    data (times, coef, dw); ShapeError unless ws has g's m columns.  On the
+    reversed clock t0 + T = clock f and g are read at clock - ts against -dt:
+    time_reversed's -f bit for bit (README "Picard")."""
+    times, coef, dw = data
+    if ws.shape[1] != (1 if dw is None else dw.shape[2]):
+        raise ShapeError(f"integrand columns {1 if dw is None else dw.shape[2]} != driver "
+                         f"dimension {ws.shape[1]}")
+    times[:] = (ts if clock is None else clock - ts)[:, None]
     coef[0] = (ts[1:] - ts[:-1] if clock is None else ts[:-1] - ts[1:])[:, None, None]
-    if m == 1:
-        coef[1] = dw[:, :, None]
-    times = np.repeat(ts if clock is None else clock - ts, b).reshape(len(ts), b)
-    return times, coef, (np.repeat(dw, b, axis=0).reshape(len(dw), b, m) if m > 1 else None)
+    if dw is None:  # m = 1: the parts the product makes
+        coef[1] = (ws[1:] - ws[:-1])[:, :, None]
+    else:
+        dw[:] = (ws[1:] - ws[:-1])[:, None]
 
 
-def _solution_map(field: CoefficientField, times: np.ndarray, coef: np.ndarray,
+def _solution_map(fields, times: np.ndarray, coef: np.ndarray,
                   dw: Optional[np.ndarray] = None, rows: Optional[int] = None):
     """F for a stack of b states, each on its own times (n, b) with its own
     coefficients (k, n-1, b, d) or shared ones (k, n-1, 1, d) and
-    increments (_grid_data): map(lo, hi) is F on the rows lo..hi, a function
-    of a stack x (n, b, d) returning the running sums S (2, n, b, d), so
-    F(x) = x_{t_lo} + S[0] + S[1] (drift, then noise).  Both take young's
-    midpoint rule: the end values of each step, f and g over one flattened
-    (n*b, d) axis, are added into S, halved and, for m = 1, multiplied by
-    the stacked [dt, dw].  For m > 1 the noise term is _pair_terms (einsum),
+    increments (_grid_data), column j under the field fields[j]: map(lo, hi)
+    is F on the rows lo..hi, a function of a stack x (n, b, d) returning the
+    running sums S (2, n, b, d), so F(x) = x_{t_lo} + S[0] + S[1] (drift,
+    then noise).  Both take young's midpoint rule: f and g are evaluated
+    once per group of adjacent columns that share a field (the same
+    object), over the group's flattened (n*w, d) rows, and the end values of
+    each step are added into S, halved and, for m = 1, multiplied by the
+    stacked [dt, dw].  For m > 1 the noise term is _pair_terms (einsum),
     whose sum over the m columns a sum in order misses in the last bit once
     m >= 3.  One np.add.accumulate from S's zero row sums both, so a zero
     noise sum reads +0.0, as einsum's terms sum.  S holds rows points (all
@@ -186,29 +195,36 @@ def _solution_map(field: CoefficientField, times: np.ndarray, coef: np.ndarray,
     the product runs under the caller's np.errstate, as einsum's noise
     products do not warn on inf * 0 or overflow.
     """
-    d, m = field.dim_d, field.dim_m
-    k, b = len(coef), times.shape[1]
-    ts_b, dw_b = times.reshape(-1), None if dw is None else dw.reshape(-1, m)
+    (k, *_, d), b, m = coef.shape, times.shape[1], 1 if dw is None else dw.shape[2]
     S_buf = np.zeros((2, len(times) if rows is None else rows, b, d))
+    cuts = [j for j in range(b) if not j or fields[j] is not fields[j - 1]] + [b]
+    groups = [(fields[lo], slice(lo, hi), hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def chunk(lo: int, hi: int):
         n = hi - lo + 1
         S = S_buf[:, :n]
-        # the step sums in the (n*b, ...) rows of f and g: row j and row j + b
-        drift, noise = S[0, 1:].reshape(-1, d), S[1, 1:].reshape(-1, d, 1)
-        terms, t, c = S[:k, 1:], ts_b[lo * b:(hi + 1) * b], coef[:, lo:hi]
+        terms, c = S[:k, 1:], coef[:, lo:hi]
+        # each group's times and driver steps, flat, and its step sums in S
+        parts = [(field, cols, (n, w, d), times[lo:hi + 1, cols].reshape(-1),
+                  None if dw is None else dw[lo:hi, cols].reshape(-1, m), *S[:, 1:, cols])
+                 for field, cols, w in groups]
 
         def sums(x: np.ndarray) -> np.ndarray:
-            flat = x.reshape(n * b, d)
-            f_vals = field.eval_f(t, flat)
-            np.add(f_vals[:-b], f_vals[b:], out=drift)
-            g_vals = field.eval_g(t, flat)
-            if m == 1:
-                np.add(g_vals[:-b], g_vals[b:], out=noise)
+            for field, cols, shape, t, dw_g, drift, noise in parts:
+                # the step sums of f and g over the group's flat (n*w, ...) rows as (n, w, ...)
+                flat = x[:, cols].reshape(-1, d)
+                f_vals = field.eval_f(t, flat).reshape(shape)
+                np.add(f_vals[:-1], f_vals[1:], out=drift)
+                g_vals = field.eval_g(t, flat)
+                if m == 1:
+                    g_vals = g_vals.reshape(shape)
+                    np.add(g_vals[:-1], g_vals[1:], out=noise)
+                else:
+                    w = shape[1]
+                    noise[:] = _pair_terms(0.5 * (g_vals[:-w] + g_vals[w:]),
+                                           dw_g).reshape(n - 1, w, d)
             np.multiply(terms, 0.5, out=terms)
             np.multiply(terms, c, out=terms)
-            if m > 1:
-                noise[..., 0] = _pair_terms(0.5 * (g_vals[:-b] + g_vals[b:]), dw_b[lo * b:hi * b])
             return np.add.accumulate(S, axis=1, out=S)
 
         return sums
@@ -225,7 +241,7 @@ def apply_F(
     """Evaluate the solution map on x's grid, anchored at the window start."""
     sub = x.restrict(window)
     ts = sub.times
-    sums = _solution_map(field, *_grid_data(field, ts, driver.at(ts)))(0, len(ts) - 1)
+    sums = _solution_map([field], *_grid_data(field, ts, driver.at(ts)))(0, len(ts) - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         S = sums(sub.values[:, None, :])[:, :, 0]
     return FApplication(SampledPath(ts, sub.values[0] + S[0] + S[1]),
@@ -281,11 +297,11 @@ class _Slice(NamedTuple):
     failed: np.ndarray  # (B,)
 
 
-def _picard_slice(sums, n: int, x0: np.ndarray, opts: SolveOptions, q: float,
+def _picard_slice(sums, n: int, x0: np.ndarray, opts: SolveOptions, q: List[float],
                   diagnostics: bool = True) -> _Slice:
     """Iterate F to the numerical fixed point on a grid slice of n points, for
-    the stack of initial states x0, shape (B, d); sums is F's map on the
-    slice (_solution_map), and the first iterate is the constant path.
+    the stack x0 (B, d), member b under the ball norm q[b]; sums is F's map
+    on the slice (_solution_map), and the first iterate is the constant path.
 
     Convergence first to picard_tol within picard_max_iters, then a polish
     phase well below picard_tol so that chunked and monolithic solves of
@@ -304,7 +320,7 @@ def _picard_slice(sums, n: int, x0: np.ndarray, opts: SolveOptions, q: float,
     included: a live member's non-finite iterate raises DataError, not a
     RuntimeWarning.
     """
-    if not q >= 1:  # NaN fails too
+    if not all(v >= 1 for v in q):  # NaN fails too
         raise ParameterError(f"the ball norm needs q >= 1, got {q}")
     B, d = x0.shape
     x = np.repeat(x0[None], n, axis=0)
@@ -352,13 +368,13 @@ def _picard_slice(sums, n: int, x0: np.ndarray, opts: SolveOptions, q: float,
                 # that member's step norms.  For d = 1 the norm is abs, which is
                 # np.linalg.norm's sqrt(s * s) only where s * s neither
                 # underflows nor overflows; the DP, run where the bound with a
-                # rounding margin does not settle it, decides the flag
+                # rounding margin does not settle a flag not yet cleared, clears it
                 steps = fx[1:] - fx[:-1]
                 steps = np.abs(steps[:, :, 0]) if d == 1 else np.linalg.norm(steps, axis=2)
                 var1 = np.add.reduce(np.ascontiguousarray(steps.T), axis=1).tolist()
                 for b in live:
-                    if ((x0_norm[b] + var1[b]) * (1.0 + 1e-12) > ball_cap[b] + 1e-9
-                            and x0_norm[b] + _variation(fx[:, b], q) > ball_cap[b] + 1e-9):
+                    if (ball_ok[b] and (x0_norm[b] + var1[b]) * (1.0 + 1e-12) > ball_cap[b] + 1e-9
+                            and x0_norm[b] + _variation(fx[:, b], q[b]) > ball_cap[b] + 1e-9):
                         ball_ok[b] = False
             if (iters < opts.picard_max_iters and min(live_changes) > go_floor
                     and max(live_changes) <= go_cap):
@@ -412,9 +428,9 @@ def _solve_span(
     diagnostics: bool = True,
     first: Optional[_Slice] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Picard on the slice ts for the stack x0 (B, d), shrinking recursively;
-    data is the slice's member arrays (times, coef, dw) for x0 (_grid_data),
-    and first the slice's result when the caller has run it (_lockstep).
+    """Picard on the slice ts for the stack x0 (B, d) under field and ball
+    norm q, shrinking recursively; data is its member arrays for x0
+    (_grid_data), and first its result when the caller has run it (_lockstep).
 
     Only the members that did not converge are re-solved, together, on the
     two parts of the slice, each part with the rows of data it covers and
@@ -426,8 +442,8 @@ def _solve_span(
     """
     n = len(ts)
     if first is None:
-        sums = _solution_map(field, *data)(0, n - 1)
-        first = _picard_slice(sums, n, x0, opts, q, diagnostics)
+        sums = _solution_map([field] * len(x0), *data)(0, n - 1)
+        first = _picard_slice(sums, n, x0, opts, [q] * len(x0), diagnostics)
     vals, _, residuals, ball_ok, iters, failed = first
     if not failed.any():
         return vals, iters, residuals, ball_ok
@@ -475,7 +491,7 @@ def _build_grid(driver: SampledPath, t0: float, t1: float, opts: SolveOptions) -
     return refined
 
 
-def _chunk_boundaries(ts: np.ndarray, greedy_times: np.ndarray) -> List[int]:
+def _chunk_boundaries(ts: np.ndarray, greedy_times: np.ndarray) -> np.ndarray:
     """Indices of the solve-grid points nearest the greedy times (the earlier on a tie).
 
     Times are never inserted into the grid: the discrete solution depends on
@@ -485,7 +501,7 @@ def _chunk_boundaries(ts: np.ndarray, greedy_times: np.ndarray) -> List[int]:
     """
     j = np.clip(np.searchsorted(ts, greedy_times), 1, len(ts) - 1)
     j -= greedy_times - ts[j - 1] <= ts[j] - greedy_times
-    return [int(i) for i in np.unique(j)]
+    return np.unique(j)
 
 
 # ----------------------------------------------------------------------
@@ -506,22 +522,23 @@ class BatchSolve(NamedTuple):
 
 
 class _Leg(NamedTuple):
-    """One window of a lockstep lane for its b states, built by _leg."""
+    """One window of a lockstep lane, built by _leg."""
 
     ts: np.ndarray
-    chunks: List[Tuple[int, int]]
-    data: tuple  # the member arrays (_grid_data)
+    bounds: np.ndarray  # the chunks' end rows (_chunk_boundaries)
     greedy: GreedySequence
     mu: float
     constants: DerivedConstants
-    field: CoefficientField  # the field and driver of the window's constants and certificates
-    driver: SampledPath
+    field: CoefficientField  # f and g of the map, read at clock - ts on the reversed clock
+    driver: SampledPath  # the window's driver, on the reversed clock reversed_problem's
+    clock: Optional[float]
+    q: float  # the exponent of the invariant ball's norm
 
 
-def _leg(field: CoefficientField, driver: SampledPath, t0: float, T: float, b: int,
+def _leg(field: CoefficientField, driver: SampledPath, t0: float, T: float,
          opts: Optional[SolveOptions], exponents: Optional[ExponentSet]) -> _Leg:
-    """The window from t0 to T for b states: forward when t0 < T, else the
-    forward problem on the reversed clock (reversed_problem, _grid_data)."""
+    """The window from t0 to T, forward when t0 < T, else the forward problem
+    on the reversed clock (reversed_problem); it holds no member arrays."""
     if exponents is None:
         raise ParameterError("solve_forward needs an ExponentSet")
     clock, window_field = None, field
@@ -535,97 +552,115 @@ def _leg(field: CoefficientField, driver: SampledPath, t0: float, T: float, b: i
     mu = opts.mu_override if opts.mu_override is not None else cons.mu_star
     greedy = greedy_sequence(driver, t0, T, lam=exponents.alpha, mu=mu, p=exponents.p)
     ts = _build_grid(driver, t0, T, opts)
-    idx = _chunk_boundaries(ts, greedy.times)
-    return _Leg(ts, list(zip(idx[:-1], idx[1:])), _grid_data(field, ts, driver.at(ts), b, clock),
-                greedy, float(mu), cons, window_field, driver)
+    return _Leg(ts, _chunk_boundaries(ts, greedy.times), greedy, float(mu), cons, field, driver,
+                clock, exponents.q)
 
 
-def _lockstep(field: CoefficientField, lanes, opts: Optional[SolveOptions],
-              exponents: ExponentSet, diagnostics: bool = False):
-    """Advance lanes, each a stack (B, d) and its chain of legs (_leg), one
-    greedy chunk a step; yields (lane, a, b) and _solve_span's outputs for
-    rows a..b of each leg.  A step copies the chunk of every lane that has
-    one into the step arrays, a shorter one padded with its last time and
-    zero dt and dw, and makes one _picard_slice call: each member iterates
-    as alone (README "Picard").  A lane reads its end at its own last row,
-    and only its failed members are re-solved, on its own slice's member
-    arrays (_solve_span from the step's result).  Diagnostics, which read the
-    padded rows too, are each lane's own (README "Picard"), so any number of
-    lanes keeps them.  With diagnostics, lane 0 is a solve and the others are
-    transports: a transport's SolveError does not stop the solve, that lane
-    yields (lane, a, b, error) in place of its outputs, and every transport
-    ends there.
+def _lockstep(runs, opts: Optional[SolveOptions], diagnostics: bool = False):
+    """Advance runs of lanes, each lane a stack (B, d) and its chain of legs
+    (_leg) of one field and q, all of one d and m, one greedy chunk a step;
+    yields (r, ends) as run r ends, its lanes' end stacks.  A step writes
+    every lane's chunk into the step arrays (_fill_rows), padded with its
+    last time and zero dt and dw, and makes one _picard_slice call in which
+    each member iterates as alone, diagnostics included (README "Picard");
+    only a lane's failed members shrink, on its own rows (_solve_span).
+    With diagnostics a run's first lane is a solve, whose end is its
+    BatchSolve, and a SolveError takes its lane's end and ends its run, or
+    only its transports; without, it is raised.  Only the current lanes'
+    step arrays and unended runs' legs and paths are kept.
     """
     opts = opts or SolveOptions()
-    states = [x0 for x0, _ in lanes]
-    chunks = [[(leg, a, b) for leg in legs for a, b in leg.chunks] for _, legs in lanes]
-    stacks = {}  # the columns, step arrays and map of each set of lanes that steps together
-    for step in range(max(map(len, chunks), default=0)):
-        active = tuple(l for l, lane in enumerate(chunks) if step < len(lane))
-        if not active:  # the transports ended early
-            break
-        if active not in stacks:
+    first = np.cumsum([0] + [len(run) for run in runs]).tolist()
+    states = [x0.copy() for run in runs for x0, _ in run]
+    legs = [lane_legs for run in runs for _, lane_legs in run]
+    del runs  # the lanes' legs are held by legs and spans alone
+    steps = [sum(len(leg.bounds) - 1 for leg in lane_legs) for lane_legs in legs]
+    spans = [((leg, int(a), int(b)) for leg in lane_legs
+              for a, b in zip(leg.bounds, leg.bounds[1:])) for lane_legs in legs]
+    # a solve's leg and path, and its iterations, residuals and ball flags by chunk
+    paths = {l: (legs[l][0], np.empty((len(legs[l][0].ts),) + states[l].shape),
+                 *(np.empty((steps[l], len(states[l])), kind) for kind in (int, float, bool)))
+             for l in first[:-1] if diagnostics}
+    pending, stack = list(range(len(first) - 1)), None
+    for step in range(max(steps, default=0) + 1):
+        for r in [r for r in pending if max(steps[first[r]:first[r + 1]], default=0) <= step]:
+            pending.remove(r)
+            lanes, path = slice(first[r], first[r + 1]), paths.pop(first[r], None)
+            ends = states[lanes]
+            if path and not isinstance(ends[0], SolveError):
+                leg, values, iters, residuals, ball_ok = path
+                ends[0] = BatchSolve(leg.ts, values, leg.greedy, iters, residuals,
+                                     ball_ok.all(axis=0), leg.mu, leg.constants)
+            legs[lanes] = spans[lanes] = [()] * len(ends)
+            yield r, ends
+        active = [l for l in range(len(steps)) if step < steps[l]]
+        if not active:
+            return
+        chunks = [next(spans[l]) for l in active]
+        if stack is None or stack[0] != active:  # the step arrays and map of these lanes
             edges = np.cumsum([0] + [len(states[l]) for l in active]).tolist()
-            rows = max(b - a for l in active for _, a, b in chunks[l]) + 1
-            m, w, (_, coef, dw) = field.dim_m, edges[-1], chunks[active[0]][0][0].data
-            buf = (np.empty((rows, w)), np.empty((len(coef), rows - 1, w, field.dim_d)),
-                   None if dw is None else np.empty((rows - 1, w, m)))
-            stacks[active] = ([slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])], buf,
-                              _solution_map(field, *buf, rows=rows))
-        cols, (times, coef, dw), step_map = stacks[active]
-        spans = [chunks[l][step] for l in active]
-        n = max(b - a for _, a, b in spans) + 1
-        parts = []  # each lane's member arrays of its chunk
-        for (leg, a, b), c in zip(spans, cols):
-            k, (leg_times, leg_coef, leg_dw) = b - a + 1, leg.data
-            parts.append((leg_times[a:b + 1], leg_coef[:, a:b],
-                          None if dw is None else leg_dw[a:b]))
-            times[:k, c] = leg_times[a:b + 1]
-            times[k:n, c] = leg_times[b]
-            coef[:, :k - 1, c] = leg_coef[:, a:b]
-            coef[:, k - 1:n - 1, c] = 0.0
-            if dw is not None:
-                dw[:k - 1, c] = leg_dw[a:b]
-                dw[k - 1:n - 1, c] = 0.0
-        r = _picard_slice(step_map(0, n - 1), n, np.concatenate([states[l] for l in active]),
-                          opts, exponents.q, diagnostics)
-        for l, (leg, a, b), part, c in zip(active, spans, parts, cols):
-            lane = _Slice(r.values[:b - a + 1, c], r.iters,
-                          *(v if v is None else v[c] for v in r[2:]))
-            # its failed members shrink on the lane's own slice, as in its own transport
+            rows = max(int(np.diff(leg.bounds).max()) for l in active for leg in legs[l]) + 1
+            (d, m), w = (chunks[0][0].field.dim_d, chunks[0][0].field.dim_m), edges[-1]
+            buf = (np.empty((rows, w)), np.empty((2 if m == 1 else 1, rows - 1, w, d)),
+                   None if m == 1 else np.empty((rows - 1, w, m)))
+            members = [leg for (leg, _, _), lo, hi in zip(chunks, edges, edges[1:])
+                       for _ in range(lo, hi)]
+            stack = (active, [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])], buf,
+                     _solution_map([leg.field for leg in members], *buf, rows=rows),
+                     [leg.q for leg in members])
+        _, cols, (times, coef, dw), step_map, qs = stack
+        n = max(b - a for _, a, b in chunks) + 1
+        coef[:, :n - 1] = 0.0  # the padded rows' dt and dw
+        if dw is not None:
+            dw[:n - 1] = 0.0
+        for (leg, a, b), c in zip(chunks, cols):
+            # the driver read on the chunk alone: np.interp reads each time by itself
+            k, ts = b - a + 1, leg.ts[a:b + 1]
+            _fill_rows((times[:k, c], coef[:, :k - 1, c], None if dw is None else dw[:k - 1, c]),
+                       ts, leg.driver._interp(ts), leg.clock)
+            times[k:n, c] = times[k - 1, c]
+        res = _picard_slice(step_map(0, n - 1), n, np.concatenate([states[l] for l in active]),
+                            opts, qs, diagnostics)
+        for l, (leg, a, b), c in zip(active, chunks, cols):
+            if steps[l] <= step:  # its run's solve or transports failed in this step
+                continue
+            k = b - a + 1
+            lane = _Slice(res.values[:k, c], res.iters,
+                          *(v if v is None else v[c] for v in res[2:]))
+            # its failed members shrink on the lane's own rows, as in its own transport
+            part = (times[:k, c], coef[:, :k - 1, c.start:c.start + 1],
+                    None if dw is None else dw[:k - 1, c])
             try:
-                out = _solve_span(field, leg.ts[a:b + 1], part, states[l], opts, exponents.q,
-                                  diagnostics=diagnostics, first=lane)
-                states[l] = out[0][-1]
+                vals, *out = _solve_span(leg.field, leg.ts[a:b + 1], part, states[l], opts, leg.q,
+                                         diagnostics=diagnostics, first=lane)
             except SolveError as exc:
-                if not diagnostics or not l:
+                if not diagnostics:
                     raise
-                del chunks[1:]  # the transports end at their first failure, as their own run
-                out = (exc,)
-            yield (l, a, b) + out
+                r = bisect.bisect_right(first, l) - 1
+                for i in range(l if l == first[r] else first[r] + 1, first[r + 1]):
+                    steps[i] = 0  # the run ends, or its transports do
+                states[l] = exc
+                continue
+            states[l] = vals[-1]
+            if l in paths:
+                paths[l][1][a:b + 1] = vals
+                for kept, v in zip(paths[l][2:], out):
+                    kept[step] = v
 
 
 def _solve_window(field: CoefficientField, driver: SampledPath, t0: float, x0: np.ndarray,
-                  T: float, opts: Optional[SolveOptions], exponents: Optional[ExponentSet],
-                  lanes=()) -> Tuple[BatchSolve, list, _Leg]:
-    """solve_forward_batch from t0 to T, on the reversed clock if T < t0, the
-    end of each transport lane (flow._transport_lanes) that advances beside
-    the solve in one _lockstep, its end stack or the SolveError that stopped
-    it, and the solve's leg."""
+                  T: float, opts: Optional[SolveOptions],
+                  exponents: Optional[ExponentSet]) -> Tuple[BatchSolve, _Leg]:
+    """solve_forward_batch from t0 to T, on the reversed clock if T < t0, and
+    the solve's leg: the one-run, one-lane call of _lockstep."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != field.dim_d:
         raise ParameterError(f"x0 has shape {x0.shape}, expected (B, d) with d = {field.dim_d}")
-    leg = _leg(field, driver, t0, T, len(x0), opts, exponents)
-    values, outs, ends = np.empty((len(leg.ts),) + x0.shape), [], [x for x, _ in lanes]
-    for l, a, b, vals, *out in _lockstep(field, [(x0, [leg]), *lanes], opts, exponents, True):
-        if l:
-            ends[l - 1] = vals if isinstance(vals, SolveError) else vals[-1]
-        else:
-            values[a:b + 1] = vals
-            outs.append(out)
-    iters, residuals, ball_ok = (np.array(v) for v in zip(*outs))
-    return BatchSolve(leg.ts, values, leg.greedy, iters, residuals, ball_ok.all(axis=0),
-                      leg.mu, leg.constants), ends, leg
+    leg = _leg(field, driver, t0, T, opts, exponents)
+    (_, (batch,)), = _lockstep([[(x0, [leg])]], opts, True)
+    if isinstance(batch, SolveError):
+        raise batch
+    return batch, leg
 
 
 def solve_forward_batch(
@@ -736,8 +771,8 @@ def solve_backward(
     if not t0 < T:
         raise DomainError("solve_backward needs t0 < T")
     xT = np.atleast_1d(np.asarray(xT, dtype=float))
-    batch, _, leg = _solve_window(field, driver, T, xT[None], t0, opts, exponents)
-    inner = _report(leg.field, leg.driver, batch, xT, t0, T, exponents, certify)
+    batch, leg = _solve_window(field, driver, T, xT[None], t0, opts, exponents)
+    inner = _report(field.time_reversed(t0, T), leg.driver, batch, xT, t0, T, exponents, certify)
     sol = inner.solution
     return replace(inner, solution=SampledPath((t0 + T) - sol.times[::-1], sol.values[::-1]),
                    direction="backward")

@@ -233,24 +233,31 @@ def test_run_config_solve_error_row(tmp_path):
     assert error["seed"] == 0 and error["error"]
 
 
-def _failing_legs(monkeypatch, transports=True, solve_from=None):
-    """Make Picard fail on the composition's transports (the legs that do not
-    start at 0, flow-linear's t0) and on the solve's rows from solve_from on:
-    their dt and dw grow by 1e6, so no slice of them contracts."""
+def _grown_legs(monkeypatch, grow_from):
+    """Make Picard fail on chosen legs: from the time grow_from(field, driver,
+    t0, T) on (None: nowhere), the driver a leg's Picard steps read grows by
+    1e6, so its dw do and no slice of them contracts; the greedy partitions
+    are those of the driver as it is."""
     real_leg = solver._leg
 
-    def leg(field, driver, t0, T, b, opts, exponents):
-        built = real_leg(field, driver, t0, T, b, opts, exponents)
-        times, coef, dw = built.data
-        coef = coef.copy()
-        if t0 != 0.0 and transports:
-            coef *= 1e6
-        if t0 == 0.0 and solve_from is not None:
-            coef[:, solve_from:] *= 1e6
-        return built._replace(data=(times, coef, dw))
+    def leg(field, driver, t0, T, opts, exponents):
+        built = real_leg(field, driver, t0, T, opts, exponents)
+        start = grow_from(field, driver, t0, T)
+        if start is None:
+            return built
+        times, values = built.driver.times, built.driver.values
+        grow = np.where(times >= start, 1e6, 1.0)
+        return built._replace(driver=SampledPath(times, values * grow[:, None]))
 
-    monkeypatch.setattr(solver, "_leg", leg)
-    monkeypatch.setattr(flow, "_leg", leg)
+    for module in (solver, flow, cli):
+        monkeypatch.setattr(module, "_leg", leg)
+
+
+def _failing_legs(monkeypatch, solve_from=None):
+    """Make Picard fail on flow-linear's composition transports (the legs
+    that do not start at 0, its t0) and on the solve's rows from the time
+    solve_from on (_grown_legs)."""
+    _grown_legs(monkeypatch, lambda field, driver, t0, T: -np.inf if t0 != 0.0 else solve_from)
     sc = SCENARIOS["flow-linear"]
     field, driver, exps, x = sc.make_field(), sc.make_driver(0), sc.exponents(), np.array([sc.x0])
     s, u, t = sc.flow_triple
@@ -281,7 +288,7 @@ def test_run_config_composition_error_keeps_the_solve_files(tmp_path, monkeypatc
 def test_run_config_solve_error_wins_over_an_earlier_composition_error(tmp_path, monkeypatch):
     # the transports fail in their first chunk and the solve from t = 1 on:
     # the seed writes the solve's error alone, and no solve files
-    message, solve = _failing_legs(monkeypatch, solve_from=1500)
+    message, solve = _failing_legs(monkeypatch, solve_from=1.0)
     with pytest.raises(SolveError) as alone:
         solve()
     assert str(alone.value) != message
@@ -290,6 +297,70 @@ def test_run_config_solve_error_wins_over_an_earlier_composition_error(tmp_path,
     assert json.loads((out / "seed_0_error.json").read_text()) == {
         "seed": 0, "error": str(alone.value)}
     assert sorted(p.name for p in out.iterdir()) == ["seed_0_error.json", "summary.csv"]
+
+
+def _failing_seeds(monkeypatch, name, solves=(), compositions=()):
+    """Make the scenario's seeds in solves fail in their solve's first chunk
+    and those in compositions in their transports' (_grown_legs)."""
+    sc, kinds = SCENARIOS[name], {}
+
+    def make_driver(seed):
+        driver = sc.driver_factory(seed)
+        kinds[id(driver)] = "solve" if seed in solves else "composition" if seed in compositions else ""
+        return driver
+
+    monkeypatch.setitem(cli.SCENARIOS, name, replace(sc, driver_factory=make_driver))
+    _grown_legs(monkeypatch, lambda field, driver, t0, T: -np.inf if kinds.get(id(driver)) == (
+        "solve" if t0 == sc.t0 else "composition") else None)
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_run_config_seeds_fail_alone_in_one_stack(tmp_path, monkeypatch):
+    # fbm-linear's seeds 0-2 advance in one lockstep; seed 1's solve fails in
+    # its first chunk and seed 2's composition in its transports' first.
+    # Every seed writes the files and summary row it writes alone: 0 its four
+    # files, 1 its error alone, 2 its four files and its error.  Mutation
+    # this fails on: a run's SolveError ends every run
+    _failing_seeds(monkeypatch, "fbm-linear", solves={1}, compositions={2})
+    out = tmp_path / "together"
+    assert run_config({"scenario": "fbm-linear", "seeds": [2, 0, 1]}, out) is False
+    assert sorted(p.name for p in out.iterdir()) == [
+        "seed_0", "seed_1_error.json", "seed_2", "seed_2_error.json", "summary.csv"]
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    files = _files(out)
+    for seed, row in zip((0, 1, 2), rows):
+        alone = tmp_path / f"alone_{seed}"
+        assert run_config({"scenario": "fbm-linear", "seeds": [seed]}, alone) is (seed == 0)
+        assert [header, row] == (alone / "summary.csv").read_text().splitlines()
+        assert {k: v for k, v in files.items() if k.startswith(f"seed_{seed}")} == {
+            k: v for k, v in _files(alone).items() if k != "summary.csv"}
+
+
+def test_verify_runs_fail_alone_in_one_stack(tmp_path, monkeypatch):
+    # linear-sine's solve fails at one Picard iteration (its own options, so
+    # its own lockstep), and flow-linear's composition fails in its
+    # transports' first chunk inside the stack of every other run: verify
+    # exits 1, and every scenario writes the files and summary rows its
+    # config writes alone
+    sc = SCENARIOS["linear-sine"]
+    monkeypatch.setitem(cli.SCENARIOS, "linear-sine",
+                        replace(sc, opts=replace(sc.opts, picard_max_iters=1)))
+    _failing_seeds(monkeypatch, "flow-linear", compositions={0})
+    out = tmp_path / "v"
+    assert main(["verify", "--seeds", "0,1", "--out", str(out)]) == 1
+    assert sorted(_files(out / "linear-sine")) == ["seed_0_error.json", "summary.csv"]
+    assert "seed_0_error.json" in _files(out / "flow-linear")
+    summary = (out / "verify_summary.csv").read_text().splitlines()
+    want = summary[:1]
+    for name in [*cli.DETERMINISTIC_BUNDLE, "fbm-linear"]:
+        alone = tmp_path / "alone" / name
+        run_config({"scenario": name, "seeds": [0, 1] if name == "fbm-linear" else [0]}, alone)
+        assert _files(out / name) == _files(alone), name
+        want += [f"{name},{row}" for row in (alone / "summary.csv").read_text().splitlines()[1:]]
+    assert summary == want
 
 
 def test_path_from_csv_rejects_a_file_without_its_header(tmp_path):

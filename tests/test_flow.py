@@ -281,6 +281,14 @@ def test_lockstep_lanes_equal_their_separate_transports(system, opts, plans, see
 _STACK_OPTS = {"default": SolveOptions(), "tight": _LANE_OPTS["tight"]}
 
 
+def _solve_beside(field, driver, t0, x0, T, opts, exps, lanes):
+    """A solve from t0 to T with transport lanes beside it in one lockstep
+    run: its BatchSolve and the transports' ends."""
+    leg = solver._leg(field, driver, t0, T, opts, exps)
+    (_, (batch, *ends)), = solver._lockstep([[(x0, [leg]), *lanes]], opts, True)
+    return batch, ends
+
+
 @pytest.mark.parametrize("system", sorted(_SYSTEMS))
 @pytest.mark.parametrize("opts", sorted(_STACK_OPTS))
 @pytest.mark.parametrize("lanes", [0, 1, 2])
@@ -303,12 +311,54 @@ def test_solve_lane_beside_transport_lanes_equals_its_separate_solve_and_transpo
     plans = data.draw(_lane_plans(lanes, lanes))
     lanes = [(_states(rng, n, field.dim_d), times) for times, n in plans]
     (t0, T), want = window, lockstep_transport(field, driver, lanes, opts=opts, exponents=exps)
-    got, ends, _ = solver._solve_window(field, driver, t0, x0, T, opts, exps,
-                                        _transport_lanes(field, driver, lanes, opts, exps))
+    got, ends = _solve_beside(field, driver, t0, x0, T, opts, exps,
+                              _transport_lanes(field, driver, lanes, opts, exps))
     alone = solve_forward_batch(field, driver, t0, x0, T, opts, exps)
     for name in ("times", "values", "iters", "residuals", "ball_ok"):
         assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
     assert [e.tobytes() for e in ends] == [w.tobytes() for w in want]
+
+
+_MIXED = {name: (SCENARIOS[name].make_field(), SCENARIOS[name].make_driver(0),
+                 SCENARIOS[name].exponents())
+          for name in ("flow-linear", "bounded-smooth", "time-varying", "zero", "fbm-linear")}
+
+
+@pytest.mark.parametrize("opts", sorted(_STACK_OPTS))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(names=st.lists(st.sampled_from(sorted(_MIXED)), min_size=2, max_size=4, unique=True),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_runs_of_different_fields_equal_their_own_solves_and_transports(opts, names, data, seed):
+    # runs of 2-4 fields, each with its own ball exponent q (fbm-linear's
+    # p = 1.5 against the others' 4/3), advance in one lockstep: a solve lane
+    # and 0-2 transport lanes each, zero's window one chunk of up to 501 rows
+    # (mu = inf) under the default options.  Each run's values, iterations,
+    # residuals, ball flags and transport ends are those of its own
+    # solve_forward_batch and lockstep_transport, byte for byte.  Mutation
+    # this fails on: a column group's f and g read with the first group's
+    # field
+    opts = _STACK_OPTS[opts]
+    rng = np.random.default_rng(seed)
+    runs, want = [], []
+    for name in names:
+        field, driver, exps = _MIXED[name]
+        lo, span = driver.times[0], driver.times[-1] - driver.times[0]
+        at = lambda u: lo + span * u / 2.0  # _lane_plans' [0, 2] onto the domain
+        t0, T = sorted(at(u) for u in data.draw(st.tuples(st.floats(0.0, 2.0), st.floats(
+            0.0, 2.0)).filter(lambda w: abs(w[1] - w[0]) > 0.2)))
+        x0 = _states(rng, data.draw(st.integers(1, 2)), field.dim_d)
+        lanes = [(_states(rng, n, field.dim_d), [at(u) for u in times])
+                 for times, n in data.draw(_lane_plans(0, 2))]
+        runs.append([(x0, [solver._leg(field, driver, t0, T, opts, exps)]),
+                     *_transport_lanes(field, driver, lanes, opts, exps)])
+        want.append((solve_forward_batch(field, driver, t0, x0, T, opts, exps),
+                     lockstep_transport(field, driver, lanes, opts, exps)))
+    got = dict(solver._lockstep(runs, opts, True))
+    for r, (alone, ends) in enumerate(want):
+        batch, *moved = got[r]
+        for name in ("times", "values", "iters", "residuals", "ball_ok"):
+            assert getattr(batch, name).tobytes() == getattr(alone, name).tobytes(), (r, name)
+        assert [m.tobytes() for m in moved] == [e.tobytes() for e in ends], r
 
 
 def test_solve_lane_that_fails_the_ball_screen_in_a_padded_step_reports_as_alone(monkeypatch):
@@ -333,8 +383,8 @@ def test_solve_lane_that_fails_the_ball_screen_in_a_padded_step_reports_as_alone
     alone = solve_forward_batch(field, driver, 0.5, x0, 1.5, opts, EXPS)
     alone_calls = calls[:]
     calls.clear()
-    got, ends, _ = solver._solve_window(field, driver, 0.5, x0, 1.5, opts, EXPS,
-                                        _transport_lanes(field, driver, [lane], opts, EXPS))
+    got, ends = _solve_beside(field, driver, 0.5, x0, 1.5, opts, EXPS,
+                              _transport_lanes(field, driver, [lane], opts, EXPS))
     assert alone_calls and set(alone_calls) == {(1001, 100.0)}
     assert [c for c in calls if c[1] == 100.0] == [(2001, 100.0)] * len(alone_calls)
     assert alone.ball_ok.tolist() == [False, True]
@@ -346,17 +396,17 @@ def test_solve_lane_that_fails_the_ball_screen_in_a_padded_step_reports_as_alone
 
 def test_failing_transport_lane_ends_the_transports_and_leaves_the_solve_as_alone():
     # the transport lanes run past the short solve; the first fails in its
-    # first chunk (its dt and dw grown by 1e6, so no slice contracts): every
-    # transport ends in that step, the solve goes on to its end as alone, and
-    # the failed lane's end is the SolveError its own lockstep raises, so the
-    # lockstep stops once the solve is done
+    # first chunk (its driver, and so its dw, grown by 1e6, so no slice
+    # contracts): every transport ends in that step, the solve goes on to its
+    # end as alone, and the failed lane's end is the SolveError its own
+    # lockstep raises, so the lockstep stops once the solve is done
     field, driver, exps = _SYSTEMS["flow-linear"]
     x0, x = np.array([[1.0]]), np.array([[0.5]])
     lanes = _transport_lanes(field, driver, [(x, (0.2, 1.9)), (x, (0.1, 1.8))], None, exps)
-    times, coef, dw = lanes[0][1][0].data
-    lanes[0][1][0] = lanes[0][1][0]._replace(data=(times, coef * 1e6, dw))
+    grown = SampledPath(driver.times, driver.values * 1e6)
+    lanes[0][1][0] = lanes[0][1][0]._replace(driver=grown)
     with pytest.raises(SolveError) as alone:
-        list(solver._lockstep(field, lanes[:1], None, exps))
+        list(solver._lockstep([lanes[:1]], None))
     steps = []
     real_slice = solver._picard_slice
 
@@ -366,7 +416,7 @@ def test_failing_transport_lane_ends_the_transports_and_leaves_the_solve_as_alon
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_picard_slice", picard_slice)
-        got, ends, _ = solver._solve_window(field, driver, 0.0, x0, 0.3, None, exps, lanes)
+        got, ends = _solve_beside(field, driver, 0.0, x0, 0.3, None, exps, lanes)
     want = solve_forward_batch(field, driver, 0.0, x0, 0.3, None, exps)
     for name in ("values", "iters", "residuals", "ball_ok"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -419,10 +469,12 @@ def test_flow_axiom_check_is_byte_equal_to_its_chain_of_transports(system):
 
 def test_verify_composition_residual_is_byte_equal_to_its_chain_of_transports(tmp_path):
     scenario = SCENARIOS["flow-linear"]
-    row, _ = cli._run_one_seed(scenario, 0, scenario.opts, tmp_path)
+    assert cli.run_config({"scenario": "flow-linear", "seeds": [0]}, tmp_path)
+    header, row = (tmp_path / "summary.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
     field, driver, exps = scenario.make_field(), scenario.make_driver(0), scenario.exponents()
     X = lambda a, b, x: cauchy_operator(field, driver, a, b, x, opts=scenario.opts, exponents=exps)
     s, u, t = scenario.flow_triple
     x = np.atleast_1d(scenario.x0)
     want = float(np.linalg.norm(X(u, t, X(s, u, x)) - X(s, t, x)))
-    assert np.float64(row["flow_composition_residual"]).tobytes() == np.float64(want).tobytes()
+    assert np.float64(float(row["flow_composition_residual"])).tobytes() == np.float64(want).tobytes()

@@ -61,8 +61,8 @@ EXPS = select_exponents(4.0 / 3.0, 0.75, 0.75, 1.0)
 
 def _slice(field, ts, ws, x0, opts, q, diagnostics=True):
     """_picard_slice for the stack x0 on the map of the grid ts and the driver ws there."""
-    sums = _solution_map(field, *_grid_data(field, ts, ws, len(x0)))(0, len(ts) - 1)
-    return _picard_slice(sums, len(ts), x0, opts, q, diagnostics)
+    sums = _solution_map([field] * len(x0), *_grid_data(field, ts, ws, len(x0)))(0, len(ts) - 1)
+    return _picard_slice(sums, len(ts), x0, opts, [q] * len(x0), diagnostics)
 
 
 def test_apply_f_zero_field_constant():
@@ -168,6 +168,48 @@ def test_picard_slice_rejects_a_ball_norm_below_one(q):
     drv = _sine(21, 1.0)
     with pytest.raises(ParameterError, match="the ball norm needs q >= 1"):
         _slice(linear_field(), drv.times, drv.values, np.array([[1.0]]), SolveOptions(), q)
+
+
+def test_ball_screen_reads_each_members_own_q():
+    # a map whose F(x) is the same zigzag for both members, 19 steps of 0.6
+    # from 0: its 1-variation, 11.4, leaves the ball of radius 1 and its
+    # 50-variation, about 0.64, stays inside, so each member's flag follows
+    # its own q.  Mutation this fails on: the ball DP reads the first
+    # member's q
+    n = 20
+    S = np.zeros((2, n, 2, 1))
+    S[0] = np.tile([0.0, 0.6], n // 2)[:, None, None]
+    for q, flags in (([1.0, 50.0], [False, True]), ([50.0, 1.0], [True, False])):
+        got = _picard_slice(lambda x: S, n, np.zeros((2, 1)), SolveOptions(), q)
+        assert got.ball_ok.tolist() == flags
+        assert got.failed.tolist() == [False, False]
+
+
+def test_ball_screen_runs_no_dp_for_a_member_already_outside(monkeypatch):
+    # x' = x dw against sin(5t) on [0.5, 1.5] in one slice: from x0 = 100 the
+    # first pass's DP finds the member outside the ball, and a flag never
+    # turns back, so no later pass runs the DP for it (the loop that screens
+    # every pass runs it 20 times); the member from 0.01 never reaches the
+    # DP.  The flags, residuals and values are the loop's
+    from youngflow import solver
+
+    field = linear_field(0.0, 0.0, 1.0, 0.0)
+    drv = analytic_driver("sine", {"freq": 5.0}, np.linspace(0.0, 2.0, 2001))
+    ts = drv.restrict((0.5, 1.5)).times
+    x0 = np.array([[100.0], [0.01]])
+    want = _reference_picard_slice(field, ts, drv.at(ts), x0, SolveOptions(), EXPS.q)
+    real_variation, calls = solver._variation, []
+
+    def variation(flat, q):
+        calls.append(flat[0, 0])
+        return real_variation(flat, q)
+
+    monkeypatch.setattr(solver, "_variation", variation)
+    got = _slice(field, ts, drv.at(ts), x0, SolveOptions(), EXPS.q)
+    assert calls == [100.0]
+    assert got.ball_ok.tolist() == want[3].tolist() == [False, True]
+    assert got.residuals.tobytes() == want[2].tobytes()
+    assert got.values.tobytes() == want[0].tobytes()
 
 
 def test_concatenation_consistency(scenario_run):
@@ -985,9 +1027,10 @@ def test_transport_slice_on_the_solve_map_is_bit_equal_to_the_loop(case, n, lo, 
                                                                          [-25.0]])
     opts = SolveOptions(picard_max_iters=max_iters)
     ts, ws = grid[lo:lo + n], wgrid[lo:lo + n]
-    chunk = _solution_map(field, *_grid_data(field, grid, wgrid, len(x0)), rows=n + 3)
+    chunk = _solution_map([field] * len(x0), *_grid_data(field, grid, wgrid, len(x0)),
+                          rows=n + 3)
     sums = chunk(lo, lo + n - 1)
-    got = _picard_slice(sums, n, x0, opts, EXPS.q, diagnostics=False)
+    got = _picard_slice(sums, n, x0, opts, [EXPS.q] * len(x0), diagnostics=False)
     want = _reference_picard_slice(field, ts, ws, x0, opts, EXPS.q)
     assert got.residuals is None and got.ball_ok is None
     assert got.iters == want[1]

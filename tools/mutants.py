@@ -69,21 +69,24 @@ MUTANTS = [
      "np.copyto(x, fx)",
      [f"{T_SOLVER}::test_transport_slice_on_the_solve_map_is_bit_equal_to_the_loop"]),
     ("lane end read at the step's last row", SOLVER,
-     "            states[l] = out[0][-1]\n",
-     "            states[l] = r.values[-1, c]\n",
+     "            states[l] = vals[-1]\n",
+     "            states[l] = res.values[-1, c]\n",
      [LOCKSTEP_SHRINK]),
     ("padded rows given the real increment", SOLVER,
-     "            coef[:, k - 1:n - 1, c] = 0.0\n",
-     "            coef[:, k - 1:n - 1, c] = leg_coef[:, b - 1:b]\n",
+     "            times[k:n, c] = times[k - 1, c]\n",
+     "            times[k:n, c] = times[k - 1, c]\n"
+     "            coef[:, k - 1:n - 1, c] = coef[:, k - 2:k - 1, c]\n",
      ["tests/test_flow.py::test_lockstep_lanes_equal_their_separate_transports"]),
     ("failed member re-solved on the step's longest slice", SOLVER,
-     "lane = _Slice(r.values[:b - a + 1, c], r.iters,\n" + " " * 26
-     + "*(v if v is None else v[c] for v in r[2:]))\n" + " " * 12
-     + "# its failed members shrink on the lane's own slice, as in its own transport\n"
-     + " " * 12 + "try:\n" + " " * 16 + "out = _solve_span(field, leg.ts[a:b + 1], part,",
-     "lane = _Slice(r.values[:, c], r.iters, *(v if v is None else v[c] for v in r[2:]))\n"
+     "lane = _Slice(res.values[:k, c], res.iters,\n" + " " * 26
+     + "*(v if v is None else v[c] for v in res[2:]))\n" + " " * 12
+     + "# its failed members shrink on the lane's own rows, as in its own transport\n"
+     + " " * 12 + "part = (times[:k, c], coef[:, :k - 1, c.start:c.start + 1],\n" + " " * 20
+     + "None if dw is None else dw[:k - 1, c])\n" + " " * 12 + "try:\n" + " " * 16
+     + "vals, *out = _solve_span(leg.field, leg.ts[a:b + 1], part,",
+     "lane = _Slice(res.values[:, c], res.iters, *(v if v is None else v[c] for v in res[2:]))\n"
      + " " * 12 + "try:\n" + " " * 16
-     + "out = _solve_span(field, max((s.ts[i:j + 1] for s, i, j in spans), key=len),"
+     + "vals, *out = _solve_span(leg.field, max((s.ts[i:j + 1] for s, i, j in chunks), key=len),"
      " (times[:n, c], coef[:, :n - 1, c.start:c.start + 1],"
      " None if dw is None else dw[:n - 1, c]),",
      [LOCKSTEP_SHRINK]),
@@ -92,7 +95,7 @@ MUTANTS = [
      "diagnostics=diagnostics)",
      [LOCKSTEP_SHRINK]),
     ("transport lane's SolveError raised before the solve lane ends", SOLVER,
-     "                if not diagnostics or not l:\n                    raise\n",
+     "                if not diagnostics:\n                    raise\n",
      "                raise\n",
      [f"{T_CLI}::test_run_config_composition_error_keeps_the_solve_files"]),
     ("a lane's residuals read across the stack's columns", SOLVER,
@@ -117,9 +120,30 @@ MUTANTS = [
      "                    and True):",
      [f"{T_SOLVER}::test_member_past_the_divergence_cap_fails_while_its_mates_go_on"]),
     ("dt and dw swapped", SOLVER,
-     "    if m == 1:\n        coef[1] = dw[:, :, None]\n",
-     "    if m == 1:\n        coef[0], coef[1] = dw[:, :, None], coef[0].copy()\n",
+     "        coef[1] = (ws[1:] - ws[:-1])[:, :, None]\n",
+     "        coef[0], coef[1] = (ws[1:] - ws[:-1])[:, :, None], coef[0].copy()\n",
      [f"{T_SOLVER}::test_picard_slice_is_bit_equal_to_the_per_iteration_loop"]),
+    ("a column group's f and g read with the first group's field", SOLVER,
+     "            for field, cols, shape, t, dw_g, drift, noise in parts:\n",
+     "            for (_, cols, shape, t, dw_g, drift, noise), field in zip(parts, [parts[0][0]] * len(parts)):\n",
+     [f"{T_FLOW}::test_runs_of_different_fields_equal_their_own_solves_and_transports"]),
+    ("the ball DP reads the first member's q", SOLVER,
+     "_variation(fx[:, b], q[b])",
+     "_variation(fx[:, b], q[0])",
+     [f"{T_SOLVER}::test_ball_screen_reads_each_members_own_q"]),
+    ("the ball DP run again for a member already outside", SOLVER,
+     "if (ball_ok[b] and (x0_norm[b]",
+     "if (True and (x0_norm[b]",
+     [f"{T_SOLVER}::test_ball_screen_runs_no_dp_for_a_member_already_outside"]),
+    ("a run's SolveError ends every run", SOLVER,
+     "for i in range(l if l == first[r] else first[r] + 1, first[r + 1]):",
+     "for i in range(len(steps)):",
+     [f"{T_CLI}::test_run_config_seeds_fail_alone_in_one_stack",
+      f"{T_CLI}::test_verify_runs_fail_alone_in_one_stack"]),
+    ("a step's dw read from the lane's driver one row early", SOLVER,
+     "ts, leg.driver._interp(ts), leg.clock)",
+     "ts, leg.driver._interp(leg.ts[a - 1:b] if a else ts), leg.clock)",
+     [SHRINK_FIXED_POINT]),
     ("failed member not reset", SOLVER,
      "                        x[:, b] = x0[b]\n",
      "",
